@@ -8,7 +8,7 @@ Subcommands:
 
 Pair specs name catalog entries with colon-separated parameters
 (`point`, `finite:3,1`, `p1-marked:2`, `pn-hyp:2,2`) and combine with
-`sum(...)`, `prod(...)` and `neg(...)`.
+`sum(...)`, `prod(...)` and `neg(...)`; the grammar lives in `pairs`.
 
 Exit codes: 0 success, 1 verification or equality failure, 2 usage
 error, 3 enumeration budget exhausted.  Identical invocations print
@@ -27,7 +27,7 @@ from typing import Sequence
 from .field import is_prime
 from .geometry import MarkedP1Scene, hyperplane_union_class, sym_pair_p1_direct, sym_pair_p1_lambda
 from .oracle import DEFAULT_BUDGET, BudgetExceededError, count_marked_union
-from .pairs import PairClass, catalog
+from .pairs import PairClass, parse_pair_spec
 from .power import PAIR_RING, kapranov_zeta, power_pow
 from .series import TruncatedSeries
 from .suites import SUITES, run_suite
@@ -37,7 +37,6 @@ from .suites import SUITES, run_suite
 class CliConfig:
     """Validated run parameters shared by all subcommands."""
 
-    command: str
     order: int = 8
     fields: tuple[int, ...] = (2, 3, 5)
     fmt: str = "text"
@@ -53,67 +52,6 @@ class CliConfig:
             raise ValueError("budget must be positive")
         if self.fmt not in ("text", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
-
-
-# -- pair-spec mini-grammar ------------------------------------------------------
-
-
-def _split_top(text: str) -> list[str]:
-    """Split on commas outside parentheses; glue numeric parameters back on.
-
-    A purely numeric fragment cannot start a spec (catalog names start
-    with a letter), so it must be a parameter of the preceding atom, as
-    in sum(finite:3,1,pn:2).
-    """
-    parts: list[str] = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    if depth != 0:
-        raise ValueError(f"unbalanced parentheses in {text!r}")
-    parts.append(text[start:])
-    merged: list[str] = []
-    for part in parts:
-        part = part.strip()
-        if not part:
-            raise ValueError("empty item in spec list")
-        if part.isdigit() and merged:
-            merged[-1] += "," + part
-        else:
-            merged.append(part)
-    return merged
-
-
-def parse_pair_spec(spec: str) -> PairClass:
-    """Evaluate a pair spec: catalog atoms plus sum/prod/neg combinators."""
-    spec = spec.strip()
-    for head in ("sum", "prod", "neg"):
-        if spec.startswith(head + "(") and spec.endswith(")"):
-            parts = _split_top(spec[len(head) + 1 : -1])
-            if head == "neg":
-                if len(parts) != 1:
-                    raise ValueError("neg(...) takes exactly one argument")
-                return -parse_pair_spec(parts[0])
-            values = [parse_pair_spec(p) for p in parts]
-            total = PairClass.zero() if head == "sum" else PairClass.one()
-            for value in values:
-                total = total + value if head == "sum" else total * value
-            return total
-    name, _, arg = spec.partition(":")
-    try:
-        params = [int(x) for x in arg.split(",")] if arg else []
-    except ValueError:
-        raise ValueError(f"bad parameters in pair spec {spec!r}") from None
-    return catalog(name.strip(), *params)
 
 
 # -- rendering -------------------------------------------------------------------
@@ -153,11 +91,8 @@ def _base_series(kind: str, coeff_specs: Sequence[str], order: int) -> Truncated
     if kind == "geometric":
         return PAIR_RING.geometric_series(order)
     if kind == "one-plus-t":
-        if order < 1:
-            return PAIR_RING.one_series(order)
         return PAIR_RING.one_plus_t(order)
-    coeffs = (PairClass.one(),) + tuple(parse_pair_spec(s) for s in coeff_specs)
-    return TruncatedSeries(coeffs[: order + 1]).resized(order, PairClass.zero())
+    return PAIR_RING.one_plus([parse_pair_spec(s) for s in coeff_specs], order)
 
 
 def cmd_pow(config: CliConfig, base: TruncatedSeries, exponent: PairClass) -> int:
@@ -313,7 +248,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = CliConfig(
-            command=args.command,
             order=getattr(args, "order", 8),
             fields=_parse_fields(getattr(args, "q", "2,3,5")),
             fmt=args.fmt,

@@ -40,9 +40,6 @@ class PrimeField:
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.q
 
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.q
 
@@ -50,6 +47,3 @@ class PrimeField:
         if a % self.q == 0:
             raise ZeroDivisionError("zero has no inverse")
         return pow(a, -1, self.q)
-
-    def elements(self) -> range:
-        return range(self.q)

@@ -78,9 +78,6 @@ class MotivicPolynomial:
         """Degree in L; the zero polynomial reports -1."""
         return max(self._coeffs) if self._coeffs else -1
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     # -- ring structure ----------------------------------------------------
 
     @staticmethod
@@ -179,10 +176,6 @@ class MotivicPolynomial:
     def to_json(self) -> dict[str, str]:
         """Degrees and coefficients as decimal strings; zero entries omitted."""
         return {str(d): str(c) for d, c in self._coeffs.items()}
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, str]) -> "MotivicPolynomial":
-        return cls({int(d): int(c) for d, c in obj.items()})
 
 
 def projective_class(n: int) -> MotivicPolynomial:

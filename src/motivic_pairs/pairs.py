@@ -14,8 +14,9 @@ The class of the marked subspace itself is derived, never stored:
 subvariety = ambient - complement.
 
 The catalog at the bottom provides every concrete generator used by the
-verification suites, keyed by the same short names the command line
-accepts.
+verification suites, keyed by short names, and the pair-spec grammar
+below it names catalog entries and their sums, products and negatives in
+text, for the command line and the suites alike.
 """
 
 from __future__ import annotations
@@ -113,13 +114,6 @@ class PairClass:
     def to_json(self) -> dict:
         return {"amb": self.amb.to_json(), "comp": self.comp.to_json()}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "PairClass":
-        return cls(
-            MotivicPolynomial.from_json(obj["amb"]),
-            MotivicPolynomial.from_json(obj["comp"]),
-        )
-
 
 # -- catalog of concrete generators ------------------------------------------
 
@@ -196,3 +190,80 @@ def catalog(name: str, *params: int) -> PairClass:
 
 def catalog_names() -> tuple[str, ...]:
     return tuple(sorted(_CATALOG))
+
+
+# -- pair-spec grammar --------------------------------------------------------
+
+# Deepest accepted nesting of sum/prod/neg; the recursive descent stays far
+# inside the interpreter's stack.
+MAX_SPEC_DEPTH = 64
+
+
+def split_atom(spec: str) -> tuple[str, tuple[int, ...]]:
+    """Name and integer parameters of a catalog atom such as finite:3,1."""
+    name, _, arg = spec.strip().partition(":")
+    try:
+        params = tuple(int(x) for x in arg.split(",")) if arg else ()
+    except ValueError:
+        raise ValueError(f"bad parameters in pair spec {spec!r}") from None
+    return name.strip(), params
+
+
+def _split_top(text: str) -> list[str]:
+    """Split on commas outside parentheses; glue numeric parameters back on.
+
+    A purely numeric fragment cannot start a spec (catalog names start
+    with a letter), so it must be a parameter of the preceding atom, as
+    in sum(finite:3,1,pn:2).
+    """
+    parts: list[str] = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+            if depth >= MAX_SPEC_DEPTH:
+                raise ValueError(f"pair spec nested deeper than {MAX_SPEC_DEPTH} levels")
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ValueError(f"unbalanced parentheses in {text!r}")
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    if depth != 0:
+        raise ValueError(f"unbalanced parentheses in {text!r}")
+    parts.append(text[start:])
+    merged: list[str] = []
+    for part in parts:
+        part = part.strip()
+        if not part:
+            raise ValueError("empty item in spec list")
+        if part.isdigit() and merged:
+            merged[-1] += "," + part
+        else:
+            merged.append(part)
+    return merged
+
+
+def parse_pair_spec(spec: str) -> PairClass:
+    """Evaluate a pair spec: catalog atoms plus sum/prod/neg combinators.
+
+    The outermost combinator scans its whole argument, so nesting deeper
+    than MAX_SPEC_DEPTH is rejected before any recursion.
+    """
+    spec = spec.strip()
+    for head in ("sum", "prod", "neg"):
+        if spec.startswith(head + "(") and spec.endswith(")"):
+            parts = _split_top(spec[len(head) + 1 : -1])
+            if head == "neg":
+                if len(parts) != 1:
+                    raise ValueError("neg(...) takes exactly one argument")
+                return -parse_pair_spec(parts[0])
+            values = [parse_pair_spec(p) for p in parts]
+            total = PairClass.zero() if head == "sum" else PairClass.one()
+            for value in values:
+                total = total + value if head == "sum" else total * value
+            return total
+    name, params = split_atom(spec)
+    return catalog(name, *params)

@@ -20,7 +20,7 @@ an explicit argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,10 +36,6 @@ class TruncatedSeries:
             raise ValueError("a truncated series needs at least a constant term")
 
     # -- construction --------------------------------------------------
-
-    @classmethod
-    def from_coefficients(cls, coeffs: Iterable[Any]) -> "TruncatedSeries":
-        return cls(tuple(coeffs))
 
     @classmethod
     def unit(cls, one: Any, zero: Any, order: int) -> "TruncatedSeries":
@@ -81,9 +77,6 @@ class TruncatedSeries:
         for i, c in enumerate(self.coeffs):
             coeffs[i * k] = c
         return TruncatedSeries(tuple(coeffs))
-
-    def map_coefficients(self, fn: Callable[[Any], Any]) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(fn(c) for c in self.coeffs))
 
     # -- arithmetic -----------------------------------------------------
 
@@ -150,13 +143,6 @@ class TruncatedSeries:
 
     def to_json(self, coeff_to_json: Callable[[Any], Any]) -> dict:
         return {"order": self.order, "coeffs": [coeff_to_json(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, obj: dict, coeff_from_json: Callable[[Any], Any]) -> "TruncatedSeries":
-        coeffs = tuple(coeff_from_json(c) for c in obj["coeffs"])
-        if len(coeffs) != obj["order"] + 1:
-            raise ValueError("coefficient list length does not match the stated order")
-        return cls(coeffs)
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r})"

@@ -49,7 +49,7 @@ from .oracle import (
     projective_line_counts,
     weil_symmetric_counts,
 )
-from .pairs import PairClass, catalog
+from .pairs import PairClass, catalog, parse_pair_spec, split_atom
 from .power import (
     LEFSCHETZ_RING,
     PAIR_RING,
@@ -94,15 +94,9 @@ CATALOG_SPECS = (
 )
 
 
-def _entry(spec: str) -> PairClass:
-    name, _, arg = spec.partition(":")
-    params = [int(x) for x in arg.split(",")] if arg else []
-    return catalog(name, *params)
-
-
 def catalog_samples() -> tuple[tuple[str, PairClass], ...]:
     """The named generator classes every sampling suite draws from."""
-    return tuple((spec, _entry(spec)) for spec in CATALOG_SPECS)
+    return tuple((spec, parse_pair_spec(spec)) for spec in CATALOG_SPECS)
 
 
 def _check(check: str, params: dict, expected, actual) -> dict:
@@ -162,8 +156,7 @@ def _brute_counts(spec: str, q: int) -> tuple[int, int] | None:
     Counts by explicit enumeration, never by evaluating classes.  Returns
     None when the scene does not exist over F_q (more marks than points).
     """
-    name, _, arg = spec.partition(":")
-    params = [int(x) for x in arg.split(",")] if arg else []
+    name, params = split_atom(spec)
     if name == "point":
         return (1, 1)
     if name == "empty":
@@ -278,7 +271,7 @@ def suite_ring_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[
         )
 
     for spec in CATALOG_SPECS:
-        entry = _entry(spec)
+        entry = parse_pair_spec(spec)
         for q in fields:
             counts = _brute_counts(spec, q)
             if counts is None:
@@ -293,7 +286,7 @@ def suite_ring_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[
             )
 
     for spec in CATALOG_SPECS:
-        entry = _entry(spec)
+        entry = parse_pair_spec(spec)
         for q in fields:
             if _brute_counts(spec, q) is None:
                 continue
@@ -308,7 +301,7 @@ def suite_ring_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[
                 )
             )
 
-    marked_line = _entry("p1-marked:1")
+    marked_line = parse_pair_spec("p1-marked:1")
     squared = marked_line * marked_line
     for q in fields:
         points = enumerate_projective(1, q)
@@ -324,7 +317,7 @@ def suite_ring_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[
             )
         )
 
-    product = _entry("finite:3,1") * _entry("finite:2,0")
+    product = parse_pair_spec("finite:3,1") * parse_pair_spec("finite:2,0")
     atoms = [(i, j) for i in range(3) for j in range(2)]
     unmarked = [(i, j) for i, j in atoms if i >= 1]
     rows.append(
@@ -336,12 +329,12 @@ def suite_ring_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[
         )
     )
 
-    reassembled = _entry("finite:1,1") + _entry("affine-marked:1")
+    reassembled = parse_pair_spec("finite:1,1") + parse_pair_spec("affine-marked:1")
     rows.append(
         _check(
             "pair-cut-paste",
             {"entry": "p1-marked:2", "cut": "one marked point"},
-            str(_entry("p1-marked:2")),
+            str(parse_pair_spec("p1-marked:2")),
             str(reassembled),
         )
     )
@@ -400,7 +393,7 @@ def suite_statement2(order: int, fields: tuple[int, ...], budget: int) -> list[d
             )
         )
     unit = PairClass.one()
-    expected = _one_plus_t(order)
+    expected = PAIR_RING.one_plus_t(order)
     rows.append(
         axiom_row("config-of-unit-is-one-plus-t", "point", order, config_series_pair(unit, order), expected)
     )
@@ -410,29 +403,17 @@ def suite_statement2(order: int, fields: tuple[int, ...], budget: int) -> list[d
 # -- power axioms and identities -------------------------------------------------
 
 
-def _one_plus_t(order: int) -> TruncatedSeries:
-    if order < 1:
-        return PAIR_RING.one_series(order)
-    return PAIR_RING.one_plus_t(order)
-
-
-def _catalog_series(specs: Sequence[str], order: int) -> TruncatedSeries:
-    """1 + entry_1 t + entry_2 t^2 + ... padded or truncated to the order."""
-    coeffs = (PairClass.one(),) + tuple(_entry(s) for s in specs)
-    return TruncatedSeries(coeffs[: order + 1]).resized(order, PairClass.zero())
-
-
 def _power_samples(order: int) -> list[tuple[str, TruncatedSeries, TruncatedSeries, PairClass, PairClass]]:
     geo = PAIR_RING.geometric_series(order)
-    opt = _one_plus_t(order)
-    e = _entry
+    opt = PAIR_RING.one_plus_t(order)
+    e = parse_pair_spec
     return [
         ("A=1+t, B=1/(1-t); m1=finite:3,1, m2=finite:2,1",
          opt, geo, e("finite:3,1"), e("finite:2,1")),
         ("A=1/(1-t), B=zeta(p1-marked:1); m1=p1-marked:2, m2=pn:1",
          geo, kapranov_zeta(e("p1-marked:1"), order), e("p1-marked:2"), e("pn:1")),
         ("A=1+t+t^2, B=1+t; m1=p1-marked:1, m2=finite:2,1",
-         _catalog_series(["point", "point"], order), opt, e("p1-marked:1"), e("finite:2,1")),
+         PAIR_RING.one_plus([e("point"), e("point")], order), opt, e("p1-marked:1"), e("finite:2,1")),
         ("A=1/(1-t), B=1+t; m1=finite:3,1-pn:1, m2=point-affine-marked:1",
          geo, opt, e("finite:3,1") - e("pn:1"), e("point") - e("affine-marked:1")),
         ("A=1+t, B=zeta(finite:2,1); m1=-p1-marked:2, m2=finite:4,2",
@@ -444,43 +425,45 @@ def _power_samples(order: int) -> list[tuple[str, TruncatedSeries, TruncatedSeri
         ("A=1+t, B=1/(1-t); m1=pn:2-p1-marked:1, m2=finite:5,5",
          opt, geo, e("pn:2") - e("p1-marked:1"), e("finite:5,5")),
         ("A=1+[affine-marked:0]t, B=1/(1-t); m1=affine-marked:0, m2=-point",
-         _catalog_series(["affine-marked:0"], order), geo, e("affine-marked:0"), -e("point")),
+         PAIR_RING.one_plus([e("affine-marked:0")], order), geo, e("affine-marked:0"), -e("point")),
         ("A=1+t, B=1+t; m1=empty, m2=pn:3",
          opt, opt, e("empty"), e("pn:3")),
         ("A=1+[finite:2,1]t+[p1-marked:1]t^2+[finite:3,3]t^3, B=zeta(pn:1); m1=finite:3,2-affine-marked:2, m2=pn:1",
-         _catalog_series(["finite:2,1", "p1-marked:1", "finite:3,3"], order),
+         PAIR_RING.one_plus([e("finite:2,1"), e("p1-marked:1"), e("finite:3,3")], order),
          kapranov_zeta(e("pn:1"), order), e("finite:3,2") - e("affine-marked:2"), e("pn:1")),
         ("A=1/(1-t), B=1+[pn:1]t; m1=p1-marked:4-finite:2,2, m2=affine-marked:3",
-         geo, _catalog_series(["pn:1"], order), e("p1-marked:4") - e("finite:2,2"), e("affine-marked:3")),
+         geo, PAIR_RING.one_plus([e("pn:1")], order), e("p1-marked:4") - e("finite:2,2"), e("affine-marked:3")),
     ]
 
 
 def _effective_combos(order: int) -> list[tuple[str, TruncatedSeries, PairClass]]:
     # every scene here exists over F_2 already, so the counts stay genuine
     # for all prime fields
+    e = parse_pair_spec
     return [
-        ("(1+t)^finite:4,2", _one_plus_t(order), _entry("finite:4,2")),
-        ("(1+t)^pn-hyp:2,2", _one_plus_t(order), _entry("pn-hyp:2,2")),
-        ("(1/(1-t))^p1-marked:3", PAIR_RING.geometric_series(order), _entry("p1-marked:3")),
-        ("(1/(1-t))^pn:2", PAIR_RING.geometric_series(order), _entry("pn:2")),
+        ("(1+t)^finite:4,2", PAIR_RING.one_plus_t(order), e("finite:4,2")),
+        ("(1+t)^pn-hyp:2,2", PAIR_RING.one_plus_t(order), e("pn-hyp:2,2")),
+        ("(1/(1-t))^p1-marked:3", PAIR_RING.geometric_series(order), e("p1-marked:3")),
+        ("(1/(1-t))^pn:2", PAIR_RING.geometric_series(order), e("pn:2")),
         ("zeta(p1-marked:1)^finite:3,1",
-         kapranov_zeta(_entry("p1-marked:1"), order), _entry("finite:3,1")),
+         kapranov_zeta(e("p1-marked:1"), order), e("finite:3,1")),
         ("(1+[p1-marked:2]t+[finite:2,1]t^2+[affine-marked:1]t^3)^affine-marked:2",
-         _catalog_series(["p1-marked:2", "finite:2,1", "affine-marked:1"], order),
-         _entry("affine-marked:2")),
+         PAIR_RING.one_plus([e("p1-marked:2"), e("finite:2,1"), e("affine-marked:1")], order),
+         e("affine-marked:2")),
     ]
 
 
 def suite_power_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
     """The five exponent laws, factorization round-trips, and effectiveness."""
     rows = verify_power_axioms(_power_samples(order), order)
+    e = parse_pair_spec
 
     roundtrip_bases = [
-        ("1+t", _one_plus_t(order)),
+        ("1+t", PAIR_RING.one_plus_t(order)),
         ("1/(1-t)", PAIR_RING.geometric_series(order)),
-        ("zeta(p1-marked:2)", kapranov_zeta(_entry("p1-marked:2"), order)),
-        ("config(pn:2)", config_series_pair(_entry("pn:2"), order)),
-        ("1+[finite:2,1]t+[p1-marked:1]t^2", _catalog_series(["finite:2,1", "p1-marked:1"], order)),
+        ("zeta(p1-marked:2)", kapranov_zeta(e("p1-marked:2"), order)),
+        ("config(pn:2)", config_series_pair(e("pn:2"), order)),
+        ("1+[finite:2,1]t+[p1-marked:1]t^2", PAIR_RING.one_plus([e("finite:2,1"), e("p1-marked:1")], order)),
     ]
     for name, base in roundtrip_bases:
         rebuilt = factor_exponents(base, PAIR_RING).reconstruct(PAIR_RING)
@@ -595,9 +578,7 @@ def suite_eq3_finite(order: int, fields: tuple[int, ...], budget: int) -> list[d
             for l1 in label_options:
                 for l2 in label_options:
                     scene = FiniteScene.from_sizes(size, marked, [l1, l2])
-                    base = TruncatedSeries(
-                        (PairClass.one(), catalog("finite", *l1), catalog("finite", *l2))
-                    ).resized(top, PairClass.zero())
+                    base = PAIR_RING.one_plus((catalog("finite", *l1), catalog("finite", *l2)), top)
                     powered = power_pow(base, exponent, PAIR_RING)
                     expected = [list(count_power_configs(scene, n, budget)) for n in range(top + 1)]
                     actual = [

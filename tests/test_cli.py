@@ -1,17 +1,23 @@
 """Command-line surface: spec grammar, output shapes, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
 from motivic_pairs import MotivicPolynomial, PairClass, catalog
-from motivic_pairs.cli import main, parse_pair_spec
+from motivic_pairs.cli import main
+from motivic_pairs.pairs import MAX_SPEC_DEPTH, parse_pair_spec
 
 L = MotivicPolynomial.lefschetz()
 
 
 def cells(line):
     return [c.strip() for c in line.split("|")]
+
+
+def nested_negations(depth):
+    return "neg(" * depth + "point" + ")" * depth
 
 
 # -- pair-spec grammar -------------------------------------------------------------
@@ -35,6 +41,7 @@ def test_parse_nested_combinators():
     expected = catalog("p1-marked", 1) * (PairClass.one() - catalog("finite", 2, 0))
     assert value == expected
     assert parse_pair_spec("neg(neg(pn:1))") == catalog("pn", 1)
+    assert parse_pair_spec(nested_negations(MAX_SPEC_DEPTH)) == PairClass.one()
 
 
 def test_parse_errors():
@@ -50,6 +57,8 @@ def test_parse_errors():
         parse_pair_spec("sum(point")
     with pytest.raises(ValueError):
         parse_pair_spec("finite")  # missing required sizes
+    with pytest.raises(ValueError, match="nested deeper"):
+        parse_pair_spec(nested_negations(MAX_SPEC_DEPTH + 1))
 
 
 # -- zeta and pow ------------------------------------------------------------------
@@ -173,6 +182,13 @@ def test_verify_runs_are_byte_identical(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_verify_all_output_is_pinned(capsys):
+    # SHA-256 of the default `verify --suite all` report; any changed row changes it
+    assert main(["verify", "--suite", "all"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "d7ace563c86451be35b02e77eaef9470b28e4cd5b9b259c9e9e1f56ee2eacac0"
+
+
 def test_verify_budget_exhaustion_exit_code(capsys):
     assert main(["verify", "--suite", "squarefree", "--budget", "5"]) == 3
     err = capsys.readouterr().err
@@ -192,6 +208,15 @@ def test_bad_pair_spec_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["zeta", "--pair", "bogus:1"])
     assert exc.value.code == 2
+
+
+def test_deeply_nested_pair_spec_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "--pair", nested_negations(3000)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage:")
+    assert "nested deeper" in err[-1]
 
 
 def test_composite_field_is_usage_error():

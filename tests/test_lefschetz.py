@@ -1,5 +1,6 @@
 """Integer polynomials in the affine-line class and their zeta series."""
 
+import json
 import random
 
 import pytest
@@ -21,7 +22,7 @@ def test_canonical_representation_drops_zeros():
     assert p.items() == ((0, 1),)
     assert MotivicPolynomial({}) == ZERO
     assert ZERO.degree == -1
-    assert ZERO.is_zero()
+    assert ZERO.items() == ()
 
 
 def test_constructors():
@@ -99,8 +100,8 @@ def test_str_ascending():
 
 def test_json_roundtrip():
     p = 3 * L ** 4 - 2 * L + ONE
-    assert MotivicPolynomial.from_json(p.to_json()) == p
-    assert MotivicPolynomial.from_json(ZERO.to_json()) == ZERO
+    assert json.loads(json.dumps(p.to_json())) == {"0": "1", "1": "-2", "4": "3"}
+    assert ZERO.to_json() == {}
 
 
 def test_projective_class():

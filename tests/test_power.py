@@ -50,9 +50,16 @@ def test_ring_presets():
     assert PAIR_RING.one_series(0).coeffs == (PairClass.one(),)
 
 
-def test_one_plus_t_needs_linear_term():
+def test_one_plus_t_at_order_zero_is_one():
+    assert PAIR_RING.one_plus_t(0).coeffs == (PairClass.one(),)
+
+
+def test_one_plus_truncates_and_pads():
+    p = catalog("pn", 1)
+    assert PAIR_RING.one_plus([p, p], 1).coeffs == (PairClass.one(), p)
+    assert PAIR_RING.one_plus([p], 3).coeffs == (PairClass.one(), p, PairClass.zero(), PairClass.zero())
     with pytest.raises(ValueError):
-        PAIR_RING.one_plus_t(0)
+        PAIR_RING.one_plus([p], -1)
 
 
 def test_kapranov_zeta_is_componentwise():
@@ -274,3 +281,16 @@ def test_verify_identities_catches_mismatch():
 
     assert first_mismatch(lhs, rhs) == 1
     assert first_mismatch(lhs, lhs) is None
+
+
+def test_rows_of_different_orders_fail():
+    # a window that stops early must not pass against a full one
+    from motivic_pairs.power import axiom_row, first_mismatch
+
+    full = kapranov_zeta(catalog("pn", 1), 8)
+    cut = kapranov_zeta(catalog("pn", 1), 0)
+    assert first_mismatch(full, cut) == 1
+    assert first_mismatch(cut, full) == 1
+    row = axiom_row("truncated", "pn:1", 8, full, cut)
+    assert row["pass"] is False
+    assert row["first_mismatch_degree"] == 1

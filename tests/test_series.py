@@ -1,5 +1,6 @@
 """Truncated power series over exact coefficient rings."""
 
+import json
 import random
 
 import pytest
@@ -29,7 +30,7 @@ def test_construction_and_order():
     assert s.order == 2
     assert s.coefficient(0) == ONE
     assert s.coefficient(2) == L
-    assert TruncatedSeries.from_coefficients([ONE]).order == 0
+    assert TruncatedSeries([ONE]).order == 0
 
 
 def test_empty_rejected():
@@ -80,11 +81,6 @@ def test_inflate_substitutes_t_power():
         s.inflate(0, ZERO)
 
 
-def test_map_coefficients():
-    doubled = series(1, 2, 3).map_coefficients(lambda c: c + c)
-    assert doubled == series(2, 4, 6)
-
-
 def test_addition_and_negation():
     assert series(1, 2, 3) + series(4, 5) == series(5, 7)
     assert -series(1, -2) == series(-1, 2)
@@ -132,9 +128,8 @@ def test_division_roundtrip_random():
 
 def test_json_roundtrip():
     s = TruncatedSeries((ONE, L, L * L - ONE))
-    blob = s.to_json(lambda c: c.to_json())
-    back = TruncatedSeries.from_json(blob, MotivicPolynomial.from_json)
-    assert back.coeffs == s.coeffs
+    blob = json.loads(json.dumps(s.to_json(lambda c: c.to_json())))
+    assert blob == {"order": 2, "coeffs": [{"0": "1"}, {"1": "1"}, {"0": "-1", "2": "1"}]}
 
 
 def test_immutable():
