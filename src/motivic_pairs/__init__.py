@@ -30,15 +30,13 @@ from .oracle import (
     enumerate_projective,
     weil_symmetric_counts,
 )
-from .pairs import PairClass, catalog, catalog_names
+from .pairs import PairClass, catalog
 from .power import (
     LEFSCHETZ_RING,
     PAIR_RING,
-    FactorExponents,
     LambdaRing,
     config_series,
     config_series_pair,
-    factor_exponents,
     kapranov_zeta,
     power_pow,
     verify_identities,
@@ -50,7 +48,6 @@ from .suites import SUITES, catalog_samples, run_suite
 __all__ = [
     "BudgetExceededError",
     "DEFAULT_BUDGET",
-    "FactorExponents",
     "FiniteScene",
     "INFINITY",
     "LEFSCHETZ_RING",
@@ -64,7 +61,6 @@ __all__ = [
     "SUITES",
     "TruncatedSeries",
     "catalog",
-    "catalog_names",
     "catalog_samples",
     "config_series",
     "config_series_pair",
@@ -72,7 +68,6 @@ __all__ = [
     "count_power_configs",
     "count_squarefree_monic",
     "enumerate_projective",
-    "factor_exponents",
     "hyperplane_union_class",
     "is_prime",
     "kapranov_zeta",

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from .field import is_prime
@@ -31,27 +30,6 @@ from .pairs import PairClass, parse_pair_spec
 from .power import PAIR_RING, kapranov_zeta, power_pow
 from .series import TruncatedSeries
 from .suites import SUITES, run_suite
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated run parameters shared by all subcommands."""
-
-    order: int = 8
-    fields: tuple[int, ...] = (2, 3, 5)
-    fmt: str = "text"
-    budget: int = DEFAULT_BUDGET
-
-    def __post_init__(self) -> None:
-        if self.order < 0:
-            raise ValueError("order must be non-negative")
-        for q in self.fields:
-            if not is_prime(q):
-                raise ValueError(f"field sizes must be prime, got {q}")
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
-        if self.fmt not in ("text", "json"):
-            raise ValueError(f"unknown format {self.fmt!r}")
 
 
 # -- rendering -------------------------------------------------------------------
@@ -82,8 +60,8 @@ def _print_pair_series(series: TruncatedSeries, fmt: str) -> None:
 # -- subcommands -----------------------------------------------------------------
 
 
-def cmd_zeta(config: CliConfig, pair: PairClass) -> int:
-    _print_pair_series(kapranov_zeta(pair, config.order), config.fmt)
+def cmd_zeta(pair: PairClass, order: int, fmt: str) -> int:
+    _print_pair_series(kapranov_zeta(pair, order), fmt)
     return 0
 
 
@@ -95,17 +73,17 @@ def _base_series(kind: str, coeff_specs: Sequence[str], order: int) -> Truncated
     return PAIR_RING.one_plus([parse_pair_spec(s) for s in coeff_specs], order)
 
 
-def cmd_pow(config: CliConfig, base: TruncatedSeries, exponent: PairClass) -> int:
-    _print_pair_series(power_pow(base, exponent, PAIR_RING), config.fmt)
+def cmd_pow(base: TruncatedSeries, exponent: PairClass, fmt: str) -> int:
+    _print_pair_series(power_pow(base, exponent, PAIR_RING), fmt)
     return 0
 
 
-def cmd_example(config: CliConfig, n: int, s: int) -> int:
+def cmd_example(n: int, s: int, fields: tuple[int, ...], fmt: str) -> int:
     direct = sym_pair_p1_direct(n, s)
     lam = sym_pair_p1_lambda(n, s)
     equal = direct == lam
     counts: list[dict] = []
-    for q in config.fields:
+    for q in fields:
         if s > q + 1:
             counts.append({"q": q, "skipped": f"needs s <= {q + 1} over F_{q}"})
             continue
@@ -123,7 +101,7 @@ def cmd_example(config: CliConfig, n: int, s: int) -> int:
             }
         )
     ok = equal and all(c.get("pass", True) for c in counts)
-    if config.fmt == "json":
+    if fmt == "json":
         report = {
             "n": n,
             "s": s,
@@ -150,21 +128,21 @@ def cmd_example(config: CliConfig, n: int, s: int) -> int:
     return 0 if ok else 1
 
 
-def cmd_verify(config: CliConfig, suite: str) -> int:
+def cmd_verify(suite: str, order: int, fields: tuple[int, ...], budget: int, fmt: str) -> int:
     names = list(SUITES) if suite == "all" else [suite]
     try:
-        reports = [run_suite(nm, config.order, config.fields, config.budget) for nm in names]
+        reports = [run_suite(nm, order, fields, budget) for nm in names]
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
     report = {
-        "order": config.order,
-        "fields": list(config.fields),
-        "budget": config.budget,
+        "order": order,
+        "fields": list(fields),
+        "budget": budget,
         "suites": reports,
         "pass": all(r["pass"] for r in reports),
     }
-    if config.fmt == "json":
+    if fmt == "json":
         print(json.dumps(report, indent=2))
     else:
         for suite_report in reports:
@@ -240,6 +218,9 @@ def _parse_fields(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad field size list {text!r}") from None
     if not fields:
         raise ValueError("at least one field size is required")
+    for q in fields:
+        if not is_prime(q):
+            raise ValueError(f"field sizes must be prime, got {q}")
     return fields
 
 
@@ -247,24 +228,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = CliConfig(
-            order=getattr(args, "order", 8),
-            fields=_parse_fields(getattr(args, "q", "2,3,5")),
-            fmt=args.fmt,
-            budget=getattr(args, "budget", DEFAULT_BUDGET),
-        )
         if args.command == "zeta":
-            return cmd_zeta(config, parse_pair_spec(args.pair))
+            return cmd_zeta(parse_pair_spec(args.pair), args.order, args.fmt)
         if args.command == "pow":
             if args.base != "coeffs" and args.coeff:
                 raise ValueError("--coeff only applies with --base coeffs")
-            base = _base_series(args.base, args.coeff, config.order)
-            return cmd_pow(config, base, parse_pair_spec(args.pair))
+            base = _base_series(args.base, args.coeff, args.order)
+            return cmd_pow(base, parse_pair_spec(args.pair), args.fmt)
         if args.command == "example":
             if args.n < 0 or args.s < 0:
                 raise ValueError("n and s must be non-negative")
-            return cmd_example(config, args.n, args.s)
-        return cmd_verify(config, args.suite)
+            return cmd_example(args.n, args.s, _parse_fields(args.q), args.fmt)
+        return cmd_verify(args.suite, args.order, _parse_fields(args.q), args.budget, args.fmt)
     except ValueError as exc:
         parser.error(str(exc))
         return 2  # unreachable; parser.error exits

@@ -83,11 +83,6 @@ class ProjectivePoint:
         scale = fld.inv(lead)
         return cls(tuple(fld.mul(scale, c) for c in reduced))
 
-    @property
-    def dim(self) -> int:
-        """Dimension of the ambient projective space."""
-        return len(self.coords) - 1
-
     def __str__(self) -> str:
         return "(" + ":".join(str(c) for c in self.coords) + ")"
 
@@ -121,10 +116,6 @@ class MarkedP1Scene:
                     raise ValueError(f"mark {m!r} is not an element of the {fld.q}-element field")
             if len(self.marks) > self.q + 1:
                 raise ValueError(f"at most {self.q + 1} distinct marks exist over F_{self.q}")
-
-    @property
-    def s(self) -> int:
-        return len(self.marks)
 
     @classmethod
     def standard(cls, s: int, q: int) -> "MarkedP1Scene":

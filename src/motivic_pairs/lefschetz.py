@@ -136,14 +136,6 @@ class MotivicPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "MotivicPolynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = MotivicPolynomial.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     # -- specialization ------------------------------------------------------
 
     def evaluate(self, q: int) -> int:

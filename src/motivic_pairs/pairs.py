@@ -188,10 +188,6 @@ def catalog(name: str, *params: int) -> PairClass:
     return builder(*params)
 
 
-def catalog_names() -> tuple[str, ...]:
-    return tuple(sorted(_CATALOG))
-
-
 # -- pair-spec grammar --------------------------------------------------------
 
 # Deepest accepted nesting of sum/prod/neg; the recursive descent stays far

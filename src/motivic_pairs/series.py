@@ -8,8 +8,8 @@ coefficients and never rounds.
 
 Binary operations align two windows by truncating to the smaller order:
 degrees above the common order carry no information, so they are dropped
-rather than guessed.  Equality follows the same rule and compares
-coefficientwise up to the common order.
+rather than guessed.  Equality is strict: two windows are equal only when
+they have the same order and the same coefficients.
 
 The series itself stays agnostic about its coefficient ring.  Operations
 that must materialize fresh coefficients (padding, inflating t -> t^k) or
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TruncatedSeries:
     """Window of a formal power series in t, truncated above t^order."""
 
@@ -79,33 +79,6 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(coeffs))
 
     # -- arithmetic -----------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
-
-    __hash__ = None  # equality ignores degrees beyond the common order
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(a - b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):

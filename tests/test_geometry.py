@@ -26,7 +26,6 @@ def test_projective_point_canonical():
     assert ProjectivePoint.from_coords((2, 4), 5) == ProjectivePoint((1, 2))
     assert ProjectivePoint.from_coords((0, 3), 5) == ProjectivePoint((0, 1))
     assert str(ProjectivePoint((1, 0, 2))) == "(1:0:2)"
-    assert ProjectivePoint((0, 0, 1)).dim == 2
 
 
 def test_projective_point_rejects_zero_vector():

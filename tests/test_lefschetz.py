@@ -44,7 +44,7 @@ def test_degree_and_coefficient():
 def test_arithmetic_small_cases():
     assert ONE + L + (ONE - L) == MotivicPolynomial.constant(2)
     assert (ONE + L) * (ONE + L) == ONE + 2 * L + L * L
-    assert (ONE + L) ** 3 == ONE + 3 * L + 3 * L * L + L ** 3
+    assert (ONE + L) * (ONE + L) * (ONE + L) == MotivicPolynomial({0: 1, 1: 3, 2: 3, 3: 1})
     assert L - L == ZERO
     assert -(ONE - L) == L - ONE
 
@@ -99,7 +99,7 @@ def test_str_ascending():
 
 
 def test_json_roundtrip():
-    p = 3 * L ** 4 - 2 * L + ONE
+    p = MotivicPolynomial({4: 3, 1: -2, 0: 1})
     assert json.loads(json.dumps(p.to_json())) == {"0": "1", "1": "-2", "4": "3"}
     assert ZERO.to_json() == {}
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from motivic_pairs import MotivicPolynomial, PairClass, catalog, catalog_names
+from motivic_pairs import MotivicPolynomial, PairClass, catalog
 
 L = MotivicPolynomial.lefschetz()
 ONE = MotivicPolynomial.one()
@@ -77,7 +77,7 @@ def test_str():
 
 
 def test_json_roundtrip():
-    p = PairClass(3 * L - ONE, L ** 2)
+    p = PairClass(3 * L - ONE, MotivicPolynomial.monomial(2))
     assert json.loads(json.dumps(p.to_json())) == {"amb": {"0": "-1", "1": "3"}, "comp": {"2": "1"}}
 
 
@@ -124,15 +124,3 @@ def test_catalog_rejects_unknown_and_bad_arity():
     with pytest.raises(ValueError):
         catalog("finite", 3)
 
-
-def test_catalog_names_lists_every_entry():
-    names = catalog_names()
-    assert set(names) == {
-        "point",
-        "empty",
-        "finite",
-        "affine-marked",
-        "p1-marked",
-        "pn",
-        "pn-hyp",
-    }

@@ -14,7 +14,6 @@ from motivic_pairs import (
     catalog,
     config_series,
     config_series_pair,
-    factor_exponents,
     kapranov_zeta,
     power_pow,
     verify_identities,
@@ -102,7 +101,7 @@ def test_config_series_of_affine_line():
     assert lam.coefficient(0) == ONE
     assert lam.coefficient(1) == L
     for n in range(2, 6):
-        assert lam.coefficient(n) == L ** n - L ** (n - 1)
+        assert lam.coefficient(n) == MotivicPolynomial({n: 1, n - 1: -1})
 
 
 def test_config_series_is_zeta_ratio():
@@ -132,26 +131,12 @@ def test_finite_set_series_match_binomial_theorem():
 # -- factorization and the general exponential -------------------------------------
 
 
-def test_factor_exponents_of_geometric_series():
-    factored = factor_exponents(PAIR_RING.geometric_series(5), PAIR_RING)
-    assert factored.exponents[0] == PairClass.one()
-    assert all(e == PairClass.zero() for e in factored.exponents[1:])
-
-
-def test_factor_exponents_of_one_plus_t():
-    # 1 + t = (1-t)^{-1} (1-t^2), so the exponent string starts 1, -1, 0, ...
-    factored = factor_exponents(PAIR_RING.one_plus_t(5), PAIR_RING)
-    assert factored.exponents[0] == PairClass.one()
-    assert factored.exponents[1] == -PairClass.one()
-    assert all(e == PairClass.zero() for e in factored.exponents[2:])
-
-
 def test_factor_roundtrip_random():
+    # the unit exponent peels every base into zeta factors and rebuilds it
     rng = random.Random(43)
     for _ in range(10):
         base = random_unit_series(rng, 5)
-        rebuilt = factor_exponents(base, PAIR_RING).reconstruct(PAIR_RING)
-        assert rebuilt == base
+        assert power_pow(base, PairClass.one(), PAIR_RING) == base
 
 
 def test_power_pow_rejects_non_unit_base():
@@ -223,6 +208,38 @@ def test_power_pow_over_polynomial_ring():
     # the same machinery runs over bare L-polynomials
     powered = power_pow(LEFSCHETZ_RING.geometric_series(4), projective_class(1), LEFSCHETZ_RING)
     assert powered == zeta_series(projective_class(1), 4)
+
+
+def partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+@pytest.mark.parametrize(
+    "ring, lift",
+    [(LEFSCHETZ_RING, lambda m: m), (PAIR_RING, PairClass.unmarked)],
+    ids=["lefschetz", "pair"],
+)
+def test_power_pow_hilbert_scheme_of_the_plane(ring, lift):
+    # Goettsche: (prod_k zeta_{L^(k-1)}(t^k))^(L^2) = sum_n [Hilb^n(A^2)] t^n,
+    # and the Ellingsrud-Stromme cells give [Hilb^n(A^2)] = sum_{lambda |- n} L^(n + len(lambda))
+    order = 8
+    base = ring.one_series(order)
+    for k in range(1, order + 1):
+        factor = ring.zeta(lift(MotivicPolynomial.monomial(k - 1)), order // k)
+        base = base * factor.inflate(k, ring.zero).resized(order, ring.zero)
+    expected = TruncatedSeries(
+        tuple(
+            lift(MotivicPolynomial([(n + len(lam), 1) for lam in partitions(n)]))
+            for n in range(order + 1)
+        )
+    )
+    assert power_pow(base, lift(MotivicPolynomial.monomial(2)), ring) == expected
 
 
 # -- report rows -------------------------------------------------------------------

@@ -51,12 +51,15 @@ def test_unit():
     assert u.coeffs == (ONE, ZERO, ZERO, ZERO)
 
 
-def test_equality_up_to_common_order():
-    # only the shared window matters; differing tails are invisible
-    assert series(1, 2) == series(1, 2, 7)
-    assert series(1, 2, 7) == series(1, 2)
+def test_equality_needs_equal_orders():
+    # a truncated window never equals a longer one, even where they overlap
+    assert series(1, 2) != series(1, 2, 7)
+    assert series(1, 2, 7) != series(1, 2)
+    assert series(1, 2, 0) != series(1, 2)
     assert series(1, 3) != series(1, 2, 7)
     assert series(1, 2) != 3
+    assert series(1, 2) == series(1, 2)
+    assert hash(series(1, 2)) == hash(series(1, 2))
 
 
 def test_truncated_and_resized():
@@ -81,12 +84,6 @@ def test_inflate_substitutes_t_power():
         s.inflate(0, ZERO)
 
 
-def test_addition_and_negation():
-    assert series(1, 2, 3) + series(4, 5) == series(5, 7)
-    assert -series(1, -2) == series(-1, 2)
-    assert series(3, 3) - series(1, 2, 9) == series(2, 1)
-
-
 def test_product_is_cauchy_convolution():
     # (1 + t)(1 + t) = 1 + 2t + t^2, windows shrink to the shorter factor
     assert series(1, 1, 0) * series(1, 1, 0) == series(1, 2, 1)
@@ -108,14 +105,15 @@ def test_division_requires_unit_constant_term():
 
 def test_ring_laws_random():
     rng = random.Random(11)
+
+    def add(x, y):
+        return TruncatedSeries(tuple(p + q for p, q in zip(x.coeffs, y.coeffs)))
+
     for _ in range(30):
         a, b, c = (random_series(rng, 5) for _ in range(3))
-        assert a + b == b + a
-        assert (a + b) + c == a + (b + c)
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a - a == TruncatedSeries.unit(ZERO, ZERO, 5)
+        assert a * add(b, c) == add(a * b, a * c)
 
 
 def test_division_roundtrip_random():
