@@ -130,11 +130,7 @@ def cmd_example(n: int, s: int, fields: tuple[int, ...], fmt: str) -> int:
 
 def cmd_verify(suite: str, order: int, fields: tuple[int, ...], budget: int, fmt: str) -> int:
     names = list(SUITES) if suite == "all" else [suite]
-    try:
-        reports = [run_suite(nm, order, fields, budget) for nm in names]
-    except BudgetExceededError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return 3
+    reports = [run_suite(nm, order, fields, budget) for nm in names]
     report = {
         "order": order,
         "fields": list(fields),
@@ -240,6 +236,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise ValueError("n and s must be non-negative")
             return cmd_example(args.n, args.s, _parse_fields(args.q), args.fmt)
         return cmd_verify(args.suite, args.order, _parse_fields(args.q), args.budget, args.fmt)
+    except BudgetExceededError as exc:
+        print(f"budget exhausted: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         parser.error(str(exc))
         return 2  # unreachable; parser.error exits

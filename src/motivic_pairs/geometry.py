@@ -73,9 +73,9 @@ class ProjectivePoint:
             raise ValueError("coordinates must be normalized: first nonzero entry 1")
 
     @classmethod
-    def from_coords(cls, coords: Sequence[int], field: PrimeField | int) -> "ProjectivePoint":
+    def from_coords(cls, coords: Sequence[int], q: int) -> "ProjectivePoint":
         """Reduce mod q and rescale so the first nonzero coordinate is 1."""
-        fld = field if isinstance(field, PrimeField) else PrimeField(field)
+        fld = PrimeField(q)
         reduced = [fld.element(c) for c in coords]
         lead = next((c for c in reduced if c != 0), None)
         if lead is None:
@@ -92,30 +92,29 @@ RootList = tuple[ProjectivePoint, ...]
 
 @dataclass(frozen=True)
 class MarkedP1Scene:
-    """Distinct marked points of the projective line, optionally over F_q.
+    """Distinct marked points of the projective line over F_q.
 
     Finite marks are stored as x for the point (x : 1); the point (1 : 0)
-    is the INFINITY sentinel.  With a field size q present, finite marks
-    must lie in 0..q-1 and at most q+1 distinct marks fit on the line.
+    is the INFINITY sentinel.  Finite marks must lie in 0..q-1 and at most
+    q+1 distinct marks fit on the line.
     """
 
     marks: tuple[Mark, ...]
-    q: int | None = None
+    q: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.marks, tuple):
             object.__setattr__(self, "marks", tuple(self.marks))
         if len(self.marks) != len(set(self.marks)):
             raise ValueError("marked points must be pairwise distinct")
-        if self.q is not None:
-            fld = PrimeField(self.q)  # validates primality
-            for m in self.marks:
-                if m is INFINITY:
-                    continue
-                if not isinstance(m, int) or not 0 <= m < fld.q:
-                    raise ValueError(f"mark {m!r} is not an element of the {fld.q}-element field")
-            if len(self.marks) > self.q + 1:
-                raise ValueError(f"at most {self.q + 1} distinct marks exist over F_{self.q}")
+        fld = PrimeField(self.q)  # validates primality
+        for m in self.marks:
+            if m is INFINITY:
+                continue
+            if not isinstance(m, int) or not 0 <= m < fld.q:
+                raise ValueError(f"mark {m!r} is not an element of the {fld.q}-element field")
+        if len(self.marks) > self.q + 1:
+            raise ValueError(f"at most {self.q + 1} distinct marks exist over F_{self.q}")
 
     @classmethod
     def standard(cls, s: int, q: int) -> "MarkedP1Scene":
@@ -184,7 +183,7 @@ def vieta_coefficients(
             widened[j] = fld.add(widened[j], fld.mul(u, coeff))      # times u*v
             widened[j + 1] = fld.sub(widened[j + 1], fld.mul(v, coeff))  # times -v*u
         form = widened
-    return ProjectivePoint.from_coords(form, fld)
+    return ProjectivePoint.from_coords(form, q)
 
 
 def point_in_marked_union(point: ProjectivePoint, scene: MarkedP1Scene) -> bool:
@@ -193,8 +192,6 @@ def point_in_marked_union(point: ProjectivePoint, scene: MarkedP1Scene) -> bool:
     For a finite mark x this is p_0 + p_1 x + ... + p_n x^n = 0; for the
     mark at infinity it is p_n = 0.
     """
-    if scene.q is None:
-        raise ValueError("the scene needs a field size for point membership tests")
     fld = PrimeField(scene.q)
     p = point.coords
     for mark in scene.marks:

@@ -19,7 +19,7 @@ brute-force counting oracles compare against.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .series import TruncatedSeries
 
@@ -31,22 +31,19 @@ class MotivicPolynomial:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()) -> None:
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[int, int] = {}
-        for degree, coeff in items:
+    def __init__(self, coeffs: Mapping[int, int]) -> None:
+        for degree, coeff in coeffs.items():
             if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
                 raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
             if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise ValueError(f"coefficient must be an integer, got {coeff!r}")
-            acc[degree] = acc.get(degree, 0) + coeff
-        self._coeffs = {d: c for d, c in sorted(acc.items()) if c != 0}
+        self._coeffs = {d: c for d, c in sorted(coeffs.items()) if c != 0}
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls) -> "MotivicPolynomial":
-        return cls()
+        return cls({})
 
     @classmethod
     def one(cls) -> "MotivicPolynomial":
@@ -187,7 +184,7 @@ def zeta_series(m: MotivicPolynomial, order: int) -> TruncatedSeries:
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    result = TruncatedSeries.unit(MotivicPolynomial.one(), MotivicPolynomial.zero(), order)
+    result = TruncatedSeries((MotivicPolynomial.one(),) + (MotivicPolynomial.zero(),) * order)
     for degree, mult in m.items():
         result = result * _zeta_factor(degree, mult, order)
     return result

@@ -40,16 +40,20 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def enumerate_projective(n: int, q: int) -> list[ProjectivePoint]:
+def enumerate_projective(n: int, q: int, budget: int = DEFAULT_BUDGET) -> list[ProjectivePoint]:
     """All points of projective n-space over F_q, canonical and duplicate-free.
 
     Points are grouped by the position of the first nonzero coordinate,
-    which is scaled to 1; the total is (q^(n+1) - 1) / (q - 1).
+    which is scaled to 1; the total is (q^(n+1) - 1) / (q - 1), and a total
+    above the budget refuses before any point is built.
     """
     if n < 0:
         raise ValueError("dimension must be non-negative")
     if not is_prime(q):
         raise ValueError(f"field size must be prime, got {q}")
+    needed = (q ** (n + 1) - 1) // (q - 1)
+    if needed > budget:
+        raise BudgetExceededError(needed, budget, f"projective enumeration at q={q}, n={n}")
     points = []
     for lead in range(n + 1):
         for tail in itertools.product(range(q), repeat=n - lead):
@@ -57,17 +61,18 @@ def enumerate_projective(n: int, q: int) -> list[ProjectivePoint]:
     return points
 
 
-def count_marked_union(n: int, q: int, scene: MarkedP1Scene) -> int:
+def count_marked_union(n: int, q: int, scene: MarkedP1Scene, budget: int = DEFAULT_BUDGET) -> int:
     """Points of projective n-space lying on at least one mark hyperplane.
 
-    Exhaustive: every point is tested against every mark.  Must agree
-    with evaluating the inclusion-exclusion class at q.
+    Exhaustive: every point is tested against every mark, and the point
+    enumeration refuses beyond the budget.  Must agree with evaluating the
+    inclusion-exclusion class at q.
     """
     if n < 1:
         raise ValueError("the hyperplane picture needs dimension >= 1")
     if scene.q != q:
         raise ValueError(f"scene is over F_{scene.q}, counting requested over F_{q}")
-    return sum(1 for p in enumerate_projective(n, q) if point_in_marked_union(p, scene))
+    return sum(1 for p in enumerate_projective(n, q, budget) if point_in_marked_union(p, scene))
 
 
 def weil_symmetric_counts(point_count: Callable[[int], int], order: int) -> list[int]:

@@ -8,7 +8,9 @@ cut-paste relation is componentwise addition, and the pair product
 multiplication, because the complement of that union is exactly
 (X1 minus Y1) x (X2 minus Y2).  The ring is therefore the product of two
 copies of the L-polynomial ring with unit (1, 1), the class of a point
-with nothing marked.
+with nothing marked.  Operands of the ring operations are pairs, and each
+lane is plain Z[L] arithmetic: no integer or polynomial is coerced into a
+pair.
 
 The class of the marked subspace itself is derived, never stored:
 subvariety = ambient - complement.
@@ -22,11 +24,8 @@ text, for the command line and the suites alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .lefschetz import MotivicPolynomial, projective_class
-
-IntoPair = Union["PairClass", MotivicPolynomial, int]
 
 
 @dataclass(frozen=True)
@@ -58,53 +57,19 @@ class PairClass:
         """Class of the marked subspace: ambient minus complement."""
         return self.amb - self.comp
 
-    # -- ring structure ----------------------------------------------------
+    # -- ring structure: each lane is plain L-polynomial arithmetic ---------
 
-    @staticmethod
-    def _coerce(value: IntoPair) -> "PairClass | None":
-        if isinstance(value, PairClass):
-            return value
-        if isinstance(value, MotivicPolynomial):
-            return PairClass(value, value)
-        if isinstance(value, int) and not isinstance(value, bool):
-            c = MotivicPolynomial.constant(value)
-            return PairClass(c, c)
-        return None
-
-    def __add__(self, other: IntoPair) -> "PairClass":
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return PairClass(self.amb + coerced.amb, self.comp + coerced.comp)
-
-    __radd__ = __add__
+    def __add__(self, other: "PairClass") -> "PairClass":
+        return PairClass(self.amb + other.amb, self.comp + other.comp)
 
     def __neg__(self) -> "PairClass":
         return PairClass(-self.amb, -self.comp)
 
-    def __sub__(self, other: IntoPair) -> "PairClass":
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self + (-coerced)
+    def __sub__(self, other: "PairClass") -> "PairClass":
+        return PairClass(self.amb - other.amb, self.comp - other.comp)
 
-    def __rsub__(self, other: IntoPair) -> "PairClass":
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return coerced + (-self)
-
-    def __mul__(self, other: IntoPair) -> "PairClass":
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return PairClass(self.amb * coerced.amb, self.comp * coerced.comp)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, q: int) -> tuple[int, int]:
-        """Point counts (ambient, complement) over the q-element field."""
-        return (self.amb.evaluate(q), self.comp.evaluate(q))
+    def __mul__(self, other: "PairClass") -> "PairClass":
+        return PairClass(self.amb * other.amb, self.comp * other.comp)
 
     # -- rendering and serialization ----------------------------------------
 

@@ -99,7 +99,9 @@ def config_series_pair(p: PairClass, order: int) -> TruncatedSeries:
 
 def _zeta_power_factor(b: Any, i: int, order: int, ring: LambdaRing) -> TruncatedSeries:
     # zeta_b(t^i) truncated at the ambient order.
-    return ring.zeta(b, order // i).inflate(i, ring.zero).resized(order, ring.zero)
+    coeffs = [ring.zero] * (order + 1)
+    coeffs[::i] = ring.zeta(b, order // i).coeffs
+    return TruncatedSeries(tuple(coeffs))
 
 
 def power_pow(series: TruncatedSeries, exponent: Any, ring: LambdaRing) -> TruncatedSeries:

@@ -11,10 +11,9 @@ degrees above the common order carry no information, so they are dropped
 rather than guessed.  Equality is strict: two windows are equal only when
 they have the same order and the same coefficients.
 
-The series itself stays agnostic about its coefficient ring.  Operations
-that must materialize fresh coefficients (padding, inflating t -> t^k) or
-certify a unit constant term (division) take the relevant ring element as
-an explicit argument.
+The series itself stays agnostic about its coefficient ring.  Division
+alone needs a ring constant: it certifies a unit constant term against the
+unit it is given.
 """
 
 from __future__ import annotations
@@ -35,15 +34,6 @@ class TruncatedSeries:
         if len(self.coeffs) == 0:
             raise ValueError("a truncated series needs at least a constant term")
 
-    # -- construction --------------------------------------------------
-
-    @classmethod
-    def unit(cls, one: Any, zero: Any, order: int) -> "TruncatedSeries":
-        """The series 1 + 0*t + ... + 0*t^order for the given ring constants."""
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        return cls((one,) + (zero,) * order)
-
     # -- shape ----------------------------------------------------------
 
     @property
@@ -54,29 +44,6 @@ class TruncatedSeries:
         if not 0 <= n <= self.order:
             raise IndexError(f"degree {n} outside window 0..{self.order}")
         return self.coeffs[n]
-
-    def truncated(self, order: int) -> "TruncatedSeries":
-        """Drop all terms above t^order; order may not exceed the current one."""
-        if order > self.order:
-            raise ValueError(f"cannot truncate order-{self.order} series to {order}")
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        return TruncatedSeries(self.coeffs[: order + 1])
-
-    def resized(self, order: int, zero: Any) -> "TruncatedSeries":
-        """Truncate or zero-pad to the requested order."""
-        if order <= self.order:
-            return self.truncated(order)
-        return TruncatedSeries(self.coeffs + (zero,) * (order - self.order))
-
-    def inflate(self, k: int, zero: Any) -> "TruncatedSeries":
-        """Substitute t -> t^k; the window widens to order*k."""
-        if k < 1:
-            raise ValueError("inflation exponent must be >= 1")
-        coeffs = [zero] * (self.order * k + 1)
-        for i, c in enumerate(self.coeffs):
-            coeffs[i * k] = c
-        return TruncatedSeries(tuple(coeffs))
 
     # -- arithmetic -----------------------------------------------------
 

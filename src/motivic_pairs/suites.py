@@ -149,7 +149,7 @@ def _mark_point(mark, q: int) -> ProjectivePoint:
     return ProjectivePoint.from_coords((mark, 1), q)
 
 
-def _brute_counts(spec: str, q: int) -> tuple[int, int] | None:
+def _brute_counts(spec: str, q: int, budget: int) -> tuple[int, int] | None:
     """Point counts (ambient, complement) of a catalog scene over F_q.
 
     Counts by explicit enumeration, never by evaluating classes.  Returns
@@ -174,19 +174,19 @@ def _brute_counts(spec: str, q: int) -> tuple[int, int] | None:
         (s,) = params
         if s > q + 1:
             return None
-        points = enumerate_projective(1, q)
+        points = enumerate_projective(1, q, budget)
         marks = {_mark_point(m, q) for m in MarkedP1Scene.standard(s, q).marks}
         return (len(points), len([p for p in points if p not in marks]))
     if name == "pn":
         (n,) = params
-        points = enumerate_projective(n, q)
+        points = enumerate_projective(n, q, budget)
         return (len(points), len(points))
     if name == "pn-hyp":
         n, s = params
         if s > q + 1 or n < 1:
             return None
-        total = len(enumerate_projective(n, q))
-        on_union = count_marked_union(n, q, MarkedP1Scene.standard(s, q))
+        total = len(enumerate_projective(n, q, budget))
+        on_union = count_marked_union(n, q, MarkedP1Scene.standard(s, q), budget)
         return (total, total - on_union)
     raise ValueError(f"no brute-force scene for {spec!r}")
 
@@ -203,7 +203,7 @@ def suite_ring_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[
     zeta_cases = [(_random_poly(rng), _random_poly(rng)) for _ in range(12)]
 
     zero, one = MotivicPolynomial.zero(), MotivicPolynomial.one()
-    unit_series = TruncatedSeries.unit(one, zero, order)
+    unit_series = LEFSCHETZ_RING.one_series(order)
     rows = [
         _law_row("mp-add-commutative", poly_triples, lambda a, b, c: a + b == b + a),
         _law_row("mp-add-associative", poly_triples, lambda a, b, c: (a + b) + c == a + (b + c)),
@@ -273,7 +273,7 @@ def suite_ring_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[
         (spec, q, counts, entry)
         for spec, entry in catalog_samples()
         for q in fields
-        if (counts := _brute_counts(spec, q)) is not None
+        if (counts := _brute_counts(spec, q, budget)) is not None
     ]
     for spec, q, counts, entry in scenes:
         rows.append(
@@ -299,7 +299,7 @@ def suite_ring_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[
     marked_line = parse_pair_spec("p1-marked:1")
     squared = marked_line * marked_line
     for q in fields:
-        points = enumerate_projective(1, q)
+        points = enumerate_projective(1, q, budget)
         mark = ProjectivePoint((0, 1))
         on_union = [(x, y) for x in points for y in points if x == mark or y == mark]
         total = len(points) ** 2
@@ -507,7 +507,7 @@ def suite_example_p1(order: int, fields: tuple[int, ...], budget: int) -> list[d
                     _check(
                         "hyperplane-union-count",
                         {"n": n, "s": s, "q": q},
-                        count_marked_union(n, q, scene),
+                        count_marked_union(n, q, scene, budget),
                         hyperplane_union_class(n, s).evaluate(q),
                     )
                 )
@@ -528,7 +528,7 @@ def suite_example_p1(order: int, fields: tuple[int, ...], budget: int) -> list[d
                 )
 
     for q in (p for p in fields if p <= 3):
-        line = enumerate_projective(1, q)
+        line = enumerate_projective(1, q, budget)
         for n in range(1, 4):
             s = min(3, q)
             scene = MarkedP1Scene.standard(s, q)

@@ -149,6 +149,14 @@ def test_example_skips_fields_without_enough_points(capsys):
     assert "q=3:" in out and "skipped" not in out.splitlines()[-1]
 
 
+def test_example_over_budget_exits_3(capsys):
+    # P^30 over F_5 has ~1.2e21 points: refused before any is built
+    assert main(["example", "--n", "30", "--s", "2", "--q", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget exhausted: projective enumeration at q=5, n=30")
+
+
 def test_example_rejects_negative_inputs():
     with pytest.raises(SystemExit) as exc:
         main(["example", "--n", "-1", "--s", "0"])
@@ -189,10 +197,47 @@ def test_verify_all_output_is_pinned(capsys):
     assert digest == "d7ace563c86451be35b02e77eaef9470b28e4cd5b9b259c9e9e1f56ee2eacac0"
 
 
+PINNED_OUTPUTS = [
+    (["verify", "--suite", "all", "--order", "0"],
+     "cb95184a7c59524262ea757f73c92521b6e1ef6e0b206bdf5e92b2e8d9f8ee0a"),
+    (["verify", "--suite", "all", "--order", "1"],
+     "27093862ffa569bccffcbda124264488aada2f45d4b01c9a2873f0fd94bf8429"),
+    (["verify", "--suite", "all", "--order", "5"],
+     "dd78f2c23421f128c4e59a33fa9fa69a2fd51bcf284d9612ff9994794edf6065"),
+    (["pow", "--base", "geometric", "--pair", "sum(p1-marked:2,neg(finite:3,1))",
+      "--order", "8", "--format", "json"],
+     "19356d0f549249a8e6fe2b53b7da17316ba7ed00c540b4a4dcc79e38a0fe1dbf"),
+    (["pow", "--base", "one-plus-t", "--pair", "sum(p1-marked:2,neg(finite:3,1))",
+      "--order", "8", "--format", "json"],
+     "4327f719d148175fa159dccd8fcf61242111611db813f465be8217601a0120e8"),
+    (["pow", "--base", "coeffs", "--coeff", "finite:2,1", "--coeff", "p1-marked:1",
+      "--pair", "pn-hyp:2,2", "--order", "8", "--format", "json"],
+     "1e8d2875d6040b07dfe25a2bfdc1032f43b697280bcba577d6c3ea53c8069388"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", PINNED_OUTPUTS,
+    ids=["verify-order0", "verify-order1", "verify-order5", "pow-geometric", "pow-one-plus-t", "pow-coeffs"],
+)
+def test_output_is_pinned(capsys, argv, expected):
+    # SHA-256 of stdout; any changed row or coefficient changes it
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+
+
 def test_verify_budget_exhaustion_exit_code(capsys):
     assert main(["verify", "--suite", "squarefree", "--budget", "5"]) == 3
     err = capsys.readouterr().err
     assert "budget exhausted" in err
+
+
+def test_verify_budget_bounds_projective_enumeration(capsys):
+    # P^2 over F_2 has 7 points, more than the budget of the suite run
+    assert main(["verify", "--suite", "example-p1", "--q", "2", "--budget", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "projective enumeration at q=2, n=2 needs ~7 steps, budget is 5" in captured.err
 
 
 def test_verify_unknown_suite_is_usage_error():

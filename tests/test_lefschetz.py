@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from motivic_pairs import MotivicPolynomial, TruncatedSeries
+from motivic_pairs import LEFSCHETZ_RING, MotivicPolynomial
 from motivic_pairs.lefschetz import projective_class, zeta_series
 
 L = MotivicPolynomial.lefschetz()
@@ -23,6 +23,12 @@ def test_canonical_representation_drops_zeros():
     assert MotivicPolynomial({}) == ZERO
     assert ZERO.degree == -1
     assert ZERO.items() == ()
+
+
+def test_constructor_rejects_bad_terms():
+    for coeffs in ({-1: 1}, {True: 1}, {0: False}, {0: 1.0}, {"1": 1}):
+        with pytest.raises(ValueError):
+            MotivicPolynomial(coeffs)
 
 
 def test_constructors():
@@ -120,7 +126,7 @@ def test_projective_class_point_counts():
 
 def test_zeta_series_of_point_and_empty():
     assert zeta_series(ONE, 4).coeffs == (ONE, ONE, ONE, ONE, ONE)
-    unit = TruncatedSeries.unit(ONE, ZERO, 4)
+    unit = LEFSCHETZ_RING.one_series(4)
     assert zeta_series(ZERO, 4) == unit
 
 
@@ -148,7 +154,7 @@ def test_zeta_series_multiplicative_random():
 
 def test_zeta_series_inverse_random():
     rng = random.Random(24)
-    unit = TruncatedSeries.unit(ONE, ZERO, 7)
+    unit = LEFSCHETZ_RING.one_series(7)
     for _ in range(15):
         a = random_poly(rng)
         assert zeta_series(a, 7) * zeta_series(-a, 7) == unit

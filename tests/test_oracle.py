@@ -14,9 +14,7 @@ from motivic_pairs import (
     BudgetExceededError,
     FiniteScene,
     MarkedP1Scene,
-    PairClass,
     ProjectivePoint,
-    TruncatedSeries,
     count_marked_union,
     count_power_configs,
     count_squarefree_monic,
@@ -54,6 +52,17 @@ def test_count_marked_union_hand_checked():
     assert count_marked_union(2, 2, MarkedP1Scene.standard(0, 2)) == 0
     # one hyperplane in P^n is a P^{n-1}
     assert count_marked_union(3, 2, MarkedP1Scene.standard(1, 2)) == 7
+
+
+def test_projective_enumeration_budget():
+    with pytest.raises(BudgetExceededError) as exc:
+        enumerate_projective(30, 5)
+    assert exc.value.needed == (5**31 - 1) // 4
+    with pytest.raises(BudgetExceededError):
+        enumerate_projective(2, 3, budget=12)
+    assert len(enumerate_projective(2, 3, budget=13)) == 13
+    with pytest.raises(BudgetExceededError):
+        count_marked_union(2, 2, MarkedP1Scene.standard(2, 2), budget=6)
 
 
 def test_count_marked_union_validation():
@@ -165,8 +174,7 @@ def test_configs_agree_with_series_exponential():
         (4, 2, [(1, 0), (1, 1)]),
     ]:
         scene = FiniteScene.from_sizes(size, marked, labels)
-        coeffs = (PairClass.one(),) + tuple(catalog("finite", *l) for l in labels)
-        base = TruncatedSeries(coeffs).resized(4, PairClass.zero())
+        base = PAIR_RING.one_plus([catalog("finite", *l) for l in labels], 4)
         powered = power_pow(base, catalog("finite", size, marked), PAIR_RING)
         for n in range(5):
             amb, comp = count_power_configs(scene, n)

@@ -29,13 +29,6 @@ def test_subvariety_is_difference():
     assert PairClass.unmarked(L).subvariety == ZERO
 
 
-def test_coercion():
-    # ints and polynomials embed as unmarked classes
-    assert PairClass.one() + 1 == PairClass(2, 2)
-    assert PairClass.unmarked(L) * 2 == PairClass(2 * L, 2 * L)
-    assert PairClass.one() + L == PairClass(ONE + L, ONE + L)
-
-
 def test_componentwise_arithmetic():
     a = PairClass(ONE + L, L)
     b = PairClass(L, ONE)
@@ -63,12 +56,6 @@ def test_product_marks_obey_inclusion_exclusion():
         a, b = random_pair(rng), random_pair(rng)
         sa, sb = a.subvariety, b.subvariety
         assert (a * b).subvariety == a.amb * sb + sa * b.amb - sa * sb
-
-
-def test_evaluate():
-    p = PairClass(ONE + L + L * L, L * L - L)
-    assert p.evaluate(2) == (7, 2)
-    assert p.evaluate(3) == (13, 6)
 
 
 def test_str():

@@ -1,6 +1,7 @@
 """Symmetric-power series, configuration series, and general series exponentials."""
 
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -28,6 +29,13 @@ ONE = MotivicPolynomial.one()
 def random_pair(rng):
     poly = lambda: MotivicPolynomial({d: rng.randint(-3, 3) for d in range(3)})
     return PairClass(poly(), poly())
+
+
+def inflated(series, k, order, zero):
+    """series(t^k), cut or zero-padded to the given order."""
+    coeffs = [zero] * (order + 1)
+    coeffs[::k] = series.coeffs[: order // k + 1]
+    return TruncatedSeries(tuple(coeffs))
 
 
 def random_unit_series(rng, order):
@@ -107,7 +115,7 @@ def test_config_series_of_affine_line():
 def test_config_series_is_zeta_ratio():
     p = catalog("pn", 2)
     z = kapranov_zeta(p, 6)
-    z2 = kapranov_zeta(p, 3).inflate(2, PairClass.zero()).resized(6, PairClass.zero())
+    z2 = inflated(kapranov_zeta(p, 3), 2, 6, PairClass.zero())
     assert config_series_pair(p, 6) * z2 == z
 
 
@@ -232,10 +240,10 @@ def test_power_pow_hilbert_scheme_of_the_plane(ring, lift):
     base = ring.one_series(order)
     for k in range(1, order + 1):
         factor = ring.zeta(lift(MotivicPolynomial.monomial(k - 1)), order // k)
-        base = base * factor.inflate(k, ring.zero).resized(order, ring.zero)
+        base = base * inflated(factor, k, order, ring.zero)
     expected = TruncatedSeries(
         tuple(
-            lift(MotivicPolynomial([(n + len(lam), 1) for lam in partitions(n)]))
+            lift(MotivicPolynomial(Counter(n + len(lam) for lam in partitions(n))))
             for n in range(order + 1)
         )
     )

@@ -46,11 +46,6 @@ def test_coefficient_outside_window():
         s.coefficient(-1)
 
 
-def test_unit():
-    u = TruncatedSeries.unit(ONE, ZERO, 3)
-    assert u.coeffs == (ONE, ZERO, ZERO, ZERO)
-
-
 def test_equality_needs_equal_orders():
     # a truncated window never equals a longer one, even where they overlap
     assert series(1, 2) != series(1, 2, 7)
@@ -60,28 +55,6 @@ def test_equality_needs_equal_orders():
     assert series(1, 2) != 3
     assert series(1, 2) == series(1, 2)
     assert hash(series(1, 2)) == hash(series(1, 2))
-
-
-def test_truncated_and_resized():
-    s = series(1, 2, 3)
-    assert s.truncated(1).coeffs == series(1, 2).coeffs
-    with pytest.raises(ValueError):
-        s.truncated(5)
-    padded = s.resized(4, ZERO)
-    assert padded.order == 4
-    assert padded.coefficient(4) == ZERO
-    assert s.resized(1, ZERO).coeffs == series(1, 2).coeffs
-
-
-def test_inflate_substitutes_t_power():
-    s = series(1, 4, 9)
-    blown = s.inflate(2, ZERO)
-    assert blown.order == 4
-    assert [c for c in blown.coeffs] == [
-        MotivicPolynomial.constant(k) for k in (1, 0, 4, 0, 9)
-    ]
-    with pytest.raises(ValueError):
-        s.inflate(0, ZERO)
 
 
 def test_product_is_cauchy_convolution():
