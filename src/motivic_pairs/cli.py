@@ -11,9 +11,10 @@ Pair specs name catalog entries with colon-separated parameters
 `sum(...)`, `prod(...)` and `neg(...)`; the grammar lives in `pairs`.
 
 Exit codes: 0 success, 1 verification or equality failure, 2 usage
-error, 3 enumeration budget exhausted.  Identical invocations print
-byte-identical output: suites run sequentially in a fixed order and all
-sampling inside them is constant-seeded.
+error, 3 budget exhausted (an enumeration, or the term products that
+`zeta` and `pow` would need, over the step budget).  Identical
+invocations print byte-identical output: suites run sequentially in a
+fixed order and all sampling inside them is constant-seeded.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .field import is_prime
 from .geometry import MarkedP1Scene, hyperplane_union_class, sym_pair_p1_direct, sym_pair_p1_lambda
 from .oracle import DEFAULT_BUDGET, BudgetExceededError, count_marked_union
 from .pairs import PairClass, parse_pair_spec
-from .power import PAIR_RING, kapranov_zeta, power_pow
+from .power import PAIR_RING, kapranov_zeta, pow_cost, power_pow, zeta_cost
 from .series import TruncatedSeries
 from .suites import SUITES, run_suite
 
@@ -60,20 +61,24 @@ def _print_pair_series(series: TruncatedSeries, fmt: str) -> None:
 # -- subcommands -----------------------------------------------------------------
 
 
+def _check_cost(cost: int, what: str) -> None:
+    # Refuse before computing: the bound counts Z[L] term products.
+    if cost > DEFAULT_BUDGET:
+        raise BudgetExceededError(cost, DEFAULT_BUDGET, what)
+
+
 def cmd_zeta(pair: PairClass, order: int, fmt: str) -> int:
+    _check_cost(zeta_cost(pair, order), f"zeta series to order {order}")
     _print_pair_series(kapranov_zeta(pair, order), fmt)
     return 0
 
 
-def _base_series(kind: str, coeff_specs: Sequence[str], order: int) -> TruncatedSeries:
+def cmd_pow(kind: str, tail: Sequence[PairClass], exponent: PairClass, order: int, fmt: str) -> int:
+    _check_cost(pow_cost(tail, exponent, order), f"series exponential to order {order}")
     if kind == "geometric":
-        return PAIR_RING.geometric_series(order)
-    if kind == "one-plus-t":
-        return PAIR_RING.one_plus_t(order)
-    return PAIR_RING.one_plus([parse_pair_spec(s) for s in coeff_specs], order)
-
-
-def cmd_pow(base: TruncatedSeries, exponent: PairClass, fmt: str) -> int:
+        base = PAIR_RING.geometric_series(order)
+    else:
+        base = PAIR_RING.one_plus(tail, order)
     _print_pair_series(power_pow(base, exponent, PAIR_RING), fmt)
     return 0
 
@@ -229,8 +234,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "pow":
             if args.base != "coeffs" and args.coeff:
                 raise ValueError("--coeff only applies with --base coeffs")
-            base = _base_series(args.base, args.coeff, args.order)
-            return cmd_pow(base, parse_pair_spec(args.pair), args.fmt)
+            # 1/(1-t) and 1+t have the coefficients 1 and 0, of L-degree 0
+            # like 1 itself, which is all the cost bound reads of a tail.
+            tail = [parse_pair_spec(s) for s in args.coeff] if args.base == "coeffs" else [PairClass.one()]
+            return cmd_pow(args.base, tail, parse_pair_spec(args.pair), args.order, args.fmt)
         if args.command == "example":
             if args.n < 0 or args.s < 0:
                 raise ValueError("n and s must be non-negative")

@@ -14,12 +14,16 @@ All arithmetic is exact integer arithmetic.
 Evaluating a polynomial at an integer q >= 2 (substituting q for L) turns
 a class into a point count over the q-element field, which is what the
 brute-force counting oracles compare against.
+
+Series with constant term 1 are also handled in ghost coordinates, the
+coefficients of t A'(t) / A(t): exact integer log and exp recurrences move
+between a series and its ghosts, and the Adams operations psi_r (L to L^r)
+are the ghosts of a zeta series.
 """
 
 from __future__ import annotations
 
-from math import comb
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 from .series import TruncatedSeries
 
@@ -39,6 +43,14 @@ class MotivicPolynomial:
                 raise ValueError(f"coefficient must be an integer, got {coeff!r}")
         self._coeffs = {d: c for d, c in sorted(coeffs.items()) if c != 0}
 
+    @classmethod
+    def _trusted(cls, coeffs: dict[int, int]) -> "MotivicPolynomial":
+        # For results built in this module, whose degrees and coefficients
+        # are ints by construction: skips the per-term checks of __init__.
+        poly = object.__new__(cls)
+        poly._coeffs = {d: c for d, c in sorted(coeffs.items()) if c}
+        return poly
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
@@ -56,10 +68,6 @@ class MotivicPolynomial:
     @classmethod
     def lefschetz(cls) -> "MotivicPolynomial":
         return cls({1: 1})
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "MotivicPolynomial":
-        return cls({degree: coeff})
 
     # -- inspection --------------------------------------------------------
 
@@ -174,26 +182,75 @@ def projective_class(n: int) -> MotivicPolynomial:
     return MotivicPolynomial({d: 1 for d in range(n + 1)})
 
 
+def adams(m: MotivicPolynomial, r: int) -> MotivicPolynomial:
+    """The Adams operation psi_r: L^k goes to L^(k*r), coefficients stay.
+
+    It is a ring homomorphism that only re-indexes degrees.
+    """
+    if r < 1:
+        raise ValueError(f"Adams operations are indexed from 1, got {r!r}")
+    return MotivicPolynomial._trusted({d * r: c for d, c in m._coeffs.items()})
+
+
+def ghost_log(coeffs: Sequence[MotivicPolynomial]) -> tuple[MotivicPolynomial, ...]:
+    """Ghost coordinates g_1, ..., g_N of A = 1 + a_1 t + ... + a_N t^N.
+
+    They are the coefficients of t A'(t) / A(t), read off with the log step
+    g_n = n a_n - sum_{k<n} g_k a_{n-k}; no division is needed.  The
+    constant term coeffs[0] is taken to be 1 and is not read.
+    """
+    ghosts = [MotivicPolynomial._trusted({})]
+    for n in range(1, len(coeffs)):
+        acc = {d: n * c for d, c in coeffs[n]._coeffs.items()}
+        get = acc.get
+        for k in range(1, n):
+            tail = coeffs[n - k]._coeffs.items()
+            for d1, c1 in ghosts[k]._coeffs.items():
+                for d2, c2 in tail:
+                    d = d1 + d2
+                    acc[d] = get(d, 0) - c1 * c2
+        ghosts.append(MotivicPolynomial._trusted(acc))
+    return tuple(ghosts[1:])
+
+
+def ghost_exp(ghosts: Sequence[MotivicPolynomial]) -> tuple[MotivicPolynomial, ...]:
+    """The series 1 + a_1 t + ... + a_N t^N whose ghost coordinates are g_1, ..., g_N.
+
+    Exp step: n a_n = sum_{k=1..n} g_k a_{n-k}.  The division by n is
+    exact for the ghosts of any series over Z[L]; a remainder means the
+    ghosts belong to no such series and raises ArithmeticError.
+    """
+    coeffs = [MotivicPolynomial._trusted({0: 1})]
+    for n in range(1, len(ghosts) + 1):
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k in range(1, n + 1):
+            tail = coeffs[n - k]._coeffs.items()
+            for d1, c1 in ghosts[k - 1]._coeffs.items():
+                for d2, c2 in tail:
+                    d = d1 + d2
+                    acc[d] = get(d, 0) + c1 * c2
+        if n > 1:
+            for d, c in acc.items():
+                quot, rem = divmod(c, n)
+                if rem:
+                    raise ArithmeticError(
+                        f"L^{d} t^{n} would have coefficient {c}/{n}: no series over Z[L] has these ghosts"
+                    )
+                acc[d] = quot
+        coeffs.append(MotivicPolynomial._trusted(acc))
+    return tuple(coeffs)
+
+
 def zeta_series(m: MotivicPolynomial, order: int) -> TruncatedSeries:
     """Symmetric-power generating series of a class m = sum m_k L^k.
 
-    Computed as the product over monomials of (1 - L^k t)^(-m_k); a
-    negative m_k contributes the plain polynomial factor (1 - L^k t)^|m_k|.
-    The constant term is 1, the t^1 coefficient is m, and exponent
-    additivity makes the series multiplicative in m.
+    zeta_m(t) = exp(sum_r psi_r(m) t^r / r), so its ghost coordinates are
+    the Adams operations psi_1(m), ..., psi_N(m) and one exp recurrence
+    builds it.  The constant term is 1, the t^1 coefficient is m, and the
+    series is multiplicative in m: a monomial L^k with multiplicity c
+    contributes the factor (1 - L^k t)^(-c).
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    result = TruncatedSeries((MotivicPolynomial.one(),) + (MotivicPolynomial.zero(),) * order)
-    for degree, mult in m.items():
-        result = result * _zeta_factor(degree, mult, order)
-    return result
-
-
-def _zeta_factor(degree: int, mult: int, order: int) -> TruncatedSeries:
-    # (1 - L^degree t)^(-mult) truncated; binomial expansion either way round.
-    coeffs = []
-    for n in range(order + 1):
-        c = comb(mult + n - 1, n) if mult > 0 else (-1) ** n * comb(-mult, n)
-        coeffs.append(MotivicPolynomial.monomial(degree * n, c) if c else MotivicPolynomial.zero())
-    return TruncatedSeries(tuple(coeffs))
+    return TruncatedSeries(ghost_exp([adams(m, r) for r in range(1, order + 1)]))

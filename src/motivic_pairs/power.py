@@ -10,23 +10,26 @@ by the base-ring zeta just like the ambient class.
 
 Configuration series: the same with repeated points excluded.  Distinct
 unordered tuples correspond to squarefree divisor patterns, which the
-quotient zeta(t) / zeta(t^2) counts; the brute-force oracles validate that
-quotient independently (squarefree polynomial counts, finite-scene
-enumeration), and the series exponential below reproduces it as
-(1 + t)^class.
+quotient zeta_m(t) / zeta_m(t^2) = zeta_m(t) * zeta_{-m}(t^2) counts; the
+brute-force oracles validate it independently (squarefree polynomial
+counts, finite-scene enumeration), and the series exponential below
+reproduces it as (1 + t)^class.
 
 Series exponential ("power structure"): raises any series with constant
 term 1 to a ring-element power.  A series factors uniquely as a product
 of zeta factors prod_i zeta_{b_i}(t^i), and the exponential scales every
-factor exponent: A(t)^m := prod_i zeta_{m * b_i}(t^i).  `power_pow` is
-the one routine for it: a single loop peels the factors degree by degree
-and multiplies each scaled factor into the result as it goes.
+factor exponent: A(t)^m := prod_i zeta_{m * b_i}(t^i).  `power_pow` works
+in ghost coordinates, where this is linear: zeta_b(t) has the ghosts
+psi_r(b) (Adams operations), so A has the ghosts
+g_n = sum_{i|n} i psi_{n/i}(b_i).  One log recurrence reads g off A, a
+divisor sum inverts it for the factor exponents, and one exp recurrence
+builds A^m from the scaled ghosts: O(N^2) Z[L] products at order N.
 Multiplicativity of zeta in its subscript then forces all the usual
 exponent laws, which `verify_power_axioms` checks coefficientwise.
 
-Everything is parameterized by a LambdaRing: the ring constants plus the
-zeta map.  Two instances are provided, one for the L-polynomial ring and
-one for the pair ring.
+The pair ring is Z[L] x Z[L] and zeta acts on each factor, so pair series
+run as two independent Z[L] lanes.  The LambdaRing instances bundle the
+ring constants and the zeta map of the L-polynomial ring and the pair ring.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from .lefschetz import MotivicPolynomial, zeta_series
+from .lefschetz import MotivicPolynomial, adams, ghost_exp, ghost_log, zeta_series
 from .pairs import PairClass
 from .series import TruncatedSeries
 
@@ -44,8 +47,7 @@ class LambdaRing:
     """Capability bundle: ring constants plus the zeta series map.
 
     The zeta map must send m to a series with constant term 1 and t^1
-    coefficient m, multiplicatively in m.  Those are the only properties
-    the series exponential relies on.
+    coefficient m, multiplicatively in m; `config_series` relies on that.
     """
 
     zero: Any
@@ -86,10 +88,11 @@ PAIR_RING = LambdaRing(PairClass.zero(), PairClass.one(), kapranov_zeta)
 
 
 def config_series(m: Any, order: int, ring: LambdaRing) -> TruncatedSeries:
-    """Generating series of configuration-space classes: zeta(t) / zeta(t^2)."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    return ring.zeta(m, order).divide(_zeta_power_factor(m, 2, order, ring), ring.one)
+    """Generating series of configuration-space classes: zeta_m(t) * zeta_{-m}(t^2)."""
+    zeta = ring.zeta(m, order)
+    squares = [ring.zero] * (order + 1)
+    squares[::2] = ring.zeta(-m, order // 2).coeffs
+    return zeta * TruncatedSeries(tuple(squares))
 
 
 def config_series_pair(p: PairClass, order: int) -> TruncatedSeries:
@@ -97,37 +100,92 @@ def config_series_pair(p: PairClass, order: int) -> TruncatedSeries:
     return config_series(p, order, PAIR_RING)
 
 
-def _zeta_power_factor(b: Any, i: int, order: int, ring: LambdaRing) -> TruncatedSeries:
-    # zeta_b(t^i) truncated at the ambient order.
-    coeffs = [ring.zero] * (order + 1)
-    coeffs[::i] = ring.zeta(b, order // i).coeffs
-    return TruncatedSeries(tuple(coeffs))
+def _lane_pow(coeffs: Sequence[MotivicPolynomial], m: MotivicPolynomial) -> tuple[MotivicPolynomial, ...]:
+    # With c_i = i*b_i the ghosts are g_n = sum_{i|n} psi_{n/i}(c_i), because
+    # psi commutes with integer multiples; so c needs no division, and the
+    # ghosts of A^m are sum_{i|n} psi_{n/i}(m*c_i).
+    c = [MotivicPolynomial.zero(), *ghost_log(coeffs)]
+    order = len(coeffs) - 1
+    scaled = [MotivicPolynomial.zero()] * (order + 1)
+    for i in range(1, order + 1):
+        for n in range(2 * i, order + 1, i):
+            c[n] = c[n] - adams(c[i], n // i)
+        mc = m * c[i]
+        for n in range(i, order + 1, i):
+            scaled[n] = scaled[n] + adams(mc, n // i)
+    return ghost_exp(scaled[1:])
 
 
 def power_pow(series: TruncatedSeries, exponent: Any, ring: LambdaRing) -> TruncatedSeries:
     """Raise a series with constant term 1 to a ring-element power.
 
-    Step i reads b_i off the t^i coefficient of the residual, divides
-    zeta_{b_i}(t^i) out of it (which clears degree i without touching
-    lower degrees) and multiplies zeta_{m * b_i}(t^i) into the result.
-    After the last step the residual is 1, so the series was exactly
-    prod_i zeta_{b_i}(t^i) and the result is its m-th power.
+    Works in ghost coordinates, one Z[L] lane at a time (a pair series has
+    an ambient and a complement lane): the log recurrence reads the ghosts
+    of the series, a divisor sum recovers c_i = i*b_i of its factors
+    prod_i zeta_{b_i}(t^i), and the exp recurrence rebuilds the series from
+    the ghosts of prod_i zeta_{m*b_i}(t^i).
     """
     if series.coeffs[0] != ring.one:
         raise ValueError("the series exponential requires constant term 1")
-    order = series.order
-    result = ring.one_series(order)
     if exponent == ring.zero:
-        return result
-    residual = series
-    for i in range(1, order + 1):
-        b = residual.coefficient(i)
-        if b != ring.zero:
-            residual = residual.divide(_zeta_power_factor(b, i, order, ring), ring.one)
-            scaled = exponent * b
-            if scaled != ring.zero:
-                result = result * _zeta_power_factor(scaled, i, order, ring)
-    return result
+        return ring.one_series(series.order)
+    if isinstance(exponent, PairClass):
+        amb = _lane_pow([c.amb for c in series.coeffs], exponent.amb)
+        comp = _lane_pow([c.comp for c in series.coeffs], exponent.comp)
+        return TruncatedSeries(tuple(map(PairClass, amb, comp)))
+    return TruncatedSeries(_lane_pow(series.coeffs, exponent))
+
+
+# -- cost bounds ---------------------------------------------------------------------
+#
+# Upper bounds on the Z[L] term products (c1 * c2 in the inner loops of the
+# log and exp steps) of the two lanes, from the order, the L-degrees and the
+# term counts alone, so a caller can refuse a computation before it starts.
+
+
+def _power_sums(order: int) -> tuple[int, int, int]:
+    # sum n, sum n^2 and sum n^3 over n = 1..order
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    s1 = order * (order + 1) // 2
+    return s1, s1 * (2 * order + 1) // 3, s1 * s1
+
+
+def zeta_cost(p: PairClass, order: int) -> int:
+    """Upper bound on the term products of kapranov_zeta(p, order).
+
+    Per lane m with T terms and L-degree D, the exp step for t^n multiplies
+    the T-term ghosts psi_k(m) into a_{n-k}, which has at most D(n-k) + 1
+    terms: T * sum_n (D n(n-1)/2 + n) products in all.
+    """
+    s1, s2, _ = _power_sums(order)
+    return sum(len(m.items()) * (max(m.degree, 0) * (s2 - s1) // 2 + s1) for m in (p.amb, p.comp))
+
+
+def _slope(coeffs: Iterable[MotivicPolynomial]) -> int:
+    # Least s >= 0 with deg c_j <= s*j for the j-th coefficient, j = 1, 2, ...
+    return max((-(-c.degree // j) for j, c in enumerate(coeffs, 1) if c.degree > 0), default=0)
+
+
+def pow_cost(tail: Sequence[PairClass], exponent: PairClass, order: int) -> int:
+    """Upper bound on the term products of power_pow(1 + c_1 t + c_2 t^2 + ..., exponent).
+
+    tail holds c_1, c_2, ...; coefficients past it are zero.  If every c_j
+    has L-degree at most s*j, so do the ghosts g_j and s*j + 1 bounds
+    their term counts; the exp side has slope s + deg m.  Each step sums
+    (s*k + 1)(s*(n-k) + 1) products over k, which has a closed form.
+    """
+    s1, s2, s3 = _power_sums(order)
+    cubic = (s3 - s1) // 6  # sum over n of (n^3 - n) / 6
+    total = 0
+    for m, lane in ((exponent.amb, [c.amb for c in tail]), (exponent.comp, [c.comp for c in tail])):
+        s = _slope(lane)
+        e = s + max(m.degree, 0)
+        log_products = s * s * cubic + s * (s2 - s1) + s1 - order
+        scale_products = len(m.items()) * (s * s1 + order)
+        exp_products = e * e * cubic + e * s2 + s1
+        total += log_products + scale_products + exp_products
+    return total
 
 
 # -- executable identity checks ------------------------------------------------

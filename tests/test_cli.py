@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -115,6 +116,28 @@ def test_pow_explicit_coefficients(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     # (1 + (2,1)t)^(2,2): the linear term doubles the coefficient
     assert cells(lines[2]) == ["t^1", "4", "2", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["zeta", "--pair", "pn:2", "--order", "3000"], "zeta series to order 3000"),
+        (["zeta", "--pair", "pn:100000", "--order", "3"], "zeta series to order 3"),
+        (["pow", "--base", "geometric", "--pair", "point", "--order", "5000"], "series exponential to order 5000"),
+        (["pow", "--base", "coeffs", "--coeff", "pn:40", "--pair", "pn:40", "--order", "30"],
+         "series exponential to order 30"),
+    ],
+    ids=["zeta-deep", "zeta-wide", "pow-deep", "pow-wide"],
+)
+def test_algebra_over_budget_exits_3(capsys, argv, what):
+    # the term-product bound refuses before any series is built
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"budget exhausted: {what} needs ~")
+    assert captured.err.endswith("steps, budget is 10000000\n")
 
 
 def test_pow_coeff_flag_requires_coeffs_base(capsys):

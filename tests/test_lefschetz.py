@@ -35,7 +35,6 @@ def test_constructors():
     assert MotivicPolynomial.constant(7).items() == ((0, 7),)
     assert MotivicPolynomial.constant(0) == ZERO
     assert L.items() == ((1, 1),)
-    assert MotivicPolynomial.monomial(3, -2).items() == ((3, -2),)
 
 
 def test_degree_and_coefficient():

@@ -64,7 +64,7 @@ def test_str():
 
 
 def test_json_roundtrip():
-    p = PairClass(3 * L - ONE, MotivicPolynomial.monomial(2))
+    p = PairClass(3 * L - ONE, MotivicPolynomial({2: 1}))
     assert json.loads(json.dumps(p.to_json())) == {"amb": {"0": "-1", "1": "3"}, "comp": {"2": "1"}}
 
 
