@@ -12,7 +12,9 @@ Pair specs name catalog entries with colon-separated parameters
 
 Exit codes: 0 success, 1 verification or equality failure, 2 usage
 error, 3 budget exhausted (an enumeration, or the term products that
-`zeta` and `pow` would need, over the step budget).  Identical
+`zeta`, `pow` or the identities suite would need, over the step budget),
+4 internal error (any other exception, reported in one stderr line
+without a traceback).  Identical
 invocations print byte-identical output: suites run sequentially in a
 fixed order and all sampling inside them is constant-seeded.
 """
@@ -249,6 +251,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
         return 2  # unreachable; parser.error exits
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Arithmetic in prime fields, the ground for all brute-force counting.
+"""Arithmetic in prime fields, the ground for the geometric brute-force counts.
 
 Only prime moduli are supported; counts over extension fields enter the
 engine exclusively through closed-form formulas, never through extension

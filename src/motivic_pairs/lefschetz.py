@@ -45,8 +45,10 @@ class MotivicPolynomial:
 
     @classmethod
     def _trusted(cls, coeffs: dict[int, int]) -> "MotivicPolynomial":
-        # For results built in this module, whose degrees and coefficients
-        # are ints by construction: skips the per-term checks of __init__.
+        # For results built in this module (ring operations, Adams
+        # operations, ghost recurrences), whose degrees and coefficients are
+        # ints by construction: skips the per-term checks of __init__, but
+        # still sorts by degree and drops zeros, so results stay canonical.
         poly = object.__new__(cls)
         poly._coeffs = {d: c for d, c in sorted(coeffs.items()) if c}
         return poly
@@ -109,12 +111,12 @@ class MotivicPolynomial:
         merged = dict(self._coeffs)
         for degree, coeff in coerced._coeffs.items():
             merged[degree] = merged.get(degree, 0) + coeff
-        return MotivicPolynomial(merged)
+        return MotivicPolynomial._trusted(merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MotivicPolynomial":
-        return MotivicPolynomial({d: -c for d, c in self._coeffs.items()})
+        return MotivicPolynomial._trusted({d: -c for d, c in self._coeffs.items()})
 
     def __sub__(self, other: IntoPolynomial) -> "MotivicPolynomial":
         coerced = self._coerce(other)
@@ -137,7 +139,7 @@ class MotivicPolynomial:
             for d2, c2 in coerced._coeffs.items():
                 d = d1 + d2
                 prod[d] = prod.get(d, 0) + c1 * c2
-        return MotivicPolynomial(prod)
+        return MotivicPolynomial._trusted(prod)
 
     __rmul__ = __mul__
 

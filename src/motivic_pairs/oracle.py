@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Sequence
 
-from .field import PrimeField, is_prime
+from .field import is_prime
 from .geometry import MarkedP1Scene, ProjectivePoint, point_in_marked_union
 
 DEFAULT_BUDGET = 10**7
@@ -117,7 +117,10 @@ def finite_set_counts(s: int) -> Callable[[int], int]:
 def count_squarefree_monic(q: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
     """Monic degree-n polynomials over F_q coprime to their derivative.
 
-    Exhaustive over all q^n monic polynomials; refuses beyond the budget.
+    Exhaustive over all q^n monic polynomials: each one is built with its
+    derivative, and counts when the Euclidean gcd of the two has degree 0.
+    The gcd runs on plain coefficient lists with `% q` arithmetic and a
+    table of inverses.  Refuses beyond the budget.
     """
     if not is_prime(q):
         raise ValueError(f"field size must be prime, got {q}")
@@ -126,42 +129,43 @@ def count_squarefree_monic(q: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
     needed = q**n
     if needed > budget:
         raise BudgetExceededError(needed, budget, f"squarefree enumeration at q={q}, n={n}")
-    fld = PrimeField(q)
+    inverse = [0] + [pow(x, -1, q) for x in range(1, q)]
     count = 0
     for low in itertools.product(range(q), repeat=n):
-        poly = list(low) + [1]
-        derivative = [fld.mul(i, c) for i, c in enumerate(poly)][1:]
-        if _poly_gcd_degree(poly, derivative, fld) == 0:
+        poly = [*low, 1]
+        derivative = [i * c % q for i, c in enumerate(poly)][1:]
+        if _poly_gcd_degree(poly, derivative, q, inverse) == 0:
             count += 1
     return count
 
 
-def _poly_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _poly_gcd_degree(a: Sequence[int], b: Sequence[int], q: int, inverse: Sequence[int]) -> int:
+    """Degree of gcd(a, b) over F_q; the zero polynomial reports -1.
 
-
-def _poly_mod(a: list[int], b: list[int], fld: PrimeField) -> list[int]:
-    # remainder of a by b, b nonzero, coefficients ascending
-    a = _poly_trim(list(a))
-    inv_lead = fld.inv(b[-1])
-    while len(a) >= len(b):
-        factor = fld.mul(a[-1], inv_lead)
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] = fld.sub(a[shift + i], fld.mul(factor, c))
-        a = _poly_trim(a)
-    return a
-
-
-def _poly_gcd_degree(a: list[int], b: list[int], fld: PrimeField) -> int:
-    """Degree of gcd(a, b); the zero polynomial reports -1."""
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_mod(a, b, fld)
-    return len(a) - 1
+    Coefficients are ascending residues in 0..q-1, leading zeros allowed,
+    and inverse[x] is the inverse of x mod q.  Each remainder step works
+    in place on a copy, tracking degrees instead of trimming lists; the
+    entries above a tracked degree are stale and never read.
+    """
+    a, b = list(a), list(b)
+    da, db = len(a) - 1, len(b) - 1
+    while da >= 0 and not a[da]:
+        da -= 1
+    while db >= 0 and not b[db]:
+        db -= 1
+    while db >= 0:
+        # a becomes a mod b, then the two swap roles
+        lead = inverse[b[db]]
+        while da >= db:
+            factor = a[da] * lead % q
+            shift = da - db
+            for i in range(db):
+                a[shift + i] = (a[shift + i] - factor * b[i]) % q
+            da -= 1
+            while da >= 0 and not a[da]:
+                da -= 1
+        a, b, da, db = b, a, db, da
+    return da
 
 
 @dataclass(frozen=True)
@@ -203,40 +207,49 @@ class FiniteScene:
 
 
 def count_power_configs(
-    scene: FiniteScene, n: int, budget: int = DEFAULT_BUDGET
-) -> tuple[int, int]:
-    """Exhaustive (ambient, complement) counts of weight-n labelled configurations.
+    scene: FiniteScene, top: int, budget: int = DEFAULT_BUDGET
+) -> list[tuple[int, int]]:
+    """Exhaustive (ambient, complement) counts of labelled configurations of weights 0..top.
 
     A configuration is a subset K of the atoms together with a map phi
-    from K into the disjoint union of the label sets, with the weights of
-    the chosen labels summing to n.  The ambient count takes all of them;
-    the complement count keeps only those where K avoids the marked atoms
-    and the image of phi avoids the marked labels.  These are the
-    coefficient counts of (1 + sum_i |labels_i| t^i) raised to the power
-    of the atom pair, which is what the suites compare against.
+    from K into the disjoint union of the label sets; its weight is the
+    sum of the weights of the chosen labels.  The ambient count takes all
+    of them; the complement count keeps only those where K avoids the
+    marked atoms and the image of phi avoids the marked labels.  Entry n
+    of the result holds the counts of weight n: the coefficient counts of
+    (1 + sum_i |labels_i| t^i) raised to the power of the atom pair, which
+    is what the suites compare against.
+
+    One pass visits every (K, phi) once and puts it in the bucket of its
+    weight; configurations heavier than top are visited and dropped.  The
+    budget is checked against (1 + |labels|)^|atoms| before any is built.
     """
-    if n < 0:
+    if top < 0:
         raise ValueError("weight must be non-negative")
-    universe = [
-        (i + 1, label, label in marked)
+    # A label of weight w is coded as w, or as w + stride when it is marked.
+    # An assignment picks at most |atoms| labels of weight at most |weights|,
+    # so stride exceeds every total weight, and the sum of an assignment's
+    # codes is its weight plus stride times its number of marked labels.
+    stride = len(scene.labels) * len(scene.atoms) + 1
+    codes = [
+        i + 1 + (stride if label in marked else 0)
         for i, (full, marked) in enumerate(scene.labels)
         for label in full
     ]
-    needed = (1 + len(universe)) ** len(scene.atoms)
+    needed = (1 + len(codes)) ** len(scene.atoms)
     if needed > budget:
         raise BudgetExceededError(needed, budget, "configuration enumeration")
     marked_atoms = set(scene.marked_atoms)
-    ambient = 0
-    complement = 0
+    ambient = [0] * (top + 1)
+    complement = [0] * (top + 1)
     for k_size in range(len(scene.atoms) + 1):
         for subset in itertools.combinations(scene.atoms, k_size):
-            for assignment in itertools.product(universe, repeat=k_size):
-                if sum(weight for weight, _, _ in assignment) != n:
+            clean = marked_atoms.isdisjoint(subset)
+            for code in map(sum, itertools.product(codes, repeat=k_size)):
+                weight = code % stride
+                if weight > top:
                     continue
-                ambient += 1
-                if any(atom in marked_atoms for atom in subset):
-                    continue
-                if any(flagged for _, _, flagged in assignment):
-                    continue
-                complement += 1
-    return (ambient, complement)
+                ambient[weight] += 1
+                if clean and code < stride:
+                    complement[weight] += 1
+    return list(zip(ambient, complement))

@@ -39,6 +39,7 @@ from .geometry import (
 from .lefschetz import MotivicPolynomial, projective_class, zeta_series
 from .oracle import (
     DEFAULT_BUDGET,
+    BudgetExceededError,
     FiniteScene,
     affine_line_counts,
     count_marked_union,
@@ -57,9 +58,11 @@ from .power import (
     config_series,
     config_series_pair,
     kapranov_zeta,
+    pow_cost,
     power_pow,
     verify_identities,
     verify_power_axioms,
+    zeta_cost,
 )
 from .series import TruncatedSeries
 
@@ -475,9 +478,23 @@ def suite_power_axioms(order: int, fields: tuple[int, ...], budget: int) -> list
 
 
 def suite_identities(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
-    """Exponential forms of both series for every catalog generator."""
+    """Exponential forms of both series for every catalog generator.
+
+    Refuses over the budget before building anything: the bound sums the
+    term-product bounds of (1/(1-t))^p and (1+t)^p, of zeta(p) for both
+    sides, and of the two zeta factors of config(p) = zeta_p(t) zeta_{-p}(t^2).
+    """
+    samples = catalog_samples()
+    # 1/(1-t) and 1+t have coefficients of L-degree 0, like 1 itself
+    one = [PairClass.one()]
+    cost = sum(
+        2 * pow_cost(one, p, order) + 2 * zeta_cost(p, order) + zeta_cost(-p, order // 2)
+        for _, p in samples
+    )
+    if cost > budget:
+        raise BudgetExceededError(cost, budget, f"identities suite at order {order}")
     rows = []
-    for name, p in catalog_samples():
+    for name, p in samples:
         rows.extend(verify_identities(p, order, sample=name))
     return rows
 
@@ -565,7 +582,7 @@ def suite_eq3_finite(order: int, fields: tuple[int, ...], budget: int) -> list[d
                     scene = FiniteScene.from_sizes(size, marked, [l1, l2])
                     base = PAIR_RING.one_plus((catalog("finite", *l1), catalog("finite", *l2)), top)
                     powered = power_pow(base, exponent, PAIR_RING)
-                    expected = [list(count_power_configs(scene, n, budget)) for n in range(top + 1)]
+                    expected = [list(counts) for counts in count_power_configs(scene, top, budget)]
                     actual = [
                         [c.amb.coefficient(0), c.comp.coefficient(0)]
                         if c.amb.degree <= 0 and c.comp.degree <= 0

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from motivic_pairs import MotivicPolynomial, PairClass, catalog
+from motivic_pairs import suites
 from motivic_pairs.cli import main
 from motivic_pairs.pairs import MAX_SPEC_DEPTH, parse_pair_spec
 
@@ -236,12 +237,17 @@ PINNED_OUTPUTS = [
     (["pow", "--base", "coeffs", "--coeff", "finite:2,1", "--coeff", "p1-marked:1",
       "--pair", "pn-hyp:2,2", "--order", "8", "--format", "json"],
      "1e8d2875d6040b07dfe25a2bfdc1032f43b697280bcba577d6c3ea53c8069388"),
+    (["verify", "--suite", "squarefree", "--q", "7"],
+     "29524ed7494eecffd8ef3028f87f1dd49d8660a51738e81fc0956c9924bd77c7"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, expected", PINNED_OUTPUTS,
-    ids=["verify-order0", "verify-order1", "verify-order5", "pow-geometric", "pow-one-plus-t", "pow-coeffs"],
+    ids=[
+        "verify-order0", "verify-order1", "verify-order5",
+        "pow-geometric", "pow-one-plus-t", "pow-coeffs", "verify-squarefree-q7",
+    ],
 )
 def test_output_is_pinned(capsys, argv, expected):
     # SHA-256 of stdout; any changed row or coefficient changes it
@@ -261,6 +267,36 @@ def test_verify_budget_bounds_projective_enumeration(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "projective enumeration at q=2, n=2 needs ~7 steps, budget is 5" in captured.err
+
+
+def test_verify_identities_over_budget_exits_3(capsys):
+    # the identities suite bounds its term products before building a series
+    start = time.perf_counter()
+    assert main(["verify", "--suite", "identities", "--order", "200"]) == 3
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget exhausted: identities suite at order 200 needs ~")
+    assert captured.err.endswith("steps, budget is 10000000\n")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_verify_identities_budget_is_the_flag(capsys):
+    # order 20 is bounded by about 2.2e6 term products: over 10^6, under the default 10^7
+    assert main(["verify", "--suite", "identities", "--order", "20", "--budget", "1000000"]) == 3
+    assert capsys.readouterr().out == ""
+    assert main(["verify", "--suite", "identities", "--order", "20"]) == 0
+
+
+def test_crash_is_internal_error_exit_4(capsys, monkeypatch):
+    def broken_suite(order, fields, budget):
+        raise RuntimeError("suite broke")
+
+    monkeypatch.setitem(suites.SUITES, "weil", broken_suite)
+    assert main(["verify", "--suite", "weil"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: suite broke\n"
 
 
 def test_verify_unknown_suite_is_usage_error():

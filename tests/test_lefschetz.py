@@ -75,6 +75,38 @@ def test_ring_laws_random():
         assert a - a == ZERO
 
 
+def sparse_poly(rng):
+    # small coefficients on scattered degrees, so sums and products cancel often
+    return MotivicPolynomial({rng.randint(0, 5): rng.choice((-2, -1, 0, 1, 2)) for _ in range(rng.randint(0, 5))})
+
+
+def assert_canonical(p):
+    degrees = [d for d, _ in p.items()]
+    assert degrees == sorted(set(degrees))
+    assert all(c != 0 for _, c in p.items())
+    rebuilt = MotivicPolynomial(dict(p.items()))
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
+def test_ring_results_are_canonical():
+    # +, -, unary - and * build their results unchecked; each must still be
+    # sorted, zero-free, and equal and hash-equal to the checked constructor's
+    rng = random.Random(3141)
+    cancelling = [
+        (1 + L, 1 - L),  # the product loses its L term
+        (L * L - 1, 1 - L * L),  # the sum is zero
+        (L + 3, L + 3),  # the difference is zero
+    ]
+    cases = cancelling + [(sparse_poly(rng), sparse_poly(rng)) for _ in range(300)]
+    cancelled_products = 0
+    for a, b in cases:
+        for result in (a + b, a - b, -a, a * b, a - a, a + (-a), a * ZERO):
+            assert_canonical(result)
+        reachable = {d1 + d2 for d1, _ in a.items() for d2, _ in b.items()}
+        cancelled_products += len((a * b).items()) < len(reachable)
+    assert cancelled_products > 5  # products that lose terms are exercised
+
+
 def test_evaluate_matches_integer_substitution():
     p = ONE + L + L * L
     assert p.evaluate(2) == 7

@@ -6,6 +6,8 @@ against these counts elsewhere, so these tests pin the oracles themselves
 to closed forms and hand-checked values.
 """
 
+import itertools
+import random
 from math import comb
 
 import pytest
@@ -21,7 +23,9 @@ from motivic_pairs import (
     enumerate_projective,
     weil_symmetric_counts,
 )
+from motivic_pairs.field import PrimeField
 from motivic_pairs.oracle import (
+    _poly_gcd_degree,
     affine_line_counts,
     finite_set_counts,
     projective_line_counts,
@@ -125,15 +129,15 @@ def test_finite_scene_validation():
     with pytest.raises(ValueError):
         FiniteScene.from_sizes(2, 0, [(1, 2)])
     scene = FiniteScene.from_sizes(0, 0, [])
-    assert count_power_configs(scene, 0) == (1, 1)
-    assert count_power_configs(scene, 1) == (0, 0)
+    assert count_power_configs(scene, 1)[0] == (1, 1)
+    assert count_power_configs(scene, 1)[1] == (0, 0)
 
 
 def test_count_power_configs_hand_checked():
     # 3 atoms (1 marked), one weight-1 label: a weight-n config is just an
     # n-subset, so ambient C(3, n); complement configs avoid the marked atom
     scene = FiniteScene.from_sizes(3, 1, [(1, 0)])
-    assert [count_power_configs(scene, n) for n in range(4)] == [
+    assert count_power_configs(scene, 3) == [
         (1, 1),
         (3, 2),
         (3, 1),
@@ -148,12 +152,12 @@ def test_count_power_configs_weighted_labels():
     # bars the marked label, leaving the two weight-2 picks... plus nothing
     # else, so 2.
     scene = FiniteScene.from_sizes(2, 0, [(1, 1), (1, 0)])
-    assert count_power_configs(scene, 2) == (3, 2)
+    assert count_power_configs(scene, 2)[2] == (3, 2)
 
 
 def test_count_power_configs_exceeding_total_weight():
     scene = FiniteScene.from_sizes(2, 1, [(2, 1), (1, 0)])
-    assert count_power_configs(scene, 5) == (0, 0)
+    assert count_power_configs(scene, 5)[5] == (0, 0)
 
 
 def test_count_power_configs_budget():
@@ -176,8 +180,126 @@ def test_configs_agree_with_series_exponential():
         scene = FiniteScene.from_sizes(size, marked, labels)
         base = PAIR_RING.one_plus([catalog("finite", *l) for l in labels], 4)
         powered = power_pow(base, catalog("finite", size, marked), PAIR_RING)
-        for n in range(5):
-            amb, comp = count_power_configs(scene, n)
+        for n, (amb, comp) in enumerate(count_power_configs(scene, 4)):
             c = powered.coefficient(n)
             assert (c.amb.coefficient(0), c.comp.coefficient(0)) == (amb, comp)
             assert c.amb.degree <= 0 and c.comp.degree <= 0
+
+
+# -- fast oracle paths against the slow ones they replace ---------------------------
+#
+# The references below are the earlier implementations: a gcd built from
+# PrimeField method calls and trimmed list rebuilds, and one enumeration of
+# the whole configuration space per weight.
+
+
+def _reference_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _reference_mod(a, b, fld):
+    a = _reference_trim(list(a))
+    inv_lead = fld.inv(b[-1])
+    while len(a) >= len(b):
+        factor = fld.mul(a[-1], inv_lead)
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] = fld.sub(a[shift + i], fld.mul(factor, c))
+        a = _reference_trim(a)
+    return a
+
+
+def reference_gcd_degree(a, b, q):
+    fld = PrimeField(q)
+    a = _reference_trim(list(a))
+    b = _reference_trim(list(b))
+    while b:
+        a, b = b, _reference_mod(a, b, fld)
+    return len(a) - 1
+
+
+def reference_power_configs(scene, n):
+    universe = [
+        (i + 1, label in marked)
+        for i, (full, marked) in enumerate(scene.labels)
+        for label in full
+    ]
+    ambient = complement = 0
+    for k_size in range(len(scene.atoms) + 1):
+        for subset in itertools.combinations(scene.atoms, k_size):
+            for assignment in itertools.product(universe, repeat=k_size):
+                if sum(weight for weight, _ in assignment) != n:
+                    continue
+                ambient += 1
+                if any(atom in scene.marked_atoms for atom in subset):
+                    continue
+                if any(flagged for _, flagged in assignment):
+                    continue
+                complement += 1
+    return (ambient, complement)
+
+
+def _random_coeffs(rng, q):
+    # up to degree 6, often with zero leading entries, sometimes all zero
+    coeffs = [rng.randrange(q) for _ in range(rng.randint(0, 7))]
+    if coeffs and rng.random() < 0.3:
+        coeffs += [0] * rng.randint(1, 3)
+    if rng.random() < 0.1:
+        coeffs = [0] * len(coeffs)
+    return coeffs
+
+
+def _reference_poly_mul(a, b, q):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % q
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_gcd_degree_matches_field_reference(q):
+    rng = random.Random(8000 + q)
+    inverse = [0] + [pow(x, -1, q) for x in range(1, q)]
+    cases = [([], []), ([0, 0], [0]), ([], [1]), ([0, 1], []), ([1, 1, 0, 0], [0, 0, 0])]
+    cases += [(_random_coeffs(rng, q), _random_coeffs(rng, q)) for _ in range(400)]
+    # multiples of one monic factor, so that high gcd degrees occur too
+    for _ in range(100):
+        common = [rng.randrange(q) for _ in range(rng.randint(1, 3))] + [1]
+        a = _reference_poly_mul(_random_coeffs(rng, q), common, q)
+        b = _reference_poly_mul(_random_coeffs(rng, q), common, q)
+        cases.append((a, b))
+    for a, b in cases:
+        before = (list(a), list(b))
+        assert _poly_gcd_degree(a, b, q, inverse) == reference_gcd_degree(a, b, q), (a, b)
+        assert (a, b) == before  # the inputs are left as they were
+
+
+def _random_scene(rng):
+    size = rng.randint(0, 4)
+    weights = rng.randint(0, 3)
+    label_sizes = []
+    for _ in range(weights):
+        full = rng.randint(0, 2)
+        label_sizes.append((full, rng.randint(0, full)))
+    return FiniteScene.from_sizes(size, rng.randint(0, size), label_sizes)
+
+
+def test_power_configs_match_per_weight_reference():
+    rng = random.Random(4242)
+    scenes = [_random_scene(rng) for _ in range(60)]
+    # fixed corners: marked atoms and marked labels together, and a scene
+    # whose heaviest configurations pass every top tried here
+    scenes += [
+        FiniteScene.from_sizes(3, 2, [(2, 1), (1, 1), (1, 0)]),
+        FiniteScene.from_sizes(4, 4, [(1, 1)]),
+        FiniteScene.from_sizes(2, 0, []),
+    ]
+    for scene in scenes:
+        top = rng.randint(0, 8)
+        counts = count_power_configs(scene, top)
+        assert len(counts) == top + 1
+        for n in range(top + 1):
+            assert counts[n] == reference_power_configs(scene, n), (scene, n)
