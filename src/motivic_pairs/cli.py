@@ -12,17 +12,21 @@ Pair specs name catalog entries with colon-separated parameters
 
 Exit codes: 0 success, 1 verification or equality failure, 2 usage
 error, 3 budget exhausted (an enumeration, or the term products that
-`zeta`, `pow` or the identities suite would need, over the step budget),
+`zeta`, `pow` or an algebra suite would need, over the step budget),
 4 internal error (any other exception, reported in one stderr line
-without a traceback).  Identical
-invocations print byte-identical output: suites run sequentially in a
-fixed order and all sampling inside them is constant-seeded.
+without a traceback).  A reader that closes stdout early does not change
+the exit code and prints nothing to stderr.  Identical invocations print
+byte-identical output: suites run sequentially in a fixed order and all
+sampling inside them is constant-seeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -227,24 +231,53 @@ def _parse_fields(text: str) -> tuple[int, ...]:
     return fields
 
 
+def _run(args: argparse.Namespace) -> int:
+    if args.command == "zeta":
+        return cmd_zeta(parse_pair_spec(args.pair), args.order, args.fmt)
+    if args.command == "pow":
+        if args.base != "coeffs" and args.coeff:
+            raise ValueError("--coeff only applies with --base coeffs")
+        # 1/(1-t) and 1+t have the coefficients 1 and 0, of L-degree 0
+        # like 1 itself, which is all the cost bound reads of a tail.
+        tail = [parse_pair_spec(s) for s in args.coeff] if args.base == "coeffs" else [PairClass.one()]
+        return cmd_pow(args.base, tail, parse_pair_spec(args.pair), args.order, args.fmt)
+    if args.command == "example":
+        if args.n < 0 or args.s < 0:
+            raise ValueError("n and s must be non-negative")
+        return cmd_example(args.n, args.s, _parse_fields(args.q), args.fmt)
+    return cmd_verify(args.suite, args.order, _parse_fields(args.q), args.budget, args.fmt)
+
+
+def _write(text: str, code: int) -> int:
+    """Write a command's whole output to stdout and return its exit code.
+
+    A reader that closes stdout early (`| head`) is not a failure: the
+    verdict is already decided, so it stands.  The rest of the output goes
+    to the null device, so the flush at interpreter exit has nowhere to
+    fail either; a stdout with no file descriptor (a StringIO, say) needs
+    nothing more.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+    return code
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = io.StringIO()  # the command prints here; _write passes it on
     try:
-        if args.command == "zeta":
-            return cmd_zeta(parse_pair_spec(args.pair), args.order, args.fmt)
-        if args.command == "pow":
-            if args.base != "coeffs" and args.coeff:
-                raise ValueError("--coeff only applies with --base coeffs")
-            # 1/(1-t) and 1+t have the coefficients 1 and 0, of L-degree 0
-            # like 1 itself, which is all the cost bound reads of a tail.
-            tail = [parse_pair_spec(s) for s in args.coeff] if args.base == "coeffs" else [PairClass.one()]
-            return cmd_pow(args.base, tail, parse_pair_spec(args.pair), args.order, args.fmt)
-        if args.command == "example":
-            if args.n < 0 or args.s < 0:
-                raise ValueError("n and s must be non-negative")
-            return cmd_example(args.n, args.s, _parse_fields(args.q), args.fmt)
-        return cmd_verify(args.suite, args.order, _parse_fields(args.q), args.budget, args.fmt)
+        with contextlib.redirect_stdout(out):
+            code = _run(args)
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
@@ -254,6 +287,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
+    return _write(out.getvalue(), code)
 
 
 if __name__ == "__main__":

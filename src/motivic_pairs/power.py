@@ -188,6 +188,29 @@ def pow_cost(tail: Sequence[PairClass], exponent: PairClass, order: int) -> int:
     return total
 
 
+def mul_cost(order: int, a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Upper bound on the Z[L] term products of one series multiply, one lane.
+
+    A lane bound (s, t) says the t^j coefficient has at most s*j + t terms.
+    Coefficient k of the product sums the k + 1 products a_j b_{k-j},
+    (N+1)(N+2)/2 coefficient products in all, each bounded by its term
+    counts: sum over k and j of (s_a j + t_a)(s_b (k-j) + t_b).
+    """
+    s1, s2, s3 = _power_sums(order)
+    (sa, ta), (sb, tb) = a, b
+    return sa * sb * ((s3 - s1) // 6) + (sa * tb + sb * ta) * ((s2 + s1) // 2) + ta * tb * (s1 + order + 1)
+
+
+def config_cost(p: PairClass, order: int) -> int:
+    """Upper bound on the term products of config_series_pair(p, order).
+
+    The two zeta factors, and their series multiply: per lane of L-degree D
+    both factors have L-degree at most D*j at t^j, so at most D*j + 1 terms.
+    """
+    degrees = (max(p.amb.degree, 0), max(p.comp.degree, 0))
+    return zeta_cost(p, order) + zeta_cost(-p, order // 2) + sum(mul_cost(order, (d, 1), (d, 1)) for d in degrees)
+
+
 # -- executable identity checks ------------------------------------------------
 
 

@@ -54,10 +54,13 @@ from .pairs import PairClass, catalog, parse_pair_spec, split_atom
 from .power import (
     LEFSCHETZ_RING,
     PAIR_RING,
+    _slope,
     axiom_row,
+    config_cost,
     config_series,
     config_series_pair,
     kapranov_zeta,
+    mul_cost,
     pow_cost,
     power_pow,
     verify_identities,
@@ -68,6 +71,8 @@ from .series import TruncatedSeries
 
 RING_SEED = 1729
 SUM_SEED = 6174
+SERIES_SAMPLES = 10  # ring-axioms: random series triples, and division cases
+ZETA_SAMPLES = 12  # ring-axioms: random polynomial pairs for the zeta rows
 
 CATALOG_SPECS = (
     "point",
@@ -113,6 +118,38 @@ def _check(check: str, params: dict, expected, actual) -> dict:
 
 def _bound(check: str, params: dict, expected: str, actual, ok: bool) -> dict:
     return {"check": check, "params": params, "expected": expected, "actual": actual, "pass": ok}
+
+
+# -- budgets of the algebra suites ----------------------------------------------
+#
+# Each algebra suite sums the term-product bounds of the series it builds
+# and multiplies (zeta_cost, config_cost, pow_cost, mul_cost) and refuses
+# over the budget before building any of them.  A lane bound (s, t) of
+# mul_cost says the t^j coefficient has at most s*j + t terms; the series
+# of pairs here have L-degree at most s*j at t^j per lane (their slopes),
+# so (s, 1).
+
+
+def _check_budget(cost: int, budget: int, suite: str, order: int) -> None:
+    if cost > budget:
+        raise BudgetExceededError(cost, budget, f"{suite} suite at order {order}")
+
+
+def _degrees(p: PairClass) -> tuple[int, int]:
+    # the slopes of zeta(p) and config(p): L-degree at most deg * j at t^j
+    return max(p.amb.degree, 0), max(p.comp.degree, 0)
+
+
+def _pair_mul_cost(order: int, a: tuple[int, int], b: tuple[int, int]) -> int:
+    # a series multiply of two pair series with lane slopes a and b
+    return sum(mul_cost(order, (sa, 1), (sb, 1)) for sa, sb in zip(a, b))
+
+
+def _slope_pow_cost(slopes: tuple[int, int], exponent: PairClass, order: int) -> int:
+    # pow_cost reads a base only through the slope of each lane, so one
+    # coefficient L^s per lane stands for every base of those slopes
+    tail = [PairClass(MotivicPolynomial({slopes[0]: 1}), MotivicPolynomial({slopes[1]: 1}))]
+    return pow_cost(tail, exponent, order)
 
 
 # -- ring-axioms ---------------------------------------------------------------
@@ -194,16 +231,39 @@ def _brute_counts(spec: str, q: int, budget: int) -> tuple[int, int] | None:
     raise ValueError(f"no brute-force scene for {spec!r}")
 
 
+def _ring_axioms_cost(order: int) -> int:
+    # _random_poly has at most 4 terms, of L-degree at most 3: a random
+    # series has the lane bound (0, 4), a product of two (0, 7), a quotient
+    # by a random unit series (3, 4) (L-degree at most 3j + 3), and the zeta
+    # series of a random polynomial (3, 1).  Per series triple, the series
+    # laws make four products of two random series and two with a product;
+    # per division case, two divisions and two multiplies; per zeta case,
+    # five zeta series and two multiplies.
+    rand, prod, quot, zeta = (0, 4), (0, 7), (3, 4), (3, 1)
+    zero = MotivicPolynomial.zero()
+    random_zeta = zeta_cost(PairClass(projective_class(3), zero), order)  # one lane, 4 terms, L-degree 3
+    return (
+        SERIES_SAMPLES * (4 * mul_cost(order, rand, rand) + 2 * mul_cost(order, prod, rand))
+        + SERIES_SAMPLES * 4 * mul_cost(order, quot, rand)
+        + ZETA_SAMPLES * (5 * random_zeta + 2 * mul_cost(order, zeta, zeta))
+        + zeta_cost(PairClass(projective_class(1), zero), order)
+    )
+
+
 def suite_ring_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
-    """Ring laws, series laws, zeta structure, and catalog scenes vs enumeration."""
+    """Ring laws, series laws, zeta structure, and catalog scenes vs enumeration.
+
+    Refuses over the budget before drawing a series (see _ring_axioms_cost).
+    """
+    _check_budget(_ring_axioms_cost(order), budget, "ring-axioms", order)
     rng = random.Random(RING_SEED)
     poly_triples = [tuple(_random_poly(rng) for _ in range(3)) for _ in range(25)]
     pair_triples = [tuple(_random_pair(rng) for _ in range(3)) for _ in range(25)]
-    series_triples = [tuple(_random_series(rng, order) for _ in range(3)) for _ in range(10)]
+    series_triples = [tuple(_random_series(rng, order) for _ in range(3)) for _ in range(SERIES_SAMPLES)]
     division_cases = [
-        (_random_series(rng, order), _random_unit_series(rng, order)) for _ in range(10)
+        (_random_series(rng, order), _random_unit_series(rng, order)) for _ in range(SERIES_SAMPLES)
     ]
-    zeta_cases = [(_random_poly(rng), _random_poly(rng)) for _ in range(12)]
+    zeta_cases = [(_random_poly(rng), _random_poly(rng)) for _ in range(ZETA_SAMPLES)]
 
     zero, one = MotivicPolynomial.zero(), MotivicPolynomial.one()
     unit_series = LEFSCHETZ_RING.one_series(order)
@@ -342,24 +402,42 @@ def suite_ring_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[
 # -- statements 1 and 2 --------------------------------------------------------
 
 
-def _sampled_sums(count: int = 24) -> list[tuple[tuple[str, PairClass], tuple[str, PairClass]]]:
-    samples = catalog_samples()
+def _sampled_sums(
+    samples: Sequence[tuple[str, PairClass]], count: int = 24
+) -> list[tuple[tuple[str, PairClass], tuple[str, PairClass]]]:
     pairs = [(i, j) for i in range(len(samples)) for j in range(i, len(samples))]
     rng = random.Random(SUM_SEED)
     return [(samples[i], samples[j]) for i, j in rng.sample(pairs, count)]
 
 
 def _multiplicativity_rows(
-    prefix: str, series: Callable[[PairClass, int], TruncatedSeries], order: int
+    suite: str,
+    prefix: str,
+    series: Callable[[PairClass, int], TruncatedSeries],
+    cost: Callable[[PairClass, int], int],
+    order: int,
+    budget: int,
+    extra_cost: int = 0,
 ) -> list[dict]:
     # series(p + r) = series(p) * series(r) over sampled sums, then 1 + p t + ...
+    # The bound counts the series of p + r, p and r and one multiply per
+    # sum, the series of every catalog sample, and extra_cost for rows the
+    # suite adds; zeta and config of p both have the slopes _degrees(p).
+    samples = catalog_samples()
+    sums = _sampled_sums(samples)
+    costs = {name: cost(p, order) for name, p in samples}
+    needed = extra_cost + sum(costs.values())
+    for (name_p, p), (name_r, r) in sums:
+        needed += cost(p + r, order) + costs[name_p] + costs[name_r]
+        needed += _pair_mul_cost(order, _degrees(p), _degrees(r))
+    _check_budget(needed, budget, suite, order)
     rows = []
-    for (name_p, p), (name_r, r) in _sampled_sums():
+    for (name_p, p), (name_r, r) in sums:
         lhs = series(p + r, order)
         rhs = series(p, order) * series(r, order)
         rows.append(axiom_row(f"{prefix}-multiplicative", f"{name_p} + {name_r}", order, lhs, rhs))
     head = min(order, 1)
-    for name, p in catalog_samples():
+    for name, p in samples:
         rows.append(
             axiom_row(
                 f"{prefix}-unit-and-linear-term",
@@ -373,17 +451,26 @@ def _multiplicativity_rows(
 
 
 def suite_statement1(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
-    """Multiplicativity of the symmetric-power series over catalog sums."""
-    return _multiplicativity_rows("zeta", kapranov_zeta, order)
+    """Multiplicativity of the symmetric-power series over catalog sums.
+
+    Refuses over the budget before building any series.
+    """
+    return _multiplicativity_rows("statement1", "zeta", kapranov_zeta, zeta_cost, order, budget)
 
 
 def suite_statement2(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
-    """Multiplicativity of the configuration series over catalog sums."""
-    rows = _multiplicativity_rows("config", config_series_pair, order)
+    """Multiplicativity of the configuration series over catalog sums.
+
+    Refuses over the budget before building any series.
+    """
+    one = PairClass.one()
+    rows = _multiplicativity_rows(
+        "statement2", "config", config_series_pair, config_cost, order, budget, config_cost(one, order)
+    )
     rows.append(
         axiom_row(
             "config-of-unit-is-one-plus-t", "point", order,
-            config_series_pair(PairClass.one(), order), PAIR_RING.one_plus_t(order),
+            config_series_pair(one, order), PAIR_RING.one_plus_t(order),
         )
     )
     return rows
@@ -392,73 +479,140 @@ def suite_statement2(order: int, fields: tuple[int, ...], budget: int) -> list[d
 # -- power axioms and identities -------------------------------------------------
 
 
-def _power_samples(order: int) -> list[tuple[str, TruncatedSeries, TruncatedSeries, PairClass, PairClass]]:
-    geo = PAIR_RING.geometric_series(order)
-    opt = PAIR_RING.one_plus_t(order)
+# Bases of the power-axioms suite are recipes (kind, argument), so that
+# the suite can bound its cost before it builds any series: "geometric"
+# is 1/(1-t), "one-plus" 1 + c_1 t + c_2 t^2 + ... for the tail given, and
+# "zeta" and "config" the series of the pair given.
+
+
+def _build(base: tuple, order: int) -> TruncatedSeries:
+    kind, arg = base
+    if kind == "geometric":
+        return PAIR_RING.geometric_series(order)
+    if kind == "one-plus":
+        return PAIR_RING.one_plus(arg, order)
+    return (kapranov_zeta if kind == "zeta" else config_series_pair)(arg, order)
+
+
+def _build_cost(base: tuple, order: int) -> int:
+    kind, arg = base
+    if kind == "zeta":
+        return zeta_cost(arg, order)
+    if kind == "config":
+        return config_cost(arg, order)
+    return 0
+
+
+def _slopes(base: tuple) -> tuple[int, int]:
+    kind, arg = base
+    if kind == "geometric":
+        return 0, 0
+    if kind == "one-plus":
+        return _slope(c.amb for c in arg), _slope(c.comp for c in arg)
+    return _degrees(arg)
+
+
+def _raised(slopes: tuple[int, int], exponent: PairClass) -> tuple[int, int]:
+    # A^m has slope s + deg m per lane (see pow_cost)
+    return tuple(s + d for s, d in zip(slopes, _degrees(exponent)))
+
+
+def _power_samples() -> list[tuple[str, tuple, tuple, PairClass, PairClass]]:
     e = parse_pair_spec
+    geo, opt = ("geometric", None), ("one-plus", (e("point"),))
     return [
         ("A=1+t, B=1/(1-t); m1=finite:3,1, m2=finite:2,1",
          opt, geo, e("finite:3,1"), e("finite:2,1")),
         ("A=1/(1-t), B=zeta(p1-marked:1); m1=p1-marked:2, m2=pn:1",
-         geo, kapranov_zeta(e("p1-marked:1"), order), e("p1-marked:2"), e("pn:1")),
+         geo, ("zeta", e("p1-marked:1")), e("p1-marked:2"), e("pn:1")),
         ("A=1+t+t^2, B=1+t; m1=p1-marked:1, m2=finite:2,1",
-         PAIR_RING.one_plus([e("point"), e("point")], order), opt, e("p1-marked:1"), e("finite:2,1")),
+         ("one-plus", (e("point"), e("point"))), opt, e("p1-marked:1"), e("finite:2,1")),
         ("A=1/(1-t), B=1+t; m1=finite:3,1-pn:1, m2=point-affine-marked:1",
          geo, opt, e("finite:3,1") - e("pn:1"), e("point") - e("affine-marked:1")),
         ("A=1+t, B=zeta(finite:2,1); m1=-p1-marked:2, m2=finite:4,2",
-         opt, kapranov_zeta(e("finite:2,1"), order), -e("p1-marked:2"), e("finite:4,2")),
+         opt, ("zeta", e("finite:2,1")), -e("p1-marked:2"), e("finite:4,2")),
         ("A=zeta(finite:2,1), B=1+t; m1=affine-marked:1, m2=p1-marked:3",
-         kapranov_zeta(e("finite:2,1"), order), opt, e("affine-marked:1"), e("p1-marked:3")),
+         ("zeta", e("finite:2,1")), opt, e("affine-marked:1"), e("p1-marked:3")),
         ("A=config(p1-marked:1), B=1/(1-t); m1=pn:2, m2=point",
-         config_series_pair(e("p1-marked:1"), order), geo, e("pn:2"), e("point")),
+         ("config", e("p1-marked:1")), geo, e("pn:2"), e("point")),
         ("A=1+t, B=1/(1-t); m1=pn:2-p1-marked:1, m2=finite:5,5",
          opt, geo, e("pn:2") - e("p1-marked:1"), e("finite:5,5")),
         ("A=1+[affine-marked:0]t, B=1/(1-t); m1=affine-marked:0, m2=-point",
-         PAIR_RING.one_plus([e("affine-marked:0")], order), geo, e("affine-marked:0"), -e("point")),
+         ("one-plus", (e("affine-marked:0"),)), geo, e("affine-marked:0"), -e("point")),
         ("A=1+t, B=1+t; m1=empty, m2=pn:3",
          opt, opt, e("empty"), e("pn:3")),
         ("A=1+[finite:2,1]t+[p1-marked:1]t^2+[finite:3,3]t^3, B=zeta(pn:1); m1=finite:3,2-affine-marked:2, m2=pn:1",
-         PAIR_RING.one_plus([e("finite:2,1"), e("p1-marked:1"), e("finite:3,3")], order),
-         kapranov_zeta(e("pn:1"), order), e("finite:3,2") - e("affine-marked:2"), e("pn:1")),
+         ("one-plus", (e("finite:2,1"), e("p1-marked:1"), e("finite:3,3"))),
+         ("zeta", e("pn:1")), e("finite:3,2") - e("affine-marked:2"), e("pn:1")),
         ("A=1/(1-t), B=1+[pn:1]t; m1=p1-marked:4-finite:2,2, m2=affine-marked:3",
-         geo, PAIR_RING.one_plus([e("pn:1")], order), e("p1-marked:4") - e("finite:2,2"), e("affine-marked:3")),
+         geo, ("one-plus", (e("pn:1"),)), e("p1-marked:4") - e("finite:2,2"), e("affine-marked:3")),
     ]
 
 
-def _effective_combos(order: int) -> list[tuple[str, TruncatedSeries, PairClass]]:
+def _roundtrip_bases() -> list[tuple[str, tuple]]:
+    e = parse_pair_spec
+    return [
+        ("1+t", ("one-plus", (e("point"),))),
+        ("1/(1-t)", ("geometric", None)),
+        ("zeta(p1-marked:2)", ("zeta", e("p1-marked:2"))),
+        ("config(pn:2)", ("config", e("pn:2"))),
+        ("1+[finite:2,1]t+[p1-marked:1]t^2", ("one-plus", (e("finite:2,1"), e("p1-marked:1")))),
+    ]
+
+
+def _effective_combos() -> list[tuple[str, tuple, PairClass]]:
     # every scene here exists over F_2 already, so the counts stay genuine
     # for all prime fields
     e = parse_pair_spec
     return [
-        ("(1+t)^finite:4,2", PAIR_RING.one_plus_t(order), e("finite:4,2")),
-        ("(1+t)^pn-hyp:2,2", PAIR_RING.one_plus_t(order), e("pn-hyp:2,2")),
-        ("(1/(1-t))^p1-marked:3", PAIR_RING.geometric_series(order), e("p1-marked:3")),
-        ("(1/(1-t))^pn:2", PAIR_RING.geometric_series(order), e("pn:2")),
-        ("zeta(p1-marked:1)^finite:3,1",
-         kapranov_zeta(e("p1-marked:1"), order), e("finite:3,1")),
+        ("(1+t)^finite:4,2", ("one-plus", (e("point"),)), e("finite:4,2")),
+        ("(1+t)^pn-hyp:2,2", ("one-plus", (e("point"),)), e("pn-hyp:2,2")),
+        ("(1/(1-t))^p1-marked:3", ("geometric", None), e("p1-marked:3")),
+        ("(1/(1-t))^pn:2", ("geometric", None), e("pn:2")),
+        ("zeta(p1-marked:1)^finite:3,1", ("zeta", e("p1-marked:1")), e("finite:3,1")),
         ("(1+[p1-marked:2]t+[finite:2,1]t^2+[affine-marked:1]t^3)^affine-marked:2",
-         PAIR_RING.one_plus([e("p1-marked:2"), e("finite:2,1"), e("affine-marked:1")], order),
+         ("one-plus", (e("p1-marked:2"), e("finite:2,1"), e("affine-marked:1"))),
          e("affine-marked:2")),
     ]
 
 
+def _power_axioms_cost(order: int, samples: list, roundtrips: list, combos: list) -> int:
+    # the series that verify_power_axioms builds per sample, in its order,
+    # then the round-trips and the effectiveness powers
+    one = PairClass.one()
+    total = 0
+    for _, a, b, m1, m2 in samples:
+        sa, sb = _slopes(a), _slopes(b)
+        sab = tuple(map(max, sa, sb))
+        total += _build_cost(a, order) + _build_cost(b, order)
+        total += sum(_slope_pow_cost(sa, m, order) for m in (m1, m2, one, m1 + m2, m1 * m2))
+        total += _pair_mul_cost(order, sa, sb) + _slope_pow_cost(sab, m1, order) + _slope_pow_cost(sb, m1, order)
+        total += _pair_mul_cost(order, _raised(sa, m1), _raised(sb, m1))
+        total += _pair_mul_cost(order, _raised(sa, m1), _raised(sa, m2))
+        total += _slope_pow_cost(_raised(sa, m2), m1, order)
+    for _, base in roundtrips:
+        total += _build_cost(base, order) + _slope_pow_cost(_slopes(base), one, order)
+    for _, base, exponent in combos:
+        total += _build_cost(base, order) + _slope_pow_cost(_slopes(base), exponent, order)
+    return total
+
+
 def suite_power_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
-    """The five exponent laws, factorization round-trips, and effectiveness."""
-    rows = verify_power_axioms(_power_samples(order), order)
-    e = parse_pair_spec
+    """The five exponent laws, factorization round-trips, and effectiveness.
 
-    roundtrip_bases = [
-        ("1+t", PAIR_RING.one_plus_t(order)),
-        ("1/(1-t)", PAIR_RING.geometric_series(order)),
-        ("zeta(p1-marked:2)", kapranov_zeta(e("p1-marked:2"), order)),
-        ("config(pn:2)", config_series_pair(e("pn:2"), order)),
-        ("1+[finite:2,1]t+[p1-marked:1]t^2", PAIR_RING.one_plus([e("finite:2,1"), e("p1-marked:1")], order)),
-    ]
-    for name, base in roundtrip_bases:
-        rows.append(axiom_row("factor-roundtrip", name, order, power_pow(base, PAIR_RING.one, PAIR_RING), base))
+    Refuses over the budget before building anything: the bound sums the
+    base series, every power and every series multiply the rows make.
+    """
+    samples, roundtrips, combos = _power_samples(), _roundtrip_bases(), _effective_combos()
+    _check_budget(_power_axioms_cost(order, samples, roundtrips, combos), budget, "power-axioms", order)
+    built = [(name, _build(a, order), _build(b, order), m1, m2) for name, a, b, m1, m2 in samples]
+    rows = verify_power_axioms(built, order)
+    for name, base in roundtrips:
+        series = _build(base, order)
+        rows.append(axiom_row("factor-roundtrip", name, order, power_pow(series, PAIR_RING.one, PAIR_RING), series))
 
-    for name, base, exponent in _effective_combos(order):
-        powered = power_pow(base, exponent, PAIR_RING)
+    for name, base, exponent in combos:
+        powered = power_pow(_build(base, order), exponent, PAIR_RING)
         for q in fields:
             bad = [
                 n
@@ -481,18 +635,14 @@ def suite_identities(order: int, fields: tuple[int, ...], budget: int) -> list[d
     """Exponential forms of both series for every catalog generator.
 
     Refuses over the budget before building anything: the bound sums the
-    term-product bounds of (1/(1-t))^p and (1+t)^p, of zeta(p) for both
-    sides, and of the two zeta factors of config(p) = zeta_p(t) zeta_{-p}(t^2).
+    term-product bounds of (1/(1-t))^p and (1+t)^p, of zeta(p), and of
+    config(p) = zeta_p(t) zeta_{-p}(t^2) with its series multiply.
     """
     samples = catalog_samples()
     # 1/(1-t) and 1+t have coefficients of L-degree 0, like 1 itself
     one = [PairClass.one()]
-    cost = sum(
-        2 * pow_cost(one, p, order) + 2 * zeta_cost(p, order) + zeta_cost(-p, order // 2)
-        for _, p in samples
-    )
-    if cost > budget:
-        raise BudgetExceededError(cost, budget, f"identities suite at order {order}")
+    cost = sum(2 * pow_cost(one, p, order) + zeta_cost(p, order) + config_cost(p, order) for _, p in samples)
+    _check_budget(cost, budget, "identities", order)
     rows = []
     for name, p in samples:
         rows.extend(verify_identities(p, order, sample=name))

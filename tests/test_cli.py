@@ -1,7 +1,10 @@
 """Command-line surface: spec grammar, output shapes, exit codes."""
 
 import hashlib
+import io
 import json
+import subprocess
+import sys
 import time
 
 import pytest
@@ -282,10 +285,71 @@ def test_verify_identities_over_budget_exits_3(capsys):
 
 
 def test_verify_identities_budget_is_the_flag(capsys):
-    # order 20 is bounded by about 2.2e6 term products: over 10^6, under the default 10^7
+    # order 20 is bounded by about 3.0e6 term products: over 10^6, under the default 10^7
     assert main(["verify", "--suite", "identities", "--order", "20", "--budget", "1000000"]) == 3
     assert capsys.readouterr().out == ""
     assert main(["verify", "--suite", "identities", "--order", "20"]) == 0
+
+
+@pytest.mark.parametrize("suite", ["ring-axioms", "statement1", "statement2", "power-axioms"])
+def test_algebra_suite_over_budget_exits_3(capsys, suite):
+    # each algebra suite bounds its term products before building a series
+    start = time.perf_counter()
+    assert main(["verify", "--suite", suite, "--order", "200"]) == 3
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"budget exhausted: {suite} suite at order 200 needs ~")
+    assert captured.err.endswith("steps, budget is 10000000\n")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_algebra_suite_budget_is_the_flag(capsys):
+    # power-axioms at order 12 is bounded by about 1.0e6 term products
+    assert main(["verify", "--suite", "power-axioms", "--order", "12", "--budget", "500000"]) == 3
+    assert capsys.readouterr().out == ""
+    assert main(["verify", "--suite", "power-axioms", "--order", "12", "--budget", "2000000"]) == 0
+
+
+class ClosedStdout(io.TextIOBase):
+    """A stdout whose reader has gone away: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def failing_suite(order, fields, budget):
+    return [{"check": "always-fails", "params": {}, "expected": 0, "actual": 1, "pass": False}]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "--suite", "squarefree", "--q", "7"], 0),
+        (["verify", "--suite", "weil", "--format", "text"], 1),
+        (["example", "--n", "2", "--s", "2", "--q", "2,3"], 0),
+        (["zeta", "--pair", "p1-marked:2", "--order", "3"], 0),
+        (["pow", "--base", "geometric", "--pair", "pn:1", "--order", "3"], 0),
+    ],
+    ids=["verify-pass", "verify-fail", "example", "zeta", "pow"],
+)
+def test_closed_stdout_keeps_the_verdict(capsys, monkeypatch, argv, code):
+    # the weil suite is swapped for a failing one, so the verdict to keep is 1
+    monkeypatch.setitem(suites.SUITES, "weil", failing_suite)
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert main(argv) == code
+    assert capsys.readouterr().err == ""
+
+
+def test_pipe_closed_early_ends_quietly():
+    # the reader closes the pipe before the command writes a byte
+    cmd = [sys.executable, "-m", "motivic_pairs", "verify", "--suite", "squarefree", "--q", "7"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 def test_crash_is_internal_error_exit_4(capsys, monkeypatch):

@@ -11,6 +11,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motivic_pairs import (
     LEFSCHETZ_RING,
@@ -22,7 +24,8 @@ from motivic_pairs import (
     config_series,
     power_pow,
 )
-from motivic_pairs.lefschetz import adams, ghost_exp, ghost_log, zeta_series
+from motivic_pairs import lefschetz
+from motivic_pairs.lefschetz import adams, ghost_exp, ghost_log, projective_class, zeta_series
 from motivic_pairs.power import pow_cost, zeta_cost
 
 L = MotivicPolynomial.lefschetz()
@@ -227,3 +230,201 @@ def test_cost_bounds_cover_the_term_products():
     assert zeta_cost(p, 20) == 2 * zeta_products(p.amb, 20)
     with pytest.raises(ValueError):
         zeta_cost(p, -1)
+
+
+# -- packed products against the dict loops -----------------------------------------
+#
+# The dict loops below are the arithmetic the packed path replaces above a
+# size threshold, kept as references: every packed result must equal them
+# exactly.  Inputs straddle the threshold (_PACK_TERMS terms) and include
+# negative and wide coefficients, zero polynomials and sparse psi_r images.
+
+LARGE = 2**230
+
+
+def ref_mul(a, b):
+    prod = {}
+    for d1, c1 in a.items():
+        for d2, c2 in b.items():
+            prod[d1 + d2] = prod.get(d1 + d2, 0) + c1 * c2
+    return MotivicPolynomial(prod)
+
+
+def ref_ghost_log(coeffs):
+    ghosts = [ZERO]
+    for n in range(1, len(coeffs)):
+        acc = {d: n * c for d, c in coeffs[n].items()}
+        for k in range(1, n):
+            for d1, c1 in ghosts[k].items():
+                for d2, c2 in coeffs[n - k].items():
+                    acc[d1 + d2] = acc.get(d1 + d2, 0) - c1 * c2
+        ghosts.append(MotivicPolynomial(acc))
+    return tuple(ghosts[1:])
+
+
+def ref_ghost_exp(ghosts):
+    coeffs = [MotivicPolynomial.one()]
+    for n in range(1, len(ghosts) + 1):
+        acc = {}
+        for k in range(1, n + 1):
+            for d1, c1 in ghosts[k - 1].items():
+                for d2, c2 in coeffs[n - k].items():
+                    acc[d1 + d2] = acc.get(d1 + d2, 0) + c1 * c2
+        for d, c in acc.items():
+            assert c % n == 0
+            acc[d] = c // n
+        coeffs.append(MotivicPolynomial(acc))
+    return tuple(coeffs)
+
+
+@pytest.fixture
+def packed_calls(monkeypatch):
+    # counts the packed sums, so that a test can show the packed path ran
+    calls = []
+    original = lefschetz._Packer.sum_of_products
+
+    def spy(self, pairs):
+        calls.append(len(pairs))
+        return original(self, pairs)
+
+    monkeypatch.setattr(lefschetz._Packer, "sum_of_products", spy)
+    return calls
+
+
+def random_wide_poly(rng, terms, spread=1, wide=False):
+    # `terms` nonzero coefficients on degrees spread apart by up to `spread`;
+    # signs mixed, and some coefficients above 200 bits when wide
+    degrees = sorted(rng.sample(range(terms * spread), terms)) if spread > 1 else range(terms)
+    top = LARGE if wide else 9
+    return MotivicPolynomial({d: rng.choice((-1, 1)) * rng.randint(1, top) for d in degrees})
+
+
+def straddling_polys(rng):
+    # term counts on both sides of the threshold, dense, with gaps, and psi_r images
+    polys = [ZERO, MotivicPolynomial.one()]
+    for terms in (PACK - 5, PACK - 1, PACK, PACK + 1, 2 * PACK, 3 * PACK):
+        for wide in (False, True):
+            polys.append(random_wide_poly(rng, terms, wide=wide))
+            polys.append(random_wide_poly(rng, terms, spread=3, wide=wide))
+            polys.append(adams(random_wide_poly(rng, terms, wide=wide), rng.randint(2, 7)))
+    return polys
+
+
+PACK = lefschetz._PACK_TERMS
+
+
+def test_packed_product_matches_dict_loop(packed_calls):
+    rng = random.Random(21)
+    polys = straddling_polys(rng)
+    for a in polys:
+        for b in polys:
+            assert a * b == ref_mul(a, b)
+    assert packed_calls  # the packed path ran, not only the dict loop
+
+
+def test_packed_product_at_the_digit_bound():
+    # f * f with every coefficient +-(2^b - 1) puts T (2^b - 1)^2 in the middle
+    # coefficient, the most the width bound allows for, at every digit size
+    for terms in (PACK, PACK + 1, 31, 32, 63, 64, 100):
+        for bits in (*range(1, 80, 3), 28, 29, 30, 31, 32, 33, 250):
+            top = 2**bits - 1
+            same = MotivicPolynomial({d: top for d in range(terms)})
+            mixed = MotivicPolynomial({d: top * (-1) ** d for d in range(terms)})
+            for a, b in ((same, same), (same, -same), (mixed, mixed), (mixed, same)):
+                assert a * b == ref_mul(a, b), (terms, bits)
+
+
+def test_pack_and_unpack_are_inverse_at_the_digit_extremes():
+    rng = random.Random(22)
+    for width in (8, 16, 24, 32, 64, 72, 128, 256):
+        half = 1 << (width - 1)
+        extremes = (-half, half - 1, -1, 0, 1, half // 2)
+        coeffs = {d: rng.choice(extremes) for d in range(40)}
+        expected = {d: c for d, c in coeffs.items() if c}
+        value = lefschetz._pack(coeffs, width)
+        assert value == sum(c << (width * d) for d, c in coeffs.items())
+        assert lefschetz._unpack(value, width, 40) == expected
+        # a longer window reads zero digits above the top degree
+        assert lefschetz._unpack(value, width, 45) == expected
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["small", "wide"])
+def test_packed_ghost_log_and_exp_match_dict_loops(packed_calls, wide):
+    rng = random.Random(f"ghosts/{wide}")
+    for order in (1, 2, 4, 7):
+        for terms in (PACK - 2, PACK, 2 * PACK):
+            # a unit series whose coefficients straddle the threshold, one with
+            # a zero coefficient, one with sparse degrees
+            coeffs = [MotivicPolynomial.one()]
+            for j in range(1, order + 1):
+                kind = rng.randrange(4)
+                if kind == 0:
+                    coeffs.append(ZERO)
+                else:
+                    coeffs.append(random_wide_poly(rng, terms + j, spread=kind, wide=wide))
+            ghosts = ghost_log(coeffs)
+            assert ghosts == ref_ghost_log(coeffs)
+            assert ghost_exp(ghosts) == ref_ghost_exp(ghosts) == tuple(coeffs)
+            # the ghosts of a zeta series are psi_r images, sparse for large r
+            m = random_wide_poly(rng, terms, wide=wide)
+            psi = [adams(m, r) for r in range(1, order + 1)]
+            assert ghost_exp(psi) == ref_ghost_exp(psi)
+    assert packed_calls
+
+
+@RINGS
+def test_packed_pipelines_match_dict_loops_in_both_rings(ring, packed_calls):
+    # zeta and power_pow on classes wide enough to pack, against the same
+    # pipelines run on the dict-loop references, lane by lane
+    rng = random.Random(23)
+    for order in (3, 5):
+        for _ in range(2):
+            lanes = [random_wide_poly(rng, rng.randint(PACK - 3, 2 * PACK), spread=rng.randint(1, 2))
+                     for _ in range(2)]
+            m = lanes[0] if ring is LEFSCHETZ_RING else PairClass(*lanes)
+            expected = [ref_ghost_exp([adams(lane, r) for r in range(1, order + 1)]) for lane in lanes]
+            zeta = ring.zeta(m, order).coeffs
+            assert [c if ring is LEFSCHETZ_RING else c.amb for c in zeta] == list(expected[0])
+            if ring is PAIR_RING:
+                assert [c.comp for c in zeta] == list(expected[1])
+            base = ring.geometric_series(order)
+            assert power_pow(base, m, ring) == ring.zeta(m, order)
+            product = m * m
+            if ring is LEFSCHETZ_RING:
+                assert product == ref_mul(m, m)
+            else:
+                assert product == PairClass(ref_mul(m.amb, m.amb), ref_mul(m.comp, m.comp))
+    assert packed_calls
+
+
+def test_packed_exp_of_non_integral_ghosts_raises(packed_calls):
+    # g_1 = g_2 = 1 + L + ... + L^19: 2 a_2 = g_1^2 + g_2 has the odd
+    # coefficient 3 at L^1, and both ghosts are above the threshold
+    g = projective_class(PACK + 3)
+    assert len(g.items()) >= PACK and lefschetz._either_dense(g, g)
+    with pytest.raises(ArithmeticError, match=r"t\^2 would have coefficient"):
+        ghost_exp([g, g])
+    assert packed_calls
+
+
+# -- the same, with generated inputs ------------------------------------------------
+
+coefficients = st.one_of(st.integers(-4, 4), st.integers(-LARGE, LARGE))
+polynomials = st.dictionaries(st.integers(0, 3 * PACK), coefficients, max_size=3 * PACK).map(MotivicPolynomial)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomials, polynomials, st.integers(1, 4))
+def test_generated_products_match_dict_loop(a, b, r):
+    assert a * b == ref_mul(a, b)
+    assert adams(a, r) * b == ref_mul(adams(a, r), b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(polynomials, min_size=1, max_size=5))
+def test_generated_ghosts_match_dict_loops(tail):
+    coeffs = (MotivicPolynomial.one(), *tail)
+    ghosts = ghost_log(coeffs)
+    assert ghosts == ref_ghost_log(coeffs)
+    assert ghost_exp(ghosts) == coeffs
+    assert ghost_exp(ghosts) == ref_ghost_exp(ghosts)

@@ -2,7 +2,17 @@
 
 import pytest
 
-from motivic_pairs import SUITES, catalog, catalog_samples, run_suite
+from motivic_pairs import (
+    SUITES,
+    MotivicPolynomial,
+    TruncatedSeries,
+    catalog,
+    catalog_samples,
+    lefschetz,
+    power,
+    run_suite,
+)
+from motivic_pairs.oracle import BudgetExceededError
 from motivic_pairs.suites import CATALOG_SPECS
 
 AXIOM_KEYS = {"axiom", "sample", "order", "pass", "first_mismatch_degree"}
@@ -105,3 +115,65 @@ def test_run_suite_validation():
         run_suite("weil", fields=(4,))
     with pytest.raises(ValueError):
         run_suite("weil", budget=0)
+
+
+# -- budgets of the algebra suites ----------------------------------------------------
+
+
+def terms(p):
+    return len(p.items())
+
+
+@pytest.fixture
+def term_products(monkeypatch):
+    # counts the Z[L] term products of the series algebra, the unit of the
+    # suites' cost bounds: each step of the ghost recurrences, and every
+    # polynomial product made inside a series multiply or divide or inside
+    # power_pow's scaling (not the few that build catalog classes and exponents)
+    count, depth = [0], [0]
+    mul, exp, log = MotivicPolynomial.__mul__, lefschetz.ghost_exp, lefschetz.ghost_log
+
+    def counted_mul(a, b):
+        if depth[0]:
+            count[0] += terms(a) * (terms(b) if isinstance(b, MotivicPolynomial) else 1)
+        return mul(a, b)
+
+    def counted_exp(ghosts):
+        a = exp(ghosts)
+        n_max = len(ghosts)
+        count[0] += sum(terms(ghosts[k - 1]) * terms(a[n - k]) for n in range(1, n_max + 1) for k in range(1, n + 1))
+        return a
+
+    def counted_log(coeffs):
+        g = (None, *log(coeffs))
+        count[0] += sum(terms(g[k]) * terms(coeffs[n - k]) for n in range(1, len(coeffs)) for k in range(1, n))
+        return g[1:]
+
+    def inside(fn):
+        def wrapper(*args):
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    monkeypatch.setattr(MotivicPolynomial, "__mul__", counted_mul)
+    for module in (lefschetz, power):
+        monkeypatch.setattr(module, "ghost_exp", counted_exp)
+        monkeypatch.setattr(module, "ghost_log", counted_log)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", inside(TruncatedSeries.__mul__))
+    monkeypatch.setattr(TruncatedSeries, "divide", inside(TruncatedSeries.divide))
+    monkeypatch.setattr(power, "_lane_pow", inside(power._lane_pow))
+    return count
+
+
+@pytest.mark.parametrize("suite", ["ring-axioms", "statement1", "statement2", "power-axioms", "identities"])
+def test_suite_budgets_cover_their_term_products(term_products, suite):
+    for order in (0, 1, 3, 6):
+        with pytest.raises(BudgetExceededError) as refused:
+            run_suite(suite, order, (2,), budget=1)
+        term_products[0] = 0
+        report = run_suite(suite, order, (2,))
+        assert report["pass"]
+        assert 0 < term_products[0] <= refused.value.needed, (order, term_products[0], refused.value.needed)
