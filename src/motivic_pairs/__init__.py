@@ -32,45 +32,42 @@ from .oracle import (
 )
 from .pairs import PairClass, catalog
 from .power import (
-    LEFSCHETZ_RING,
-    PAIR_RING,
-    LambdaRing,
     config_series,
     config_series_pair,
+    geometric_series,
     kapranov_zeta,
+    one_plus,
     power_pow,
     verify_identities,
     verify_power_axioms,
 )
 from .series import TruncatedSeries
-from .suites import SUITES, catalog_samples, run_suite
+from .suites import SUITES, run_suite
 
 __all__ = [
     "BudgetExceededError",
     "DEFAULT_BUDGET",
     "FiniteScene",
     "INFINITY",
-    "LEFSCHETZ_RING",
-    "LambdaRing",
     "MarkedP1Scene",
     "MotivicPolynomial",
-    "PAIR_RING",
     "PairClass",
     "PrimeField",
     "ProjectivePoint",
     "SUITES",
     "TruncatedSeries",
     "catalog",
-    "catalog_samples",
     "config_series",
     "config_series_pair",
     "count_marked_union",
     "count_power_configs",
     "count_squarefree_monic",
     "enumerate_projective",
+    "geometric_series",
     "hyperplane_union_class",
     "is_prime",
     "kapranov_zeta",
+    "one_plus",
     "point_in_marked_union",
     "power_pow",
     "run_suite",

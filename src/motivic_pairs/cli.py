@@ -33,8 +33,8 @@ from typing import Sequence
 from .field import is_prime
 from .geometry import MarkedP1Scene, hyperplane_union_class, sym_pair_p1_direct, sym_pair_p1_lambda
 from .oracle import DEFAULT_BUDGET, BudgetExceededError, count_marked_union
-from .pairs import PairClass, parse_pair_spec
-from .power import PAIR_RING, kapranov_zeta, pow_cost, power_pow, zeta_cost
+from .pairs import PairClass, parse_pair_spec, projective_line_marked
+from .power import geometric_series, kapranov_zeta, one_plus, pow_cost, power_pow, tail_slopes, zeta_cost
 from .series import TruncatedSeries
 from .suites import SUITES, run_suite
 
@@ -80,16 +80,16 @@ def cmd_zeta(pair: PairClass, order: int, fmt: str) -> int:
 
 
 def cmd_pow(kind: str, tail: Sequence[PairClass], exponent: PairClass, order: int, fmt: str) -> int:
-    _check_cost(pow_cost(tail, exponent, order), f"series exponential to order {order}")
-    if kind == "geometric":
-        base = PAIR_RING.geometric_series(order)
-    else:
-        base = PAIR_RING.one_plus(tail, order)
-    _print_pair_series(power_pow(base, exponent, PAIR_RING), fmt)
+    # geometric comes with an empty tail: 1/(1-t) has its slopes, (0, 0)
+    _check_cost(pow_cost(tail_slopes(tail), exponent, order), f"series exponential to order {order}")
+    one = PairClass.one()
+    base = geometric_series(order, one) if kind == "geometric" else one_plus(tail, order, one)
+    _print_pair_series(power_pow(base, exponent), fmt)
     return 0
 
 
 def cmd_example(n: int, s: int, fields: tuple[int, ...], fmt: str) -> int:
+    _check_cost(zeta_cost(projective_line_marked(s), n), f"zeta series of p1-marked:{s} to order {n}")
     direct = sym_pair_p1_direct(n, s)
     lam = sym_pair_p1_lambda(n, s)
     equal = direct == lam
@@ -237,9 +237,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "pow":
         if args.base != "coeffs" and args.coeff:
             raise ValueError("--coeff only applies with --base coeffs")
-        # 1/(1-t) and 1+t have the coefficients 1 and 0, of L-degree 0
-        # like 1 itself, which is all the cost bound reads of a tail.
-        tail = [parse_pair_spec(s) for s in args.coeff] if args.base == "coeffs" else [PairClass.one()]
+        tail = [PairClass.one()] if args.base == "one-plus-t" else [parse_pair_spec(s) for s in args.coeff]
         return cmd_pow(args.base, tail, parse_pair_spec(args.pair), args.order, args.fmt)
     if args.command == "example":
         if args.n < 0 or args.s < 0:

@@ -140,7 +140,7 @@ def hyperplane_union_class(n: int, s: int) -> MotivicPolynomial:
         raise ValueError("dimension and hyperplane count must be non-negative")
     total = MotivicPolynomial.zero()
     for k in range(1, min(s, n) + 1):
-        term = projective_class(n - k) * comb(s, k)
+        term = projective_class(n - k) * MotivicPolynomial.constant(comb(s, k))
         total = total + (term if k % 2 == 1 else -term)
     return total
 

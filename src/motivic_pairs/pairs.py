@@ -107,7 +107,7 @@ def affine_line_marked(marks: int) -> PairClass:
     if marks < 0:
         raise ValueError("number of marks must be non-negative")
     lef = MotivicPolynomial.lefschetz()
-    return PairClass(lef, lef - marks)
+    return PairClass(lef, lef - MotivicPolynomial.constant(marks))
 
 
 def projective_line_marked(marks: int) -> PairClass:
@@ -115,7 +115,7 @@ def projective_line_marked(marks: int) -> PairClass:
     if marks < 0:
         raise ValueError("number of marks must be non-negative")
     p1 = projective_class(1)
-    return PairClass(p1, p1 - marks)
+    return PairClass(p1, p1 - MotivicPolynomial.constant(marks))
 
 
 def projective_space(dim: int) -> PairClass:

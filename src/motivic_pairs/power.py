@@ -27,9 +27,11 @@ builds A^m from the scaled ghosts: O(N^2) Z[L] products at order N.
 Multiplicativity of zeta in its subscript then forces all the usual
 exponent laws, which `verify_power_axioms` checks coefficientwise.
 
-The pair ring is Z[L] x Z[L] and zeta acts on each factor, so pair series
-run as two independent Z[L] lanes.  The LambdaRing instances bundle the
-ring constants and the zeta map of the L-polynomial ring and the pair ring.
+The pair ring is Z[L] x Z[L] and zeta acts on each factor, so every
+series routine here is a function of one Z[L] lane, and each pair routine
+maps it over the ambient and the complement lane.  Ring constants come
+from the coefficient types themselves (`PairClass.one()`,
+`MotivicPolynomial.one()`).
 """
 
 from __future__ import annotations
@@ -42,62 +44,53 @@ from .pairs import PairClass
 from .series import TruncatedSeries
 
 
-@dataclass(frozen=True)
-class LambdaRing:
-    """Capability bundle: ring constants plus the zeta series map.
+def one_plus(tail: Iterable[Any], order: int, one: Any) -> TruncatedSeries:
+    """1 + c_1 t + c_2 t^2 + ... for tail c_1, c_2, ..., cut or zero-padded to the order; one is the unit."""
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    coeffs = (one, *tail)[: order + 1]
+    return TruncatedSeries(coeffs + (type(one).zero(),) * (order + 1 - len(coeffs)))
 
-    The zeta map must send m to a series with constant term 1 and t^1
-    coefficient m, multiplicatively in m; `config_series` relies on that.
-    """
 
-    zero: Any
-    one: Any
-    zeta: Callable[[Any, int], TruncatedSeries]
+def geometric_series(order: int, one: Any) -> TruncatedSeries:
+    """1/(1 - t): every coefficient is the unit."""
+    return one_plus((one,) * order, order, one)
 
-    def one_plus(self, tail: Iterable[Any], order: int) -> TruncatedSeries:
-        """1 + c_1 t + c_2 t^2 + ... for tail c_1, c_2, ..., truncated or zero-padded to the order."""
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        coeffs = (self.one, *tail)[: order + 1]
-        return TruncatedSeries(coeffs + (self.zero,) * (order + 1 - len(coeffs)))
 
-    def one_series(self, order: int) -> TruncatedSeries:
-        return self.one_plus((), order)
-
-    def geometric_series(self, order: int) -> TruncatedSeries:
-        """1/(1 - t): every coefficient is the ring unit."""
-        return self.one_plus((self.one,) * order, order)
-
-    def one_plus_t(self, order: int) -> TruncatedSeries:
-        return self.one_plus((self.one,), order)
+def _pair_series(amb: Sequence[MotivicPolynomial], comp: Sequence[MotivicPolynomial]) -> TruncatedSeries:
+    # the pair series whose lanes have the two Z[L] coefficient sequences given
+    return TruncatedSeries(tuple(map(PairClass, amb, comp)))
 
 
 def kapranov_zeta(p: PairClass, order: int) -> TruncatedSeries:
     """Generating series of symmetric-power classes of a pair, coefficientwise a PairClass."""
-    ambient = zeta_series(p.amb, order)
-    complement = zeta_series(p.comp, order)
-    return TruncatedSeries(
-        tuple(PairClass(a, c) for a, c in zip(ambient.coeffs, complement.coeffs))
-    )
+    return _pair_series(zeta_series(p.amb, order).coeffs, zeta_series(p.comp, order).coeffs)
 
 
-LEFSCHETZ_RING = LambdaRing(MotivicPolynomial.zero(), MotivicPolynomial.one(), zeta_series)
-# perfbench/workloads.py calls PAIR_RING, PAIR_RING.geometric_series and
-# power_pow by name, so they stay.
-PAIR_RING = LambdaRing(PairClass.zero(), PairClass.one(), kapranov_zeta)
-
-
-def config_series(m: Any, order: int, ring: LambdaRing) -> TruncatedSeries:
-    """Generating series of configuration-space classes: zeta_m(t) * zeta_{-m}(t^2)."""
-    zeta = ring.zeta(m, order)
-    squares = [ring.zero] * (order + 1)
-    squares[::2] = ring.zeta(-m, order // 2).coeffs
-    return zeta * TruncatedSeries(tuple(squares))
+def config_series(m: MotivicPolynomial, order: int) -> TruncatedSeries:
+    """Generating series of configuration-space classes of one lane: zeta_m(t) * zeta_{-m}(t^2)."""
+    squares = [MotivicPolynomial.zero()] * (order + 1)
+    squares[::2] = zeta_series(-m, order // 2).coeffs
+    return zeta_series(m, order) * TruncatedSeries(tuple(squares))
 
 
 def config_series_pair(p: PairClass, order: int) -> TruncatedSeries:
     """Configuration series of a pair; t^1 coefficient is the pair itself."""
-    return config_series(p, order, PAIR_RING)
+    return _pair_series(config_series(p.amb, order).coeffs, config_series(p.comp, order).coeffs)
+
+
+# Read only by perfbench/workloads.py (PAIR_RING.geometric_series, and PAIR_RING
+# passed to power_pow) and perfbench/tests/test_bench.py (PAIR_RING.zeta is kapranov_zeta).
+@dataclass(frozen=True)
+class LambdaRing:
+    one: Any
+    zeta: Callable[[Any, int], TruncatedSeries]
+
+    def geometric_series(self, order: int) -> TruncatedSeries:
+        return geometric_series(order, self.one)
+
+
+PAIR_RING = LambdaRing(PairClass.one(), kapranov_zeta)
 
 
 def _lane_pow(coeffs: Sequence[MotivicPolynomial], m: MotivicPolynomial) -> tuple[MotivicPolynomial, ...]:
@@ -116,23 +109,23 @@ def _lane_pow(coeffs: Sequence[MotivicPolynomial], m: MotivicPolynomial) -> tupl
     return ghost_exp(scaled[1:])
 
 
-def power_pow(series: TruncatedSeries, exponent: Any, ring: LambdaRing) -> TruncatedSeries:
+def power_pow(series: TruncatedSeries, exponent: Any, ring: Any = None) -> TruncatedSeries:
     """Raise a series with constant term 1 to a ring-element power.
 
-    Works in ghost coordinates, one Z[L] lane at a time (a pair series has
-    an ambient and a complement lane): the log recurrence reads the ghosts
-    of the series, a divisor sum recovers c_i = i*b_i of its factors
-    prod_i zeta_{b_i}(t^i), and the exp recurrence rebuilds the series from
-    the ghosts of prod_i zeta_{m*b_i}(t^i).
+    Coefficients and exponent are both pairs or both Z[L] polynomials;
+    ring is not read.  Works in ghost coordinates, one Z[L] lane at a time:
+    the log recurrence reads the ghosts of the series, a divisor sum
+    recovers c_i = i*b_i of its factors prod_i zeta_{b_i}(t^i), and the exp
+    recurrence rebuilds the series from the ghosts of prod_i zeta_{m*b_i}(t^i).
     """
-    if series.coeffs[0] != ring.one:
+    one = type(exponent).one()
+    if series.coeffs[0] != one:
         raise ValueError("the series exponential requires constant term 1")
-    if exponent == ring.zero:
-        return ring.one_series(series.order)
+    if exponent == type(exponent).zero():
+        return one_plus((), series.order, one)
     if isinstance(exponent, PairClass):
         amb = _lane_pow([c.amb for c in series.coeffs], exponent.amb)
-        comp = _lane_pow([c.comp for c in series.coeffs], exponent.comp)
-        return TruncatedSeries(tuple(map(PairClass, amb, comp)))
+        return _pair_series(amb, _lane_pow([c.comp for c in series.coeffs], exponent.comp))
     return TruncatedSeries(_lane_pow(series.coeffs, exponent))
 
 
@@ -162,24 +155,25 @@ def zeta_cost(p: PairClass, order: int) -> int:
     return sum(len(m.items()) * (max(m.degree, 0) * (s2 - s1) // 2 + s1) for m in (p.amb, p.comp))
 
 
-def _slope(coeffs: Iterable[MotivicPolynomial]) -> int:
-    # Least s >= 0 with deg c_j <= s*j for the j-th coefficient, j = 1, 2, ...
-    return max((-(-c.degree // j) for j, c in enumerate(coeffs, 1) if c.degree > 0), default=0)
+def tail_slopes(tail: Sequence[PairClass]) -> tuple[int, int]:
+    """Per lane, the least s >= 0 with L-degree at most s*j at the j-th coefficient c_j of the tail, j = 1, 2, ..."""
+    lanes = ([c.amb for c in tail], [c.comp for c in tail])
+    return tuple(max((-(-c.degree // j) for j, c in enumerate(lane, 1) if c.degree > 0), default=0) for lane in lanes)
 
 
-def pow_cost(tail: Sequence[PairClass], exponent: PairClass, order: int) -> int:
-    """Upper bound on the term products of power_pow(1 + c_1 t + c_2 t^2 + ..., exponent).
+def pow_cost(slopes: tuple[int, int], exponent: PairClass, order: int) -> int:
+    """Upper bound on the term products of power_pow(A, exponent) at the order.
 
-    tail holds c_1, c_2, ...; coefficients past it are zero.  If every c_j
-    has L-degree at most s*j, so do the ghosts g_j and s*j + 1 bounds
-    their term counts; the exp side has slope s + deg m.  Each step sums
-    (s*k + 1)(s*(n-k) + 1) products over k, which has a closed form.
+    The bound reads A only through slopes: per lane an s with L-degree at
+    most s*j at every c_j (see tail_slopes).  So do the ghosts g_j, and
+    s*j + 1 bounds their term counts; the exp side has slope s + deg m.
+    Each step sums (s*k + 1)(s*(n-k) + 1) products over k, which has a
+    closed form.
     """
     s1, s2, s3 = _power_sums(order)
     cubic = (s3 - s1) // 6  # sum over n of (n^3 - n) / 6
     total = 0
-    for m, lane in ((exponent.amb, [c.amb for c in tail]), (exponent.comp, [c.comp for c in tail])):
-        s = _slope(lane)
+    for s, m in zip(slopes, (exponent.amb, exponent.comp)):
         e = s + max(m.degree, 0)
         log_products = s * s * cubic + s * (s2 - s1) + s1 - order
         scale_products = len(m.items()) * (s * s1 + order)
@@ -251,13 +245,13 @@ def verify_power_axioms(
     """
     rows: list[dict] = []
     for name, a, b, m1, m2 in samples:
-        pow_a_m1 = power_pow(a, m1, PAIR_RING)
-        pow_a_m2 = power_pow(a, m2, PAIR_RING)
-        rows.append(axiom_row("zero-exponent", name, order, power_pow(a, PAIR_RING.zero, PAIR_RING), PAIR_RING.one_series(order)))
-        rows.append(axiom_row("unit-exponent", name, order, power_pow(a, PAIR_RING.one, PAIR_RING), a))
-        rows.append(axiom_row("base-multiplicative", name, order, power_pow(a * b, m1, PAIR_RING), pow_a_m1 * power_pow(b, m1, PAIR_RING)))
-        rows.append(axiom_row("exponent-additive", name, order, power_pow(a, m1 + m2, PAIR_RING), pow_a_m1 * pow_a_m2))
-        rows.append(axiom_row("exponent-multiplicative", name, order, power_pow(a, m1 * m2, PAIR_RING), power_pow(pow_a_m2, m1, PAIR_RING)))
+        zero, one = type(m1).zero(), type(m1).one()
+        pow_a_m1, pow_a_m2 = power_pow(a, m1), power_pow(a, m2)
+        rows.append(axiom_row("zero-exponent", name, order, power_pow(a, zero), one_plus((), order, one)))
+        rows.append(axiom_row("unit-exponent", name, order, power_pow(a, one), a))
+        rows.append(axiom_row("base-multiplicative", name, order, power_pow(a * b, m1), pow_a_m1 * power_pow(b, m1)))
+        rows.append(axiom_row("exponent-additive", name, order, power_pow(a, m1 + m2), pow_a_m1 * pow_a_m2))
+        rows.append(axiom_row("exponent-multiplicative", name, order, power_pow(a, m1 * m2), power_pow(pow_a_m2, m1)))
     return rows
 
 
@@ -268,15 +262,14 @@ def verify_identities(p: PairClass, order: int, sample: str = "") -> list[dict]:
     (1 + t)^p must equal the configuration series of p.
     """
     label = sample or str(p)
-    geometric = PAIR_RING.geometric_series(order)
-    binomial = PAIR_RING.one_plus_t(order)
+    one = PairClass.one()
     return [
         axiom_row(
             "geometric-power-is-zeta", label, order,
-            power_pow(geometric, p, PAIR_RING), kapranov_zeta(p, order),
+            power_pow(geometric_series(order, one), p), kapranov_zeta(p, order),
         ),
         axiom_row(
             "binomial-power-is-config", label, order,
-            power_pow(binomial, p, PAIR_RING), config_series_pair(p, order),
+            power_pow(one_plus((one,), order, one), p), config_series_pair(p, order),
         ),
     ]

@@ -10,10 +10,6 @@ Binary operations align two windows by truncating to the smaller order:
 degrees above the common order carry no information, so they are dropped
 rather than guessed.  Equality is strict: two windows are equal only when
 they have the same order and the same coefficients.
-
-The series itself stays agnostic about its coefficient ring.  Division
-alone needs a ring constant: it certifies a unit constant term against the
-unit it is given.
 """
 
 from __future__ import annotations
@@ -58,26 +54,6 @@ class TruncatedSeries:
                 acc = acc + self.coeffs[j] * other.coeffs[k - j]
             coeffs.append(acc)
         return TruncatedSeries(tuple(coeffs))
-
-    def divide(self, other: "TruncatedSeries", one: Any) -> "TruncatedSeries":
-        """Quotient by a series with constant term equal to the ring unit.
-
-        With b0 = 1 the long-division recurrence q_n = a_n - sum b_j q_{n-j}
-        needs no coefficient division, so the result is exact.  Multiplying
-        the quotient back by `other` recovers `self` up to the common order.
-        """
-        if not isinstance(other, TruncatedSeries):
-            raise TypeError("can only divide by another TruncatedSeries")
-        if other.coeffs[0] != one:
-            raise ValueError("division requires a divisor with constant term 1")
-        n = min(self.order, other.order)
-        quot: list[Any] = []
-        for k in range(n + 1):
-            acc = self.coeffs[k]
-            for j in range(1, k + 1):
-                acc = acc - other.coeffs[j] * quot[k - j]
-            quot.append(acc)
-        return TruncatedSeries(tuple(quot))
 
     # -- serialization ---------------------------------------------------
 

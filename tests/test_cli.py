@@ -31,7 +31,7 @@ def nested_negations(depth):
 def test_parse_atoms():
     assert parse_pair_spec("point") == PairClass.one()
     assert parse_pair_spec("empty") == PairClass.zero()
-    assert parse_pair_spec("finite:3,1") == PairClass(3, 2)
+    assert parse_pair_spec("finite:3,1") == PairClass(MotivicPolynomial.constant(3), MotivicPolynomial.constant(2))
     assert parse_pair_spec(" pn:2 ") == catalog("pn", 2)
 
 
@@ -142,6 +142,44 @@ def test_algebra_over_budget_exits_3(capsys, argv, what):
     assert captured.out == ""
     assert captured.err.startswith(f"budget exhausted: {what} needs ~")
     assert captured.err.endswith("steps, budget is 10000000\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        # a prime field size near 2^61 is decided at once, and the
+        # enumerations it would need are refused against the budget
+        (["verify", "--suite", "all", "--q", "2305843009213693951"], 3,
+         "budget exhausted: affine line enumeration at q=2305843009213693951 needs ~"),
+        (["verify", "--suite", "ring-axioms", "--q", "1000000007"], 3,
+         "budget exhausted: affine line enumeration at q=1000000007 needs ~"),
+        (["verify", "--suite", "weil", "--q", str(2**89 - 1)], 2, "is not decided"),
+        (["example", "--n", "3000", "--s", "1", "--q", "2"], 3,
+         "budget exhausted: zeta series of p1-marked:1 to order 3000 needs ~"),
+    ],
+    ids=["verify-q-2^61-1", "affine-marked-q", "q-past-primality-bound", "example-deep-zeta"],
+)
+def test_huge_inputs_end_at_once(capsys, argv, code, message):
+    start = time.perf_counter()
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    else:
+        assert main(argv) == code
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert message in err[-1]
+    if code == 3:
+        assert len(err) == 1
+
+
+def test_prime_field_near_2_61_runs(capsys):
+    start = time.perf_counter()
+    assert main(["verify", "--suite", "weil", "--q", "2305843009213693951"]) == 0
+    assert time.perf_counter() - start < 2.0
 
 
 def test_pow_coeff_flag_requires_coeffs_base(capsys):

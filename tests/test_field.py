@@ -3,6 +3,7 @@
 import pytest
 
 from motivic_pairs import PrimeField, is_prime
+from motivic_pairs.field import PRIMALITY_LIMIT
 
 
 def test_is_prime_small_values():
@@ -41,3 +42,32 @@ def test_characteristic_two():
     f = PrimeField(2)
     assert f.add(1, 1) == 0
     assert f.sub(0, 1) == 1
+
+
+
+def trial_division(n):
+    # the earlier is_prime, kept as the reference
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division_below_10_5():
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if trial_division(n)]
+
+
+def test_is_prime_large_values():
+    # 3825123056546413051 is a strong pseudoprime to every base 2..23
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1)
+    assert not is_prime((2**31 - 1) * 1000000007)
+    # above the bound of the twelve bases primality is not decided
+    with pytest.raises(ValueError, match="not decided"):
+        is_prime(PRIMALITY_LIMIT)
+    with pytest.raises(ValueError):
+        PrimeField(2**89 - 1)

@@ -54,8 +54,9 @@ def test_hyperplane_union_class_frozen():
     # inclusion-exclusion over k-fold intersections P^{n-k}, checked by hand
     assert hyperplane_union_class(2, 0) == MotivicPolynomial.zero()
     assert hyperplane_union_class(2, 1) == ONE + L
-    assert hyperplane_union_class(2, 2) == ONE + 2 * L
-    assert hyperplane_union_class(3, 2) == ONE + L + 2 * L * L
+    two = MotivicPolynomial.constant(2)
+    assert hyperplane_union_class(2, 2) == ONE + two * L
+    assert hyperplane_union_class(3, 2) == ONE + L + two * L * L
     assert hyperplane_union_class(1, 3) == MotivicPolynomial.constant(3)
     assert hyperplane_union_class(1, 1) == ONE
 

@@ -8,6 +8,7 @@ exactly on seeded random inputs.
 """
 
 import random
+from collections import namedtuple
 from math import comb
 
 import pytest
@@ -15,23 +16,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motivic_pairs import (
-    LEFSCHETZ_RING,
-    PAIR_RING,
     MotivicPolynomial,
     PairClass,
     TruncatedSeries,
     catalog,
     config_series,
+    config_series_pair,
+    geometric_series,
+    kapranov_zeta,
+    one_plus,
     power_pow,
 )
 from motivic_pairs import lefschetz
 from motivic_pairs.lefschetz import adams, ghost_exp, ghost_log, projective_class, zeta_series
-from motivic_pairs.power import pow_cost, zeta_cost
+from motivic_pairs.power import pow_cost, tail_slopes, zeta_cost
+from motivic_pairs.suites import _divide
 
 L = MotivicPolynomial.lefschetz()
 ZERO = MotivicPolynomial.zero()
 ORDERS = (0, 1, 2, 5, 12)
-RINGS = pytest.mark.parametrize("ring", [LEFSCHETZ_RING, PAIR_RING], ids=["lefschetz", "pair"])
+
+# The two coefficient rings the series routines run over: one Z[L] lane,
+# and pairs of lanes.
+Ring = namedtuple("Ring", "one zero zeta config")
+LANE = Ring(MotivicPolynomial.one(), ZERO, zeta_series, config_series)
+PAIR = Ring(PairClass.one(), PairClass.zero(), kapranov_zeta, config_series_pair)
+RINGS = pytest.mark.parametrize("ring", [LANE, PAIR], ids=["lefschetz", "pair"])
 
 
 # -- references ---------------------------------------------------------------------
@@ -39,7 +49,7 @@ RINGS = pytest.mark.parametrize("ring", [LEFSCHETZ_RING, PAIR_RING], ids=["lefsc
 
 def reference_zeta_series(m, order):
     # prod over monomials m_k L^k of (1 - L^k t)^(-m_k), by the binomial theorem
-    result = LEFSCHETZ_RING.one_series(order)
+    result = one_plus((), order, MotivicPolynomial.one())
     for degree, mult in m.items():
         factor = []
         for n in range(order + 1):
@@ -50,7 +60,7 @@ def reference_zeta_series(m, order):
 
 
 def reference_zeta(ring, m, order):
-    if ring is LEFSCHETZ_RING:
+    if ring is LANE:
         return reference_zeta_series(m, order)
     amb, comp = reference_zeta_series(m.amb, order), reference_zeta_series(m.comp, order)
     return TruncatedSeries(tuple(map(PairClass, amb.coeffs, comp.coeffs)))
@@ -64,20 +74,20 @@ def reference_zeta_factor(ring, b, i, order):
 
 
 def reference_config_series(ring, m, order):
-    return reference_zeta(ring, m, order).divide(reference_zeta_factor(ring, m, 2, order), ring.one)
+    return _divide(reference_zeta(ring, m, order), reference_zeta_factor(ring, m, 2, order))
 
 
 def reference_power_pow(ring, series, exponent):
     # peel zeta_{b_i}(t^i) off degree by degree, multiply zeta_{m b_i}(t^i) in
     order = series.order
-    result = ring.one_series(order)
+    result = one_plus((), order, ring.one)
     residual = series
     for i in range(1, order + 1):
         b = residual.coefficient(i)
         if b != ring.zero:
-            residual = residual.divide(reference_zeta_factor(ring, b, i, order), ring.one)
+            residual = _divide(residual, reference_zeta_factor(ring, b, i, order))
             result = result * reference_zeta_factor(ring, exponent * b, i, order)
-    assert residual == ring.one_series(order)
+    assert residual == one_plus((), order, ring.one)
     return result
 
 
@@ -90,13 +100,13 @@ def random_poly(rng, degree):
 
 
 def random_element(rng, ring, degree):
-    if ring is LEFSCHETZ_RING:
+    if ring is LANE:
         return random_poly(rng, degree)
     return PairClass(random_poly(rng, degree), random_poly(rng, degree))
 
 
 def random_unit_series(rng, ring, order):
-    return ring.one_plus([random_element(rng, ring, rng.randint(0, 2)) for _ in range(order)], order)
+    return one_plus([random_element(rng, ring, rng.randint(0, 2)) for _ in range(order)], order, ring.one)
 
 
 # -- fast path against reference ----------------------------------------------------
@@ -117,7 +127,7 @@ def test_config_matches_zeta_quotient(ring, order):
     rng = random.Random(f"config/{order}")
     for _ in range(6):
         m = random_element(rng, ring, rng.randint(0, 4))
-        assert config_series(m, order, ring) == reference_config_series(ring, m, order)
+        assert ring.config(m, order) == reference_config_series(ring, m, order)
 
 
 @RINGS
@@ -127,17 +137,17 @@ def test_power_pow_matches_peeling(ring, order):
     for trial in range(5):
         base = random_unit_series(rng, ring, order)
         exponent = ring.zero if trial == 0 else random_element(rng, ring, rng.randint(0, 2))
-        assert power_pow(base, exponent, ring) == reference_power_pow(ring, base, exponent)
+        assert power_pow(base, exponent) == reference_power_pow(ring, base, exponent)
 
 
 def test_power_pow_runs_each_pair_lane_alone():
     # a zero lane of the exponent leaves that lane of the result at 1
     rng = random.Random(7)
-    base = random_unit_series(rng, PAIR_RING, 6)
+    base = random_unit_series(rng, PAIR, 6)
     m = random_poly(rng, 2)
-    powered = power_pow(base, PairClass(m, ZERO), PAIR_RING)
+    powered = power_pow(base, PairClass(m, ZERO))
     assert [c.comp for c in powered.coeffs] == [MotivicPolynomial.one()] + [ZERO] * 6
-    amb = power_pow(TruncatedSeries(tuple(c.amb for c in base.coeffs)), m, LEFSCHETZ_RING)
+    amb = power_pow(TruncatedSeries(tuple(c.amb for c in base.coeffs)), m)
     assert [c.amb for c in powered.coeffs] == list(amb.coeffs)
 
 
@@ -160,7 +170,7 @@ def test_adams_reindexes_degrees_and_is_a_ring_map():
 def test_log_and_exp_are_inverse():
     rng = random.Random(12)
     for order in ORDERS:
-        coeffs = random_unit_series(rng, LEFSCHETZ_RING, order).coeffs
+        coeffs = random_unit_series(rng, LANE, order).coeffs
         ghosts = ghost_log(coeffs)
         assert len(ghosts) == order
         assert ghost_exp(ghosts) == coeffs
@@ -168,7 +178,7 @@ def test_log_and_exp_are_inverse():
 
 def test_ghosts_of_geometric_series_are_one():
     # log 1/(1-t) = sum t^r / r
-    assert ghost_log(LEFSCHETZ_RING.geometric_series(5).coeffs) == (MotivicPolynomial.one(),) * 5
+    assert ghost_log(geometric_series(5, MotivicPolynomial.one()).coeffs) == (MotivicPolynomial.one(),) * 5
 
 
 def test_exp_of_non_integral_ghosts_raises():
@@ -212,19 +222,23 @@ def test_cost_bounds_cover_the_term_products():
     rng = random.Random(13)
     for order in ORDERS:
         for _ in range(4):
-            m = random_element(rng, PAIR_RING, rng.randint(0, 3))
+            m = random_element(rng, PAIR, rng.randint(0, 3))
             needed = zeta_products(m.amb, order) + zeta_products(m.comp, order)
             assert needed <= zeta_cost(m, order)
-            tail = [random_element(rng, PAIR_RING, rng.randint(0, 2 * j)) for j in range(1, order + 1)]
-            base = PAIR_RING.one_plus(tail, order)
+            tail = [random_element(rng, PAIR, rng.randint(0, 2 * j)) for j in range(1, order + 1)]
+            base = one_plus(tail, order, PairClass.one())
             needed = sum(
                 lane_pow_products([lane(c) for c in base.coeffs], lane(m))
                 for lane in (lambda c: c.amb, lambda c: c.comp)
             )
-            assert needed <= pow_cost(tail, m, order)
+            assert needed <= pow_cost(tail_slopes(tail), m, order)
     # a zero coefficient bounds like the constant 1, not below it
     one = PairClass.one()
-    assert pow_cost([PairClass.zero(), one], one, 6) == pow_cost([one, one], one, 6) > 0
+    assert tail_slopes([PairClass.zero(), one]) == tail_slopes([one, one]) == (0, 0)
+    assert pow_cost((0, 0), one, 6) > 0
+    # the slope is the least s with L-degree at most s*j at t^j, per lane
+    unit = MotivicPolynomial.one()
+    assert tail_slopes([PairClass(L, unit), PairClass(unit, L * L * L)]) == (1, 2)
     # an unmarked projective space meets the zeta bound exactly
     p = catalog("pn", 2)
     assert zeta_cost(p, 20) == 2 * zeta_products(p.amb, 20)
@@ -381,16 +395,16 @@ def test_packed_pipelines_match_dict_loops_in_both_rings(ring, packed_calls):
         for _ in range(2):
             lanes = [random_wide_poly(rng, rng.randint(PACK - 3, 2 * PACK), spread=rng.randint(1, 2))
                      for _ in range(2)]
-            m = lanes[0] if ring is LEFSCHETZ_RING else PairClass(*lanes)
+            m = lanes[0] if ring is LANE else PairClass(*lanes)
             expected = [ref_ghost_exp([adams(lane, r) for r in range(1, order + 1)]) for lane in lanes]
             zeta = ring.zeta(m, order).coeffs
-            assert [c if ring is LEFSCHETZ_RING else c.amb for c in zeta] == list(expected[0])
-            if ring is PAIR_RING:
+            assert [c if ring is LANE else c.amb for c in zeta] == list(expected[0])
+            if ring is PAIR:
                 assert [c.comp for c in zeta] == list(expected[1])
-            base = ring.geometric_series(order)
-            assert power_pow(base, m, ring) == ring.zeta(m, order)
+            base = geometric_series(order, ring.one)
+            assert power_pow(base, m) == ring.zeta(m, order)
             product = m * m
-            if ring is LEFSCHETZ_RING:
+            if ring is LANE:
                 assert product == ref_mul(m, m)
             else:
                 assert product == PairClass(ref_mul(m.amb, m.amb), ref_mul(m.comp, m.comp))

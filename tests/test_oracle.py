@@ -170,7 +170,7 @@ def test_count_power_configs_budget():
 
 def test_configs_agree_with_series_exponential():
     # dual route: the same numbers out of the series engine
-    from motivic_pairs import catalog, power_pow, PAIR_RING
+    from motivic_pairs import PairClass, catalog, one_plus, power_pow
 
     for size, marked, labels in [
         (3, 1, [(2, 1)]),
@@ -178,8 +178,8 @@ def test_configs_agree_with_series_exponential():
         (4, 2, [(1, 0), (1, 1)]),
     ]:
         scene = FiniteScene.from_sizes(size, marked, labels)
-        base = PAIR_RING.one_plus([catalog("finite", *l) for l in labels], 4)
-        powered = power_pow(base, catalog("finite", size, marked), PAIR_RING)
+        base = one_plus([catalog("finite", *l) for l in labels], 4, PairClass.one())
+        powered = power_pow(base, catalog("finite", size, marked))
         for n, (amb, comp) in enumerate(count_power_configs(scene, 4)):
             c = powered.coefficient(n)
             assert (c.amb.coefficient(0), c.comp.coefficient(0)) == (amb, comp)

@@ -10,6 +10,7 @@ from motivic_pairs import MotivicPolynomial, PairClass, catalog
 L = MotivicPolynomial.lefschetz()
 ONE = MotivicPolynomial.one()
 ZERO = MotivicPolynomial.zero()
+C = MotivicPolynomial.constant
 
 
 def random_pair(rng):
@@ -32,7 +33,7 @@ def test_subvariety_is_difference():
 def test_componentwise_arithmetic():
     a = PairClass(ONE + L, L)
     b = PairClass(L, ONE)
-    assert a + b == PairClass(ONE + 2 * L, ONE + L)
+    assert a + b == PairClass(ONE + C(2) * L, ONE + L)
     assert a - b == PairClass(ONE, L - ONE)
     assert a * b == PairClass(L + L * L, L)
     assert -a == PairClass(-(ONE + L), -L)
@@ -64,7 +65,7 @@ def test_str():
 
 
 def test_json_roundtrip():
-    p = PairClass(3 * L - ONE, MotivicPolynomial({2: 1}))
+    p = PairClass(C(3) * L - ONE, MotivicPolynomial({2: 1}))
     assert json.loads(json.dumps(p.to_json())) == {"amb": {"0": "-1", "1": "3"}, "comp": {"2": "1"}}
 
 
@@ -75,8 +76,8 @@ def test_catalog_point_empty():
 
 def test_catalog_finite():
     # m points, k of them marked: counts (m, m - k)
-    assert catalog("finite", 3, 1) == PairClass(3, 2)
-    assert catalog("finite", 5, 5) == PairClass(5, 0)
+    assert catalog("finite", 3, 1) == PairClass(C(3), C(2))
+    assert catalog("finite", 5, 5) == PairClass(C(5), C(0))
     with pytest.raises(ValueError):
         catalog("finite", 2, 3)  # more marks than points
     with pytest.raises(ValueError):
@@ -84,7 +85,7 @@ def test_catalog_finite():
 
 
 def test_catalog_affine_and_projective_line():
-    assert catalog("affine-marked", 2) == PairClass(L, L - 2)
+    assert catalog("affine-marked", 2) == PairClass(L, L - C(2))
     assert catalog("p1-marked", 2) == PairClass(ONE + L, L - ONE)
     assert catalog("p1-marked", 0) == PairClass(ONE + L, ONE + L)
 

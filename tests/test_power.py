@@ -7,15 +7,15 @@ from math import comb
 import pytest
 
 from motivic_pairs import (
-    LEFSCHETZ_RING,
-    PAIR_RING,
     MotivicPolynomial,
     PairClass,
     TruncatedSeries,
     catalog,
     config_series,
     config_series_pair,
+    geometric_series,
     kapranov_zeta,
+    one_plus,
     power_pow,
     verify_identities,
     verify_power_axioms,
@@ -24,6 +24,11 @@ from motivic_pairs.lefschetz import projective_class, zeta_series
 
 L = MotivicPolynomial.lefschetz()
 ONE = MotivicPolynomial.one()
+UNIT = PairClass.one()
+
+
+def one_plus_t(order):
+    return one_plus((UNIT,), order, UNIT)
 
 
 def random_pair(rng):
@@ -42,31 +47,30 @@ def random_unit_series(rng, order):
     return TruncatedSeries((PairClass.one(),) + tuple(random_pair(rng) for _ in range(order)))
 
 
-# -- lambda rings and the two canonical series ------------------------------------
+# -- ring units and the two canonical series ---------------------------------------
 
 
 def test_ring_presets():
-    assert LEFSCHETZ_RING.one == ONE
-    assert PAIR_RING.one == PairClass.one()
-    assert LEFSCHETZ_RING.geometric_series(3).coeffs == (ONE, ONE, ONE, ONE)
-    assert PAIR_RING.one_plus_t(2).coeffs == (
+    assert UNIT == PairClass(ONE, ONE)
+    assert geometric_series(3, ONE).coeffs == (ONE, ONE, ONE, ONE)
+    assert one_plus_t(2).coeffs == (
         PairClass.one(),
         PairClass.one(),
         PairClass.zero(),
     )
-    assert PAIR_RING.one_series(0).coeffs == (PairClass.one(),)
+    assert one_plus((), 0, UNIT).coeffs == (PairClass.one(),)
 
 
 def test_one_plus_t_at_order_zero_is_one():
-    assert PAIR_RING.one_plus_t(0).coeffs == (PairClass.one(),)
+    assert one_plus_t(0).coeffs == (PairClass.one(),)
 
 
 def test_one_plus_truncates_and_pads():
     p = catalog("pn", 1)
-    assert PAIR_RING.one_plus([p, p], 1).coeffs == (PairClass.one(), p)
-    assert PAIR_RING.one_plus([p], 3).coeffs == (PairClass.one(), p, PairClass.zero(), PairClass.zero())
+    assert one_plus([p, p], 1, UNIT).coeffs == (PairClass.one(), p)
+    assert one_plus([p], 3, UNIT).coeffs == (PairClass.one(), p, PairClass.zero(), PairClass.zero())
     with pytest.raises(ValueError):
-        PAIR_RING.one_plus([p], -1)
+        one_plus([p], -1, UNIT)
 
 
 def test_kapranov_zeta_is_componentwise():
@@ -105,7 +109,7 @@ def test_config_series_frozen_finite_case():
 
 def test_config_series_of_affine_line():
     # configurations of n distinct points on the line: L^n - L^{n-1}
-    lam = config_series(L, 5, LEFSCHETZ_RING)
+    lam = config_series(L, 5)
     assert lam.coefficient(0) == ONE
     assert lam.coefficient(1) == L
     for n in range(2, 6):
@@ -144,77 +148,69 @@ def test_factor_roundtrip_random():
     rng = random.Random(43)
     for _ in range(10):
         base = random_unit_series(rng, 5)
-        assert power_pow(base, PairClass.one(), PAIR_RING) == base
+        assert power_pow(base, PairClass.one()) == base
 
 
 def test_power_pow_rejects_non_unit_base():
-    bad = TruncatedSeries((PairClass(2, 2), PairClass.one()))
+    two = MotivicPolynomial.constant(2)
+    bad = TruncatedSeries((PairClass(two, two), PairClass.one()))
     with pytest.raises(ValueError):
-        power_pow(bad, PairClass.one(), PAIR_RING)
+        power_pow(bad, PairClass.one())
 
 
 def test_power_pow_frozen_one_plus_t_case():
     # (1+t)^(3,2) has binomial coefficients in each slot
-    powered = power_pow(PAIR_RING.one_plus_t(4), catalog("finite", 3, 1), PAIR_RING)
+    powered = power_pow(one_plus_t(4), catalog("finite", 3, 1))
     for n in range(5):
-        assert powered.coefficient(n) == PairClass(comb(3, n), comb(2, n))
+        amb, comp = MotivicPolynomial.constant(comb(3, n)), MotivicPolynomial.constant(comb(2, n))
+        assert powered.coefficient(n) == PairClass(amb, comp)
 
 
 def test_power_pow_geometric_is_zeta():
     for spec in [catalog("p1-marked", 2), catalog("pn", 2), catalog("finite", 4, 2)]:
-        powered = power_pow(PAIR_RING.geometric_series(7), spec, PAIR_RING)
+        powered = power_pow(geometric_series(7, UNIT), spec)
         assert powered == kapranov_zeta(spec, 7)
 
 
 def test_power_pow_one_plus_t_is_config():
     for spec in [catalog("p1-marked", 3), catalog("pn", 1), catalog("affine-marked", 1)]:
-        powered = power_pow(PAIR_RING.one_plus_t(7), spec, PAIR_RING)
+        powered = power_pow(one_plus_t(7), spec)
         assert powered == config_series_pair(spec, 7)
 
 
 def test_power_axioms_random():
     rng = random.Random(44)
     order = 6
-    one_series = PAIR_RING.one_series(order)
+    one_series = one_plus((), order, UNIT)
     for _ in range(8):
         a = random_unit_series(rng, order)
         b = random_unit_series(rng, order)
         m1, m2 = random_pair(rng), random_pair(rng)
-        assert power_pow(a, PairClass.zero(), PAIR_RING) == one_series
-        assert power_pow(a, PairClass.one(), PAIR_RING) == a
-        assert power_pow(a * b, m1, PAIR_RING) == power_pow(a, m1, PAIR_RING) * power_pow(
-            b, m1, PAIR_RING
-        )
-        assert power_pow(a, m1 + m2, PAIR_RING) == power_pow(a, m1, PAIR_RING) * power_pow(
-            a, m2, PAIR_RING
-        )
-        assert power_pow(power_pow(a, m1, PAIR_RING), m2, PAIR_RING) == power_pow(
-            a, m1 * m2, PAIR_RING
-        )
+        assert power_pow(a, PairClass.zero()) == one_series
+        assert power_pow(a, PairClass.one()) == a
+        assert power_pow(a * b, m1) == power_pow(a, m1) * power_pow(b, m1)
+        assert power_pow(a, m1 + m2) == power_pow(a, m1) * power_pow(a, m2)
+        assert power_pow(power_pow(a, m1), m2) == power_pow(a, m1 * m2)
 
 
 def test_power_axioms_with_difference_exponents():
     # the exponent laws must survive on formal differences, not just scenes
     order = 6
-    a = PAIR_RING.one_plus_t(order)
+    a = one_plus_t(order)
     m1 = catalog("finite", 3, 1) - catalog("pn", 1)
     m2 = catalog("point") - catalog("affine-marked", 1)
-    assert power_pow(a, m1 + m2, PAIR_RING) == power_pow(a, m1, PAIR_RING) * power_pow(
-        a, m2, PAIR_RING
-    )
-    assert power_pow(power_pow(a, m1, PAIR_RING), m2, PAIR_RING) == power_pow(
-        a, m1 * m2, PAIR_RING
-    )
+    assert power_pow(a, m1 + m2) == power_pow(a, m1) * power_pow(a, m2)
+    assert power_pow(power_pow(a, m1), m2) == power_pow(a, m1 * m2)
 
 
 def test_power_pow_order_zero():
-    tiny = PAIR_RING.one_series(0)
-    assert power_pow(tiny, catalog("pn", 2), PAIR_RING).coeffs == tiny.coeffs
+    tiny = one_plus((), 0, UNIT)
+    assert power_pow(tiny, catalog("pn", 2)).coeffs == tiny.coeffs
 
 
 def test_power_pow_over_polynomial_ring():
     # the same machinery runs over bare L-polynomials
-    powered = power_pow(LEFSCHETZ_RING.geometric_series(4), projective_class(1), LEFSCHETZ_RING)
+    powered = power_pow(geometric_series(4, ONE), projective_class(1))
     assert powered == zeta_series(projective_class(1), 4)
 
 
@@ -229,25 +225,26 @@ def partitions(n, largest=None):
 
 
 @pytest.mark.parametrize(
-    "ring, lift",
-    [(LEFSCHETZ_RING, lambda m: m), (PAIR_RING, PairClass.unmarked)],
+    "zeta, lift",
+    [(zeta_series, lambda m: m), (kapranov_zeta, PairClass.unmarked)],
     ids=["lefschetz", "pair"],
 )
-def test_power_pow_hilbert_scheme_of_the_plane(ring, lift):
+def test_power_pow_hilbert_scheme_of_the_plane(zeta, lift):
     # Goettsche: (prod_k zeta_{L^(k-1)}(t^k))^(L^2) = sum_n [Hilb^n(A^2)] t^n,
     # and the Ellingsrud-Stromme cells give [Hilb^n(A^2)] = sum_{lambda |- n} L^(n + len(lambda))
     order = 8
-    base = ring.one_series(order)
+    one = lift(ONE)
+    base = one_plus((), order, one)
     for k in range(1, order + 1):
-        factor = ring.zeta(lift(MotivicPolynomial({k - 1: 1})), order // k)
-        base = base * inflated(factor, k, order, ring.zero)
+        factor = zeta(lift(MotivicPolynomial({k - 1: 1})), order // k)
+        base = base * inflated(factor, k, order, type(one).zero())
     expected = TruncatedSeries(
         tuple(
             lift(MotivicPolynomial(Counter(n + len(lam) for lam in partitions(n))))
             for n in range(order + 1)
         )
     )
-    assert power_pow(base, lift(MotivicPolynomial({2: 1})), ring) == expected
+    assert power_pow(base, lift(MotivicPolynomial({2: 1}))) == expected
 
 
 # -- report rows -------------------------------------------------------------------
@@ -257,8 +254,8 @@ def test_verify_power_axioms_rows():
     samples = [
         (
             "A=1+t, B=1/(1-t); m1=finite:3,1, m2=pn:1",
-            PAIR_RING.one_plus_t(4),
-            PAIR_RING.geometric_series(4),
+            one_plus_t(4),
+            geometric_series(4, UNIT),
             catalog("finite", 3, 1),
             catalog("pn", 1),
         )
@@ -291,8 +288,8 @@ def test_verify_identities_catches_mismatch():
         [
             (
                 "broken",
-                PAIR_RING.one_plus_t(4),
-                PAIR_RING.geometric_series(4),
+                one_plus_t(4),
+                geometric_series(4, UNIT),
                 catalog("finite", 2, 0),
                 catalog("finite", 2, 0),
             )

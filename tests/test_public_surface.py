@@ -1,0 +1,27 @@
+"""The package exports only names that the engine itself uses."""
+
+import ast
+from pathlib import Path
+
+import motivic_pairs
+
+SOURCE = Path(motivic_pairs.__file__).parent
+
+
+def imported_names(path):
+    # every name a module imports from a sibling module, at any depth
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
+def test_every_exported_name_is_used_inside_the_package():
+    used = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name != "__init__.py":
+            used |= imported_names(path)
+    assert sorted(set(motivic_pairs.__all__) - used) == []

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from motivic_pairs import MotivicPolynomial, TruncatedSeries
+from motivic_pairs.suites import _divide
 
 ZERO = MotivicPolynomial.zero()
 ONE = MotivicPolynomial.one()
@@ -65,15 +66,15 @@ def test_product_is_cauchy_convolution():
 
 def test_division_frozen_case():
     # long division by hand: (1 + t) * (1 + t + t^2)^{-1} = 1 + 0t - t^2 + ...
-    quotient = series(1, 1, 0).divide(series(1, 1, 1), ONE)
+    quotient = _divide(series(1, 1, 0), series(1, 1, 1))
     assert quotient == series(1, 0, -1)
 
 
 def test_division_requires_unit_constant_term():
     with pytest.raises(ValueError):
-        series(1, 1).divide(series(2, 1), ONE)
+        _divide(series(1, 1), series(2, 1))
     with pytest.raises(ValueError):
-        series(1, 1).divide(series(0, 1), ONE)
+        _divide(series(1, 1), series(0, 1))
 
 
 def test_ring_laws_random():
@@ -94,7 +95,7 @@ def test_division_roundtrip_random():
     for _ in range(30):
         a = random_series(rng, 6)
         u = TruncatedSeries((ONE,) + random_series(rng, 5).coeffs)
-        assert a.divide(u, ONE) * u == a
+        assert _divide(a, u) * u == a
 
 
 def test_json_roundtrip():

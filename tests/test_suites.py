@@ -7,13 +7,13 @@ from motivic_pairs import (
     MotivicPolynomial,
     TruncatedSeries,
     catalog,
-    catalog_samples,
     lefschetz,
     power,
     run_suite,
+    suites,
 )
 from motivic_pairs.oracle import BudgetExceededError
-from motivic_pairs.suites import CATALOG_SPECS
+from motivic_pairs.suites import CATALOG_SPECS, catalog_samples
 
 AXIOM_KEYS = {"axiom", "sample", "order", "pass", "first_mismatch_degree"}
 CHECK_KEYS = {"check", "params", "expected", "actual", "pass"}
@@ -135,7 +135,7 @@ def term_products(monkeypatch):
 
     def counted_mul(a, b):
         if depth[0]:
-            count[0] += terms(a) * (terms(b) if isinstance(b, MotivicPolynomial) else 1)
+            count[0] += terms(a) * terms(b)
         return mul(a, b)
 
     def counted_exp(ghosts):
@@ -163,7 +163,7 @@ def term_products(monkeypatch):
         monkeypatch.setattr(module, "ghost_exp", counted_exp)
         monkeypatch.setattr(module, "ghost_log", counted_log)
     monkeypatch.setattr(TruncatedSeries, "__mul__", inside(TruncatedSeries.__mul__))
-    monkeypatch.setattr(TruncatedSeries, "divide", inside(TruncatedSeries.divide))
+    monkeypatch.setattr(suites, "_divide", inside(suites._divide))
     monkeypatch.setattr(power, "_lane_pow", inside(power._lane_pow))
     return count
 
@@ -177,3 +177,23 @@ def test_suite_budgets_cover_their_term_products(term_products, suite):
         report = run_suite(suite, order, (2,))
         assert report["pass"]
         assert 0 < term_products[0] <= refused.value.needed, (order, term_products[0], refused.value.needed)
+
+
+# The bounds each algebra suite refuses with under a budget of 1, by order.
+# They are closed forms of the order alone, so any change to a cost bound
+# shows here.
+BOUNDS = {
+    "ring-axioms": {0: 1864, 8: 273480, 22: 5412544, 27: 10623844},
+    "statement1": {0: 48, 8: 108732, 22: 2511370, 27: 4930590},
+    "statement2": {0: 240, 8: 305024, 22: 9650276, 27: 20295926},
+    "power-axioms": {0: 76, 8: 257900, 22: 9182788, 27: 19737343},
+    "identities": {0: 46, 8: 132642, 22: 4290838, 27: 9078251},
+}
+
+
+@pytest.mark.parametrize("suite", list(BOUNDS))
+def test_suite_budgets_are_pinned(suite):
+    for order, bound in BOUNDS[suite].items():
+        with pytest.raises(BudgetExceededError) as refused:
+            run_suite(suite, order, (2,), budget=1)
+        assert refused.value.needed == bound, (order, refused.value.needed)
