@@ -74,7 +74,10 @@ def _check_cost(cost: int, what: str) -> None:
 
 
 def cmd_zeta(pair: PairClass, order: int, fmt: str) -> int:
-    _check_cost(zeta_cost(pair, order), f"zeta series to order {order}")
+    # zeta_cost charges a zero lane nothing, but its recurrence still runs
+    # N(N+1)/2 loop steps: charge it like a one-term lane
+    idle = order * (order + 1) // 2 * sum(not m.items() for m in (pair.amb, pair.comp))
+    _check_cost(zeta_cost(pair, order) + idle, f"zeta series to order {order}")
     _print_pair_series(kapranov_zeta(pair, order), fmt)
     return 0
 
@@ -101,7 +104,7 @@ def cmd_example(n: int, s: int, fields: tuple[int, ...], fmt: str) -> int:
         if n < 1:
             counts.append({"q": q, "skipped": "enumeration needs n >= 1"})
             continue
-        enumerated = count_marked_union(n, q, MarkedP1Scene.standard(s, q))
+        enumerated = count_marked_union(n, MarkedP1Scene.standard(s, q))
         from_class = hyperplane_union_class(n, s).evaluate(q)
         counts.append(
             {
@@ -209,12 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_p = sub.add_parser("verify", help="run verification suites")
     verify_p.add_argument("--suite", required=True, choices=tuple(SUITES) + ("all",))
-    verify_p.add_argument("--order", type=int, default=8)
+    add_common(verify_p, "json")
     verify_p.add_argument("--q", default="2,3,5", help="comma-separated prime field sizes")
     verify_p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    verify_p.add_argument(
-        "--format", choices=("text", "json"), default="json", dest="fmt",
-    )
     return parser
 
 

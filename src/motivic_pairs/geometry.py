@@ -87,9 +87,6 @@ class ProjectivePoint:
         return "(" + ":".join(str(c) for c in self.coords) + ")"
 
 
-RootList = tuple[ProjectivePoint, ...]
-
-
 @dataclass(frozen=True)
 class MarkedP1Scene:
     """Distinct marked points of the projective line over F_q.

@@ -20,22 +20,21 @@ coefficients of t A'(t) / A(t): exact integer log and exp recurrences move
 between a series and its ghosts, and the Adams operations psi_r (L to L^r)
 are the ghosts of a zeta series.
 
-Large products run packed (Kronecker substitution): a polynomial whose
+Every product is a sum of products sum f*g (f*g alone, a coefficient of a
+series product, a step of a ghost recurrence), and one routine takes them
+all.  A large sum runs packed (Kronecker substitution): a polynomial whose
 coefficients are below 2^(w-1) in absolute value is the integer
-sum c_d 2^(w d), so a product of polynomials, or a whole step of a ghost
-recurrence, is one big-integer computation, unpacked once into balanced
-base-2^w digits.  The digit width w comes from a proven bound on the
-result's coefficients, so packing is exact.  Factors with fewer than
-_PACK_TERMS terms, and pairs of sparse factors, keep the dict loop, which
-is faster for them; the choice is an O(1) check per product, or per step
-of a recurrence.
+sum c_d 2^(w d), so the sum is one big-integer computation, unpacked once
+into balanced base-2^w digits.  The digit width w comes from a proven bound
+on the result's coefficients, so packing is exact.  Small and sparse sums
+keep the dict loop, which is faster for them.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .series import TruncatedSeries
 
@@ -124,22 +123,16 @@ class MotivicPolynomial:
     def __mul__(self, other: "MotivicPolynomial") -> "MotivicPolynomial":
         if not isinstance(other, MotivicPolynomial):
             return NotImplemented
-        if (
-            len(self._coeffs) >= _PACK_TERMS
-            and len(other._coeffs) >= _PACK_TERMS
-            and _either_dense(self, other)
-        ):
-            return MotivicPolynomial._trusted(_Packer().sum_of_products([(self, other)]))
-        prod: dict[int, int] = {}
-        for d1, c1 in self._coeffs.items():
-            for d2, c2 in other._coeffs.items():
-                d = d1 + d2
-                prod[d] = prod.get(d, 0) + c1 * c2
-        return MotivicPolynomial._trusted(prod)
+        return MotivicPolynomial._trusted(_sum_of_products(((self, other),)))
 
     # perfbench/tests/test_bench.py checks that the tracer gives this alias
     # and __mul__ one span.
     __rmul__ = __mul__
+
+    @classmethod
+    def sum_of_products(cls, pairs: Sequence[tuple["MotivicPolynomial", "MotivicPolynomial"]]) -> "MotivicPolynomial":
+        """sum f*g over the (f, g) pairs: one coefficient of a series product."""
+        return cls._trusted(_sum_of_products(pairs))
 
     # -- specialization ------------------------------------------------------
 
@@ -192,23 +185,27 @@ def adams(m: MotivicPolynomial, r: int) -> MotivicPolynomial:
     return MotivicPolynomial._trusted({d * r: c for d, c in m._coeffs.items()})
 
 
-# -- packed products ------------------------------------------------------------
+# -- sums of products -----------------------------------------------------------
 #
-# A polynomial sum c_d L^d with |c_d| < 2^(w-1) is the integer sum c_d 2^(w d)
-# read in base 2^w with balanced digits (Kronecker substitution), so a product
-# of polynomials is one product of integers, which CPython multiplies in C
-# (Karatsuba from about 70 30-bit digits on).  The packed integers spend a
-# digit on every degree up to the top one, terms or not, so the dict loop
-# stays faster while a factor has few terms, or when both factors are
-# sparse, as psi_r images are for large r.  So a product packs when a
-# factor has at least _PACK_TERMS terms (for MotivicPolynomial.__mul__,
-# both do) and one factor has a term in at least one degree out of
-# _PACK_SPREAD.  The recurrences decide once per step, on the newest ghost
-# and the newest coefficient, and reuse each packed form across the step's
-# products.  Both constants come from timing the two routes on random
-# polynomials: from 16 dense terms a product ran faster packed, while a
-# product of two psi_r images of 16 to 32 terms (one term in r degrees) ran
-# about 2x slower packed at r = 8 and 50x slower at r = 128.
+# _sum_of_products takes every Z[L] product here: one pair for f*g, the pairs
+# a_j b_(k-j) for coefficient k of a series product, the pairs g_k a_(n-k) for
+# a step of a ghost recurrence.  Its packed route reads a polynomial
+# sum c_d L^d with |c_d| < 2^(w-1) as the integer sum c_d 2^(w d) in base 2^w
+# with balanced digits (Kronecker substitution), so a whole sum is one sum of
+# integer products, which CPython multiplies in C (Karatsuba from about 70
+# 30-bit digits on).  The packed integers spend a digit on every degree up to
+# the top one, terms or not, so the dict loop stays faster while a factor has
+# few terms, or when both factors are sparse, as psi_r images are for large r.
+# So f*g and a series coefficient pack when some pair has _PACK_TERMS terms
+# in both factors and one factor has a term in at least one degree out of
+# _PACK_SPREAD (_either_dense).  A ghost step packs when its newest ghost has
+# _PACK_TERMS terms and it or the newest coefficient is dense (the rule for
+# f*g ran series-deep power_pow slower), and its recurrence keeps one packer,
+# so each coefficient is packed once per digit width.  Both constants come
+# from timing the two routes on random polynomials: from 16 dense terms a
+# product ran faster packed, while a product of two psi_r images of 16 to 32
+# terms (one term in r degrees) ran about 2x slower packed at r = 8 and 50x
+# slower at r = 128.
 
 _PACK_TERMS = 16
 _PACK_SPREAD = 4
@@ -221,8 +218,39 @@ def _either_dense(f: MotivicPolynomial, g: MotivicPolynomial) -> bool:
 
     O(1): _coeffs is in ascending degree order, so its last key is the degree.
     """
-    fc, gc = f._coeffs, g._coeffs
-    return _PACK_SPREAD * len(fc) > next(reversed(fc), 0) or _PACK_SPREAD * len(gc) > next(reversed(gc), 0)
+    return any(_PACK_SPREAD * len(c) > next(reversed(c), 0) for c in (f._coeffs, g._coeffs))
+
+
+def _sum_of_products(
+    pairs: Iterable[tuple[MotivicPolynomial, MotivicPolynomial]],
+    lead: tuple[MotivicPolynomial, MotivicPolynomial] | None = None,
+    packer: list | None = None,
+) -> dict[int, int]:
+    """sum f*g over the (f, g) pairs as a degree -> coefficient dict; zero entries may stay.
+
+    A ghost step also passes lead, its newest ghost and newest coefficient,
+    and packer, a list its recurrence keeps: the first packed step puts
+    the packer there.
+    """
+    if lead is None:  # the first pair that passes the rule for f*g, if any, leads
+        for f, g in pairs:
+            if len(f._coeffs) >= _PACK_TERMS <= len(g._coeffs) and _either_dense(f, g):
+                lead = f, g
+                break
+    if lead is not None and len(lead[0]._coeffs) >= _PACK_TERMS and _either_dense(*lead):
+        slot = packer if packer is not None else []
+        if not slot:
+            slot.append(_Packer())
+        return slot[0].sum_of_products(pairs)
+    acc = {}
+    get = acc.get
+    for f, g in pairs:
+        tail = g._coeffs.items()
+        for d1, c1 in f._coeffs.items():
+            for d2, c2 in tail:
+                d = d1 + d2
+                acc[d] = get(d, 0) + c1 * c2
+    return acc
 
 
 def _digit_width(bits: int) -> int:
@@ -280,12 +308,12 @@ def _unpack(value: int, width: int, length: int) -> dict[int, int]:
 
 
 class _Packer:
-    """Exact sums of Z[L] products as big-integer products, for one call.
+    """The packed route of _sum_of_products, for one sum or one recurrence.
 
     It keeps each polynomial's bit size and its packed form at the current
     digit width, so a recurrence packs each coefficient once per width.
     The width only grows, so a form stays valid until the bound outgrows
-    it.  A packer lives as long as the call that made it.
+    it.  A packer lives as long as the sum or recurrence that made it.
     """
 
     __slots__ = ("_forms", "_width")
@@ -302,7 +330,7 @@ class _Packer:
             form = self._forms[id(p)] = [p, bits, 0, 0]
         return form
 
-    def sum_of_products(self, pairs: Sequence[tuple[MotivicPolynomial, MotivicPolynomial]]) -> dict[int, int]:
+    def sum_of_products(self, pairs: Iterable[tuple[MotivicPolynomial, MotivicPolynomial]]) -> dict[int, int]:
         """sum f*g over the (f, g) pairs as a degree -> coefficient dict, zeros omitted."""
         pairs = [(self._form(f), self._form(g)) for f, g in pairs if f._coeffs and g._coeffs]
         if not pairs:
@@ -329,32 +357,16 @@ def ghost_log(coeffs: Sequence[MotivicPolynomial]) -> tuple[MotivicPolynomial, .
     """Ghost coordinates g_1, ..., g_N of A = 1 + a_1 t + ... + a_N t^N.
 
     They are the coefficients of t A'(t) / A(t), read off with the log step
-    g_n = n a_n - sum_{k<n} g_k a_{n-k}; no division is needed.  The
-    constant term coeffs[0] is taken to be 1 and is not read.
-
-    A step whose newest ghost g_{n-1} has _PACK_TERMS terms, with it or
-    the newest coefficient dense (see _either_dense), takes its sum as one
-    sum of packed big-integer products, unpacked once into balanced
-    digits; other steps run the dict loop.  Both give the same exact
-    coefficients.
+    g_n = n a_n - S_n, where S_n = sum_{k<n} g_k a_{n-k}; no division is
+    needed.  The constant term coeffs[0] is taken to be 1 and is not read.
     """
     ghosts = [MotivicPolynomial._trusted({})]
-    packer = None
+    packer: list = []
     for n in range(1, len(coeffs)):
+        sums = _sum_of_products(zip(ghosts[1:], coeffs[n - 1 : 0 : -1]), (ghosts[n - 1], coeffs[n - 1]), packer)
         acc = {d: n * c for d, c in coeffs[n]._coeffs.items()}
-        get = acc.get
-        if len(ghosts[n - 1]._coeffs) >= _PACK_TERMS and _either_dense(ghosts[n - 1], coeffs[n - 1]):
-            packer = packer or _Packer()
-            products = packer.sum_of_products([(ghosts[k], coeffs[n - k]) for k in range(1, n)])
-            for d, c in products.items():
-                acc[d] = get(d, 0) - c
-        else:
-            for k in range(1, n):
-                tail = coeffs[n - k]._coeffs.items()
-                for d1, c1 in ghosts[k]._coeffs.items():
-                    for d2, c2 in tail:
-                        d = d1 + d2
-                        acc[d] = get(d, 0) - c1 * c2
+        for d, c in sums.items():
+            acc[d] = acc.get(d, 0) - c
         ghosts.append(MotivicPolynomial._trusted(acc))
     return tuple(ghosts[1:])
 
@@ -362,39 +374,24 @@ def ghost_log(coeffs: Sequence[MotivicPolynomial]) -> tuple[MotivicPolynomial, .
 def ghost_exp(ghosts: Sequence[MotivicPolynomial]) -> tuple[MotivicPolynomial, ...]:
     """The series 1 + a_1 t + ... + a_N t^N whose ghost coordinates are g_1, ..., g_N.
 
-    Exp step: n a_n = sum_{k=1..n} g_k a_{n-k}.  The division by n is
-    exact for the ghosts of any series over Z[L]; a remainder means the
-    ghosts belong to no such series and raises ArithmeticError.
-
-    A step whose ghost g_n has _PACK_TERMS terms, with it or the newest
-    coefficient dense (see _either_dense), takes its sum as one sum of
-    packed big-integer products, unpacked once into balanced digits; other
-    steps run the dict loop.  The division and its check run on the
-    unpacked coefficients either way.
+    Exp step: n a_n = g_n + S_n with the log step's S_n = sum_{k<n} g_k a_{n-k}.
+    The division by n is exact for the ghosts of any series over Z[L]; a
+    remainder means the ghosts belong to no such series and raises
+    ArithmeticError.
     """
     coeffs = [MotivicPolynomial._trusted({0: 1})]
-    packer = None
+    packer: list = []
     for n in range(1, len(ghosts) + 1):
-        if len(ghosts[n - 1]._coeffs) >= _PACK_TERMS and _either_dense(ghosts[n - 1], coeffs[n - 1]):
-            packer = packer or _Packer()
-            acc = packer.sum_of_products([(ghosts[k - 1], coeffs[n - k]) for k in range(1, n + 1)])
-        else:
-            acc = {}
-            get = acc.get
-            for k in range(1, n + 1):
-                tail = coeffs[n - k]._coeffs.items()
-                for d1, c1 in ghosts[k - 1]._coeffs.items():
-                    for d2, c2 in tail:
-                        d = d1 + d2
-                        acc[d] = get(d, 0) + c1 * c2
-        if n > 1:
-            for d, c in acc.items():
-                quot, rem = divmod(c, n)
-                if rem:
-                    raise ArithmeticError(
-                        f"L^{d} t^{n} would have coefficient {c}/{n}: no series over Z[L] has these ghosts"
-                    )
-                acc[d] = quot
+        acc = _sum_of_products(zip(ghosts, coeffs[n - 1 : 0 : -1]), (ghosts[n - 1], coeffs[n - 1]), packer)
+        for d, c in ghosts[n - 1]._coeffs.items():
+            acc[d] = acc.get(d, 0) + c
+        for d, c in acc.items():
+            quot, rem = divmod(c, n)
+            if rem:
+                raise ArithmeticError(
+                    f"L^{d} t^{n} would have coefficient {c}/{n}: no series over Z[L] has these ghosts"
+                )
+            acc[d] = quot
         coeffs.append(MotivicPolynomial._trusted(acc))
     return tuple(coeffs)
 

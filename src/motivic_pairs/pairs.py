@@ -24,6 +24,7 @@ text, for the command line and the suites alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .lefschetz import MotivicPolynomial, projective_class
 
@@ -71,6 +72,14 @@ class PairClass:
     def __mul__(self, other: "PairClass") -> "PairClass":
         return PairClass(self.amb * other.amb, self.comp * other.comp)
 
+    @classmethod
+    def sum_of_products(cls, pairs: Sequence[tuple["PairClass", "PairClass"]]) -> "PairClass":
+        """sum f*g over the (f, g) pairs, one Z[L] sum of products per lane."""
+        return cls(
+            MotivicPolynomial.sum_of_products([(f.amb, g.amb) for f, g in pairs]),
+            MotivicPolynomial.sum_of_products([(f.comp, g.comp) for f, g in pairs]),
+        )
+
     # -- rendering and serialization ----------------------------------------
 
     def __str__(self) -> str:
@@ -81,16 +90,6 @@ class PairClass:
 
 
 # -- catalog of concrete generators ------------------------------------------
-
-
-def point() -> PairClass:
-    """A single point, nothing marked: the ring unit."""
-    return PairClass.one()
-
-
-def empty() -> PairClass:
-    """The empty pair: the ring zero."""
-    return PairClass.zero()
 
 
 def finite(size: int, marked: int) -> PairClass:
@@ -131,8 +130,8 @@ def projective_space_with_hyperplanes(dim: int, count: int) -> PairClass:
 
 
 _CATALOG = {
-    "point": (point, 0),
-    "empty": (empty, 0),
+    "point": (PairClass.one, 0),  # a single point, nothing marked: the ring unit
+    "empty": (PairClass.zero, 0),  # the ring zero
     "finite": (finite, 2),
     "affine-marked": (affine_line_marked, 1),
     "p1-marked": (projective_line_marked, 1),
@@ -150,6 +149,15 @@ def catalog(name: str, *params: int) -> PairClass:
     builder, arity = entry
     if len(params) != arity:
         raise ValueError(f"catalog entry {name!r} takes {arity} parameter(s), got {len(params)}")
+    if name in ("pn", "pn-hyp"):
+        # refused before building: pn:n has n + 1 terms, and pn-hyp:n,s sums
+        # min(s, n) + 1 classes of at most n + 1 terms (the import is deferred:
+        # oracle imports geometry, which imports this module)
+        from .oracle import DEFAULT_BUDGET, BudgetExceededError
+
+        n, s = (*params, 0)[:2]
+        if (work := (n + 1) * (min(s, n) + 1)) > DEFAULT_BUDGET:
+            raise BudgetExceededError(work, DEFAULT_BUDGET, f"catalog class {name} of dimension {n}")
     return builder(*params)
 
 

@@ -2,9 +2,10 @@
 
 A series is a finite window c0 + c1*t + ... + cN*t^N of a formal power
 series in one variable t, stored as a tuple of N+1 coefficients.  The
-coefficient type is anything with exact +, -, * and == (big integers,
-fractions, polynomial classes, pairs of those); this module never divides
-coefficients and never rounds.
+coefficient type (a Z[L] polynomial or a pair of them) provides exact
+arithmetic and the sum of products sum f*g of a list of (f, g) pairs as
+`type(c).sum_of_products`, which makes each coefficient of a product in
+one call; this module never divides coefficients and never rounds.
 
 Binary operations align two windows by truncating to the smaller order:
 degrees above the common order carry no information, so they are dropped
@@ -46,14 +47,9 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        coeffs = []
-        for k in range(n + 1):
-            acc = self.coeffs[0] * other.coeffs[k]
-            for j in range(1, k + 1):
-                acc = acc + self.coeffs[j] * other.coeffs[k - j]
-            coeffs.append(acc)
-        return TruncatedSeries(tuple(coeffs))
+        a, b = self.coeffs, other.coeffs
+        combine = type(a[0]).sum_of_products  # coefficient k is sum_j a_j b_(k-j)
+        return TruncatedSeries(tuple(combine(list(zip(a, b[k::-1]))) for k in range(min(len(a), len(b)))))
 
     # -- serialization ---------------------------------------------------
 

@@ -107,13 +107,7 @@ def catalog_samples() -> tuple[tuple[str, PairClass], ...]:
 
 
 def _check(check: str, params: dict, expected, actual) -> dict:
-    return {
-        "check": check,
-        "params": params,
-        "expected": expected,
-        "actual": actual,
-        "pass": expected == actual,
-    }
+    return _bound(check, params, expected, actual, expected == actual)
 
 
 def _bound(check: str, params: dict, expected: str, actual, ok: bool) -> dict:
@@ -170,12 +164,10 @@ def _divide(a: TruncatedSeries, u: TruncatedSeries) -> TruncatedSeries:
     # q_n = a_n - sum u_j q_{n-j} needs no coefficient division
     if u.coeffs[0] != type(u.coeffs[0]).one():
         raise ValueError("division requires a divisor with constant term 1")
+    combine = type(u.coeffs[0]).sum_of_products
     quot: list = []
     for k in range(min(a.order, u.order) + 1):
-        acc = a.coeffs[k]
-        for j in range(1, k + 1):
-            acc = acc - u.coeffs[j] * quot[k - j]
-        quot.append(acc)
+        quot.append(a.coeffs[k] - combine(list(zip(u.coeffs[1:], reversed(quot)))))
     return TruncatedSeries(tuple(quot))
 
 
@@ -235,7 +227,7 @@ def _brute_counts(spec: str, q: int, budget: int) -> tuple[int, int] | None:
         if s > q + 1 or n < 1:
             return None
         total = len(enumerate_projective(n, q, budget))
-        on_union = count_marked_union(n, q, MarkedP1Scene.standard(s, q), budget)
+        on_union = count_marked_union(n, MarkedP1Scene.standard(s, q), budget)
         return (total, total - on_union)
     raise ValueError(f"no brute-force scene for {spec!r}")
 
@@ -682,7 +674,7 @@ def suite_example_p1(order: int, fields: tuple[int, ...], budget: int) -> list[d
                     _check(
                         "hyperplane-union-count",
                         {"n": n, "s": s, "q": q},
-                        count_marked_union(n, q, scene, budget),
+                        count_marked_union(n, scene, budget),
                         hyperplane_union_class(n, s).evaluate(q),
                     )
                 )

@@ -441,3 +441,24 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a zero lane makes no term products, but its recurrence still loops
+        (["zeta", "--pair", "empty", "--order", "100000"], "zeta series to order 100000"),
+        # catalog classes too large to build are refused before any term is written
+        (["zeta", "--pair", "pn:1000000000", "--order", "0"], "catalog class pn of dimension 1000000000"),
+        (["zeta", "--pair", "pn-hyp:100000,100000", "--order", "0"], "catalog class pn-hyp of dimension 100000"),
+    ],
+    ids=["zeta-zero-lanes", "pn-huge", "pn-hyp-huge"],
+)
+def test_work_without_term_products_is_refused_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"budget exhausted: {message} needs ~")

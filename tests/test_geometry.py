@@ -69,9 +69,7 @@ def test_union_class_counts_match_enumeration():
         for n in range(1, 4):
             for s in range(0, min(5, q + 1) + 1):
                 scene = MarkedP1Scene.standard(s, q)
-                assert hyperplane_union_class(n, s).evaluate(q) == count_marked_union(
-                    n, q, scene
-                )
+                assert hyperplane_union_class(n, s).evaluate(q) == count_marked_union(n, scene)
 
 
 def test_sym_pair_routes_agree():

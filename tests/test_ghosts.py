@@ -293,11 +293,13 @@ def ref_ghost_exp(ghosts):
 
 @pytest.fixture
 def packed_calls(monkeypatch):
-    # counts the packed sums, so that a test can show the packed path ran
+    # the pair counts of the sums that _sum_of_products takes packed (it is
+    # the only caller of the packed route), so a test can show that route ran
     calls = []
     original = lefschetz._Packer.sum_of_products
 
     def spy(self, pairs):
+        pairs = list(pairs)
         calls.append(len(pairs))
         return original(self, pairs)
 
@@ -442,3 +444,68 @@ def test_generated_ghosts_match_dict_loops(tail):
     assert ghosts == ref_ghost_log(coeffs)
     assert ghost_exp(ghosts) == coeffs
     assert ghost_exp(ghosts) == ref_ghost_exp(ghosts)
+
+
+# -- series multiply and divide through the sum-of-products routine ---------------------------
+
+
+def ref_times(x, y):
+    # one coefficient product by the dict-loop reference, lane by lane for pairs
+    if isinstance(x, PairClass):
+        return PairClass(ref_mul(x.amb, y.amb), ref_mul(x.comp, y.comp))
+    return ref_mul(x, y)
+
+
+def ref_series_mul(a, b):
+    # each coefficient as the chain acc + a_j * b_(k-j)
+    coeffs = []
+    for k in range(min(a.order, b.order) + 1):
+        acc = ref_times(a.coeffs[0], b.coeffs[k])
+        for j in range(1, k + 1):
+            acc = acc + ref_times(a.coeffs[j], b.coeffs[k - j])
+        coeffs.append(acc)
+    return TruncatedSeries(tuple(coeffs))
+
+
+def ref_divide(a, u):
+    # long division for u_0 = 1 as the chain acc - u_j * q_(k-j)
+    quot = []
+    for k in range(min(a.order, u.order) + 1):
+        acc = a.coeffs[k]
+        for j in range(1, k + 1):
+            acc = acc - ref_times(u.coeffs[j], quot[k - j])
+        quot.append(acc)
+    return TruncatedSeries(tuple(quot))
+
+
+@RINGS
+def test_series_multiply_and_divide_match_the_product_chain(ring, packed_calls):
+    # coefficients on both sides of the threshold, dense, with gaps, psi_3
+    # images and zeros; some above 200 bits
+    rng = random.Random(24 if ring is LANE else 25)
+
+    def lane():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return ZERO
+        terms = rng.choice((PACK - 3, PACK - 1, PACK, PACK + 2, 2 * PACK))
+        poly = random_wide_poly(rng, terms, spread=kind, wide=rng.random() < 0.3)
+        return adams(poly, 3) if kind == 3 else poly
+
+    def coeff():
+        return lane() if ring is LANE else PairClass(lane(), lane())
+
+    packed = {"mul": 0, "divide": 0}
+    for order in (0, 1, 3, 6):
+        a = TruncatedSeries(tuple(coeff() for _ in range(order + 1)))
+        b = TruncatedSeries(tuple(coeff() for _ in range(order + 2)))
+        u = TruncatedSeries((ring.one, *(coeff() for _ in range(order))))
+        before = len(packed_calls)
+        assert a * b == ref_series_mul(a, b)
+        packed["mul"] += len(packed_calls) > before
+        before = len(packed_calls)
+        quotient = _divide(a, u)
+        packed["divide"] += len(packed_calls) > before
+        assert quotient == ref_divide(a, u)
+        assert ref_series_mul(quotient, u) == a
+    assert packed["mul"] and packed["divide"]  # the packed route ran in both

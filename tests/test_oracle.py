@@ -51,11 +51,11 @@ def test_enumerate_projective_canonical_form():
 def test_count_marked_union_hand_checked():
     # P^2 over F_2 has 7 points; two general lines share 1, so the union has
     # 3 + 3 - 1 = 5.  Over F_3: 4 + 4 - 1 = 7.
-    assert count_marked_union(2, 2, MarkedP1Scene.standard(2, 2)) == 5
-    assert count_marked_union(2, 3, MarkedP1Scene.standard(2, 3)) == 7
-    assert count_marked_union(2, 2, MarkedP1Scene.standard(0, 2)) == 0
+    assert count_marked_union(2, MarkedP1Scene.standard(2, 2)) == 5
+    assert count_marked_union(2, MarkedP1Scene.standard(2, 3)) == 7
+    assert count_marked_union(2, MarkedP1Scene.standard(0, 2)) == 0
     # one hyperplane in P^n is a P^{n-1}
-    assert count_marked_union(3, 2, MarkedP1Scene.standard(1, 2)) == 7
+    assert count_marked_union(3, MarkedP1Scene.standard(1, 2)) == 7
 
 
 def test_projective_enumeration_budget():
@@ -66,14 +66,12 @@ def test_projective_enumeration_budget():
         enumerate_projective(2, 3, budget=12)
     assert len(enumerate_projective(2, 3, budget=13)) == 13
     with pytest.raises(BudgetExceededError):
-        count_marked_union(2, 2, MarkedP1Scene.standard(2, 2), budget=6)
+        count_marked_union(2, MarkedP1Scene.standard(2, 2), budget=6)
 
 
 def test_count_marked_union_validation():
     with pytest.raises(ValueError):
-        count_marked_union(0, 2, MarkedP1Scene.standard(1, 2))
-    with pytest.raises(ValueError):
-        count_marked_union(2, 3, MarkedP1Scene.standard(1, 2))
+        count_marked_union(0, MarkedP1Scene.standard(1, 2))
 
 
 def test_weil_counts_projective_line():

@@ -6,6 +6,8 @@ import random
 import pytest
 
 from motivic_pairs import MotivicPolynomial, PairClass, catalog
+from motivic_pairs.oracle import DEFAULT_BUDGET, BudgetExceededError
+from motivic_pairs.pairs import parse_pair_spec
 
 L = MotivicPolynomial.lefschetz()
 ONE = MotivicPolynomial.one()
@@ -112,3 +114,13 @@ def test_catalog_rejects_unknown_and_bad_arity():
     with pytest.raises(ValueError):
         catalog("finite", 3)
 
+
+def test_catalog_refuses_classes_over_the_default_budget():
+    # pn:n writes n + 1 terms; pn-hyp:n,s sums min(s, n) + 1 classes of n + 1
+    with pytest.raises(BudgetExceededError) as refused:
+        catalog("pn", DEFAULT_BUDGET)
+    assert refused.value.needed == DEFAULT_BUDGET + 1
+    with pytest.raises(BudgetExceededError) as refused:
+        parse_pair_spec("sum(point,pn-hyp:3162,5000)")
+    assert refused.value.needed == 3163 * 3163
+    assert catalog("pn-hyp", 3161, 2).amb == catalog("pn", 3161).amb

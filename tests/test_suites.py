@@ -4,7 +4,6 @@ import pytest
 
 from motivic_pairs import (
     SUITES,
-    MotivicPolynomial,
     TruncatedSeries,
     catalog,
     lefschetz,
@@ -127,27 +126,17 @@ def terms(p):
 @pytest.fixture
 def term_products(monkeypatch):
     # counts the Z[L] term products of the series algebra, the unit of the
-    # suites' cost bounds: each step of the ghost recurrences, and every
-    # polynomial product made inside a series multiply or divide or inside
-    # power_pow's scaling (not the few that build catalog classes and exponents)
+    # suites' cost bounds: every sum of products the routine takes inside a
+    # series multiply or divide, a ghost recurrence or power_pow's scaling
+    # (not the few products that build catalog classes and exponents)
     count, depth = [0], [0]
-    mul, exp, log = MotivicPolynomial.__mul__, lefschetz.ghost_exp, lefschetz.ghost_log
+    routine = lefschetz._sum_of_products
 
-    def counted_mul(a, b):
+    def counted(pairs, *rest):
+        pairs = list(pairs)
         if depth[0]:
-            count[0] += terms(a) * terms(b)
-        return mul(a, b)
-
-    def counted_exp(ghosts):
-        a = exp(ghosts)
-        n_max = len(ghosts)
-        count[0] += sum(terms(ghosts[k - 1]) * terms(a[n - k]) for n in range(1, n_max + 1) for k in range(1, n + 1))
-        return a
-
-    def counted_log(coeffs):
-        g = (None, *log(coeffs))
-        count[0] += sum(terms(g[k]) * terms(coeffs[n - k]) for n in range(1, len(coeffs)) for k in range(1, n))
-        return g[1:]
+            count[0] += sum(terms(f) * terms(g) for f, g in pairs)
+        return routine(pairs, *rest)
 
     def inside(fn):
         def wrapper(*args):
@@ -158,10 +147,10 @@ def term_products(monkeypatch):
                 depth[0] -= 1
         return wrapper
 
-    monkeypatch.setattr(MotivicPolynomial, "__mul__", counted_mul)
+    monkeypatch.setattr(lefschetz, "_sum_of_products", counted)
     for module in (lefschetz, power):
-        monkeypatch.setattr(module, "ghost_exp", counted_exp)
-        monkeypatch.setattr(module, "ghost_log", counted_log)
+        monkeypatch.setattr(module, "ghost_exp", inside(lefschetz.ghost_exp))
+        monkeypatch.setattr(module, "ghost_log", inside(lefschetz.ghost_log))
     monkeypatch.setattr(TruncatedSeries, "__mul__", inside(TruncatedSeries.__mul__))
     monkeypatch.setattr(suites, "_divide", inside(suites._divide))
     monkeypatch.setattr(power, "_lane_pow", inside(power._lane_pow))
