@@ -8,9 +8,8 @@ against brute-force point counts over small prime fields, and the
 `suites` module packages those cross-checks.
 """
 
-from .field import PrimeField, is_prime
+from .field import is_prime
 from .geometry import (
-    INFINITY,
     MarkedP1Scene,
     ProjectivePoint,
     hyperplane_union_class,
@@ -48,11 +47,9 @@ __all__ = [
     "BudgetExceededError",
     "DEFAULT_BUDGET",
     "FiniteScene",
-    "INFINITY",
     "MarkedP1Scene",
     "MotivicPolynomial",
     "PairClass",
-    "PrimeField",
     "ProjectivePoint",
     "SUITES",
     "TruncatedSeries",

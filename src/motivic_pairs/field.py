@@ -1,13 +1,13 @@
-"""Arithmetic in prime fields, the ground for the geometric brute-force counts.
+"""Primality test for the field sizes of the geometric brute-force counts.
 
-Only prime moduli are supported; counts over extension fields enter the
-engine exclusively through closed-form formulas, never through extension
-arithmetic, which keeps the counting oracles simple enough to trust.
+Only prime moduli are supported, and the oracles do their F_q arithmetic
+inline with `% q` and `pow(x, -1, q)`; counts over extension fields enter
+the engine exclusively through closed-form formulas, never through
+extension arithmetic, which keeps the counting oracles simple enough to
+trust.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -34,30 +34,3 @@ def is_prime(n: int) -> bool:
         pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(r)) for a in _SMALL_PRIMES
     )
 
-
-@dataclass(frozen=True)
-class PrimeField:
-    """The field with q elements, q prime; elements are ints in 0..q-1."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.q, int) or not is_prime(self.q):
-            raise ValueError(f"field size must be prime, got {self.q!r}")
-
-    def element(self, a: int) -> int:
-        return a % self.q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return pow(a, -1, self.q)

@@ -5,12 +5,13 @@ send an unordered n-tuple of points (u_i : v_i) to the coefficient vector
 of the binary form prod_i (u_i v - v_i u), the form whose root multiset is
 the tuple (the Vieta map, computed here over a prime field so the counting
 oracle can exercise it).  Under that identification, tuples containing a
-marked point a = (x : 1) sweep out the hyperplane
+marked point (u : v) sweep out the hyperplane
 
-    p_0 + p_1 x + ... + p_n x^n = 0
+    p_0 v^n + p_1 u v^(n-1) + ... + p_n u^n = 0
 
-in coordinates F(u, v) = sum_j p_j u^j v^(n-j); the mark at infinity
-(1 : 0) contributes the hyperplane p_n = 0.  Distinct marks give
+in coordinates F(u, v) = sum_j p_j u^j v^(n-j); a mark is a
+`ProjectivePoint` with two coordinates, so (x : 1) and the point at
+infinity (1 : 0) are the same kind of object.  Distinct marks give
 coefficient rows of an extended Vandermonde matrix, so any k <= n of the
 hyperplanes meet in a codimension-k projective subspace and more than n of
 them have empty intersection: general position for free, which is why
@@ -26,31 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence, Union
+from typing import Sequence
 
-from .field import PrimeField
+from .field import is_prime
 from .lefschetz import MotivicPolynomial, projective_class
 from .pairs import PairClass, projective_line_marked
 from .power import kapranov_zeta
-
-
-class _Infinity:
-    """Sentinel for the point (1 : 0) of the projective line."""
-
-    _instance = None
-
-    def __new__(cls) -> "_Infinity":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-
-INFINITY = _Infinity()
-
-Mark = Union[int, _Infinity]
 
 
 @dataclass(frozen=True)
@@ -64,8 +46,6 @@ class ProjectivePoint:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.coords, tuple):
-            object.__setattr__(self, "coords", tuple(self.coords))
         lead = next((c for c in self.coords if c != 0), None)
         if lead is None:
             raise ValueError("projective coordinates cannot all be zero")
@@ -75,13 +55,14 @@ class ProjectivePoint:
     @classmethod
     def from_coords(cls, coords: Sequence[int], q: int) -> "ProjectivePoint":
         """Reduce mod q and rescale so the first nonzero coordinate is 1."""
-        fld = PrimeField(q)
-        reduced = [fld.element(c) for c in coords]
+        if not is_prime(q):
+            raise ValueError(f"field size must be prime, got {q!r}")
+        reduced = [c % q for c in coords]
         lead = next((c for c in reduced if c != 0), None)
         if lead is None:
             raise ValueError("projective coordinates cannot all be zero")
-        scale = fld.inv(lead)
-        return cls(tuple(fld.mul(scale, c) for c in reduced))
+        scale = pow(lead, -1, q)
+        return cls(tuple(scale * c % q for c in reduced))
 
     def __str__(self) -> str:
         return "(" + ":".join(str(c) for c in self.coords) + ")"
@@ -91,39 +72,32 @@ class ProjectivePoint:
 class MarkedP1Scene:
     """Distinct marked points of the projective line over F_q.
 
-    Finite marks are stored as x for the point (x : 1); the point (1 : 0)
-    is the INFINITY sentinel.  Finite marks must lie in 0..q-1 and at most
-    q+1 distinct marks fit on the line.
+    Each mark is a `ProjectivePoint` (u : v) with both coordinates in
+    0..q-1; canonical coordinates make distinct points distinct tuples,
+    so at most q+1 marks fit on the line.
     """
 
-    marks: tuple[Mark, ...]
+    marks: tuple[ProjectivePoint, ...]
     q: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.marks, tuple):
-            object.__setattr__(self, "marks", tuple(self.marks))
+        if not is_prime(self.q):
+            raise ValueError(f"field size must be prime, got {self.q!r}")
         if len(self.marks) != len(set(self.marks)):
             raise ValueError("marked points must be pairwise distinct")
-        fld = PrimeField(self.q)  # validates primality
         for m in self.marks:
-            if m is INFINITY:
-                continue
-            if not isinstance(m, int) or not 0 <= m < fld.q:
-                raise ValueError(f"mark {m!r} is not an element of the {fld.q}-element field")
-        if len(self.marks) > self.q + 1:
-            raise ValueError(f"at most {self.q + 1} distinct marks exist over F_{self.q}")
+            if len(m.coords) != 2 or not all(0 <= c < self.q for c in m.coords):
+                raise ValueError(f"mark {m} is not a point of the line over F_{self.q}")
 
     @classmethod
     def standard(cls, s: int, q: int) -> "MarkedP1Scene":
-        """First s points of the line over F_q: 0, 1, ..., and lastly infinity."""
-        if s < 0:
-            raise ValueError("number of marks must be non-negative")
-        if s > q + 1:
-            raise ValueError(f"at most {q + 1} distinct marks exist over F_{q}")
-        marks: tuple[Mark, ...] = tuple(range(min(s, q)))
-        if s == q + 1:
-            marks = marks + (INFINITY,)
-        return cls(marks, q)
+        """First s points of the line over F_q: (0 : 1), (1 : 1), ..., and lastly (1 : 0)."""
+        if not 0 <= s <= q + 1:
+            raise ValueError(f"a scene over F_{q} has 0 to {q + 1} marks, got {s}")
+        marks = [ProjectivePoint.from_coords((x, 1), q) for x in range(min(s, q))]
+        if s > q:
+            marks.append(ProjectivePoint((1, 0)))
+        return cls(tuple(marks), q)
 
 
 def hyperplane_union_class(n: int, s: int) -> MotivicPolynomial:
@@ -157,9 +131,7 @@ def sym_pair_p1_lambda(n: int, s: int) -> PairClass:
     return kapranov_zeta(projective_line_marked(s), n).coefficient(n)
 
 
-def vieta_coefficients(
-    roots: Sequence[ProjectivePoint | tuple[int, int]], q: int
-) -> ProjectivePoint:
+def vieta_coefficients(roots: Sequence[ProjectivePoint], q: int) -> ProjectivePoint:
     """Coefficient vector of the binary form vanishing on a root multiset.
 
     Expands prod_i (u_i v - v_i u) over F_q and returns (p_0 : ... : p_n)
@@ -167,18 +139,16 @@ def vieta_coefficients(
     finite roots z_i = u_i / v_i are then the roots of
     p_0 + p_1 z + ... + p_n z^n.
     """
-    fld = PrimeField(q)
+    if not is_prime(q):
+        raise ValueError(f"field size must be prime, got {q!r}")
     # form[j] holds the coefficient of u^j v^(deg - j); start from the constant form 1.
     form = [1]
     for root in roots:
-        u, v = root.coords if isinstance(root, ProjectivePoint) else root
-        u, v = fld.element(u), fld.element(v)
-        if u == 0 and v == 0:
-            raise ValueError("root coordinates cannot both be zero")
+        u, v = root.coords
         widened = [0] * (len(form) + 1)
         for j, coeff in enumerate(form):
-            widened[j] = fld.add(widened[j], fld.mul(u, coeff))      # times u*v
-            widened[j + 1] = fld.sub(widened[j + 1], fld.mul(v, coeff))  # times -v*u
+            widened[j] = (widened[j] + u * coeff) % q  # times u*v
+            widened[j + 1] = (widened[j + 1] - v * coeff) % q  # times -v*u
         form = widened
     return ProjectivePoint.from_coords(form, q)
 
@@ -186,21 +156,16 @@ def vieta_coefficients(
 def point_in_marked_union(point: ProjectivePoint, scene: MarkedP1Scene) -> bool:
     """Whether the form with these coefficients vanishes at some marked point.
 
-    For a finite mark x this is p_0 + p_1 x + ... + p_n x^n = 0; for the
-    mark at infinity it is p_n = 0.
+    The form sum_j p_j u^j v^(n-j) is evaluated at each mark (u : v) by
+    Horner's rule in u, carrying the power of v along.
     """
-    fld = PrimeField(scene.q)
-    p = point.coords
-    for mark in scene.marks:
-        if mark is INFINITY:
-            if p[-1] == 0:
-                return True
-        else:
-            value = 0
-            power = 1
-            for coeff in p:
-                value = fld.add(value, fld.mul(coeff, power))
-                power = fld.mul(power, mark)
-            if value == 0:
-                return True
+    q = scene.q
+    for u, v in (mark.coords for mark in scene.marks):
+        value = 0
+        v_power = 1
+        for coeff in reversed(point.coords):
+            value = (value * u + coeff * v_power) % q
+            v_power = v_power * v % q
+        if value == 0:
+            return True
     return False

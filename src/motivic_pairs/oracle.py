@@ -6,8 +6,8 @@ series machinery it is used to check:
 * point enumeration in projective space over a prime field, for the
   hyperplane-union counts of the worked example;
 * the exponential point-count identity for symmetric powers,
-  sum_n |S^n X| t^n = exp(sum_r N_r t^r / r), evaluated with exact
-  rational arithmetic from closed-form extension counts N_r;
+  sum_n |S^n X| t^n = exp(sum_r N_r t^r / r), evaluated by an exact
+  integer recurrence from closed-form extension counts N_r;
 * exhaustive counting of squarefree monic polynomials, the finite-field
   incarnation of configurations of distinct points on the affine line;
 * exhaustive enumeration of weighted labelled configurations (K, phi) on
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Hashable, Sequence
 
 from .field import is_prime
@@ -76,25 +75,22 @@ def count_marked_union(n: int, scene: MarkedP1Scene, budget: int = DEFAULT_BUDGE
 def weil_symmetric_counts(point_count: Callable[[int], int], order: int) -> list[int]:
     """Symmetric-power point counts from extension counts N_r = point_count(r).
 
-    Expands exp(sum_r N_r t^r / r) with exact rationals via the
+    Expands exp(sum_r N_r t^r / r) in exact integers via the
     log-derivative recurrence n*S_n = sum_{r=1..n} N_r * S_{n-r}.  Every
-    coefficient must come out an integer; a non-integer is an arithmetic
-    bug somewhere, so it raises instead of rounding.
+    division by n must be exact; a remainder is an arithmetic bug
+    somewhere, so it raises instead of rounding.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     extension_counts = [point_count(r) for r in range(1, order + 1)]
-    counts: list[Fraction] = [Fraction(1)]
+    counts = [1]
     for n in range(1, order + 1):
-        total = sum(
-            Fraction(extension_counts[r - 1]) * counts[n - r] for r in range(1, n + 1)
-        )
-        counts.append(total / n)
-        if counts[n].denominator != 1:
-            raise ArithmeticError(
-                f"symmetric-power count at degree {n} is not an integer: {counts[n]}"
-            )
-    return [int(c) for c in counts]
+        total = sum(extension_counts[r - 1] * counts[n - r] for r in range(1, n + 1))
+        count, rest = divmod(total, n)
+        if rest:
+            raise ArithmeticError(f"symmetric-power count at degree {n} is not an integer: {total}/{n}")
+        counts.append(count)
+    return counts
 
 
 def projective_line_counts(q: int) -> Callable[[int], int]:

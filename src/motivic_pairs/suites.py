@@ -27,9 +27,7 @@ from typing import Callable, Sequence
 
 from .field import is_prime
 from .geometry import (
-    INFINITY,
     MarkedP1Scene,
-    ProjectivePoint,
     hyperplane_union_class,
     point_in_marked_union,
     sym_pair_p1_direct,
@@ -182,12 +180,6 @@ def _union_formula(a: PairClass, b: PairClass, _c: PairClass) -> bool:
     return (a * b).subvariety == a.amb * sb + sa * b.amb - sa * sb
 
 
-def _mark_point(mark, q: int) -> ProjectivePoint:
-    if mark is INFINITY:
-        return ProjectivePoint((1, 0))
-    return ProjectivePoint.from_coords((mark, 1), q)
-
-
 def _brute_counts(spec: str, q: int, budget: int) -> tuple[int, int] | None:
     """Point counts (ambient, complement) of a catalog scene over F_q.
 
@@ -216,7 +208,7 @@ def _brute_counts(spec: str, q: int, budget: int) -> tuple[int, int] | None:
         if s > q + 1:
             return None
         points = enumerate_projective(1, q, budget)
-        marks = {_mark_point(m, q) for m in MarkedP1Scene.standard(s, q).marks}
+        marks = set(MarkedP1Scene.standard(s, q).marks)
         return (len(points), len([p for p in points if p not in marks]))
     if name == "pn":
         (n,) = params
@@ -364,7 +356,7 @@ def suite_ring_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[
     squared = marked_line * marked_line
     for q in fields:
         points = enumerate_projective(1, q, budget)
-        mark = ProjectivePoint((0, 1))
+        (mark,) = MarkedP1Scene.standard(1, q).marks
         on_union = [(x, y) for x in points for y in points if x == mark or y == mark]
         total = len(points) ** 2
         rows.append(
@@ -699,7 +691,7 @@ def suite_example_p1(order: int, fields: tuple[int, ...], budget: int) -> list[d
         for n in range(1, 4):
             s = min(3, q)
             scene = MarkedP1Scene.standard(s, q)
-            marks = {_mark_point(m, q) for m in scene.marks}
+            marks = set(scene.marks)
             bad = []
             for roots in itertools.combinations_with_replacement(line, n):
                 flagged = point_in_marked_union(vieta_coefficients(roots, q), scene)

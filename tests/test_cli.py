@@ -1,5 +1,6 @@
 """Command-line surface: spec grammar, output shapes, exit codes."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -8,6 +9,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from motivic_pairs import MotivicPolynomial, PairClass, catalog
 from motivic_pairs import suites
@@ -462,3 +465,76 @@ def test_work_without_term_products_is_refused_at_once(capsys, argv, message):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"budget exhausted: {message} needs ~")
+
+
+# -- argv fuzz ----------------------------------------------------------------------
+
+small = st.integers(-1, 4).map(str)
+atoms = st.one_of(
+    st.sampled_from(["point", "empty", "finite:3,1", "p1-marked:2", "bogus", "pn:", "finite:2", "sum(", ""]),
+    st.builds("finite:{},{}".format, small, small),
+    st.builds("{}:{}".format, st.sampled_from(["affine-marked", "p1-marked", "pn"]), small),
+    st.builds("pn-hyp:{},{}".format, small, small),
+)
+specs = st.recursive(
+    atoms,
+    lambda inner: st.one_of(
+        st.builds("neg({})".format, inner),
+        st.builds("{}({},{})".format, st.sampled_from(["sum", "prod"]), inner, inner),
+    ),
+    max_leaves=3,
+)
+orders = st.integers(-1, 3).map(str)
+field_lists = st.sampled_from(["2", "3", "2,3", "2,3,5", "4", "1", "x", ""])
+# a tail of stray tokens, usually empty: missing values, unknown flags, help
+extras = st.lists(st.sampled_from(["--order", "--format", "xml", "-1", "--help", "--bogus"]), max_size=2)
+
+
+def flag(name, values):
+    return values.map(lambda value: [name, value])
+
+
+commands = st.one_of(
+    st.tuples(st.just(["zeta"]), flag("--pair", specs), flag("--order", orders)),
+    st.tuples(
+        st.just(["pow"]),
+        flag("--base", st.sampled_from(["one-plus-t", "geometric", "coeffs", "cubic"])),
+        st.lists(specs, max_size=2).map(lambda cs: [t for c in cs for t in ("--coeff", c)]),
+        flag("--pair", specs),
+        flag("--order", orders),
+    ),
+    st.tuples(
+        st.just(["example"]),
+        flag("--n", orders),
+        flag("--s", st.integers(-1, 6).map(str)),
+        flag("--q", field_lists),
+    ),
+    st.tuples(
+        st.just(["verify"]),
+        flag("--suite", st.sampled_from(["weil", "squarefree", "example-p1", "eq3-finite", "identities", "nothing"])),
+        flag("--order", orders),
+        flag("--q", field_lists),
+        flag("--budget", st.sampled_from(["0", "60", "10000000"])),
+    ),
+)
+argvs = st.tuples(
+    commands,
+    st.sampled_from([[], ["--format", "json"], ["--format", "text"]]),
+    st.one_of(st.just([]), extras),
+).map(lambda parts: [token for part in parts[0] for token in part] + parts[1] + parts[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs)
+def test_any_argv_ends_in_a_documented_exit_code(argv):
+    # in process: 0 pass, 1 failed check, 2 usage error, 3 over budget;
+    # 4 (internal error) or a traceback would be a crash
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

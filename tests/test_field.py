@@ -1,8 +1,8 @@
-"""Prime-field arithmetic helpers."""
+"""The primality test, and the field-size check where a field size enters."""
 
 import pytest
 
-from motivic_pairs import PrimeField, is_prime
+from motivic_pairs import MarkedP1Scene, ProjectivePoint, is_prime, vieta_coefficients
 from motivic_pairs.field import PRIMALITY_LIMIT
 
 
@@ -15,34 +15,17 @@ def test_is_prime_small_values():
 
 
 def test_field_requires_prime():
-    with pytest.raises(ValueError):
-        PrimeField(4)
-    with pytest.raises(ValueError):
-        PrimeField(1)
-
-
-def test_field_operations():
-    f = PrimeField(7)
-    assert f.add(5, 4) == 2
-    assert f.sub(2, 5) == 4
-    assert f.mul(3, 5) == 1
-    assert f.element(-1) == 6
-
-
-def test_inverse():
-    for q in (2, 3, 5, 7, 11):
-        f = PrimeField(q)
-        for a in range(1, q):
-            assert f.mul(a, f.inv(a)) == 1
-    with pytest.raises(Exception):
-        PrimeField(5).inv(0)
-
-
-def test_characteristic_two():
-    f = PrimeField(2)
-    assert f.add(1, 1) == 0
-    assert f.sub(0, 1) == 1
-
+    # a field size enters the geometry through these three entry points
+    line = (ProjectivePoint((0, 1)), ProjectivePoint((1, 0)))
+    for q in (4, 1, 0, -3):
+        with pytest.raises(ValueError, match="prime"):
+            ProjectivePoint.from_coords((1, 1), q)
+        with pytest.raises(ValueError, match="prime"):
+            vieta_coefficients(line, q)
+        with pytest.raises(ValueError, match="prime"):
+            MarkedP1Scene((), q)
+        with pytest.raises(ValueError):
+            MarkedP1Scene.standard(1, q)
 
 
 def trial_division(n):
@@ -69,5 +52,5 @@ def test_is_prime_large_values():
     # above the bound of the twelve bases primality is not decided
     with pytest.raises(ValueError, match="not decided"):
         is_prime(PRIMALITY_LIMIT)
-    with pytest.raises(ValueError):
-        PrimeField(2**89 - 1)
+    with pytest.raises(ValueError, match="not decided"):
+        MarkedP1Scene((), 2**89 - 1)

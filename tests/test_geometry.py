@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from motivic_pairs import (
-    INFINITY,
     MarkedP1Scene,
     MotivicPolynomial,
     ProjectivePoint,
@@ -15,7 +14,7 @@ from motivic_pairs import (
     sym_pair_p1_lambda,
     vieta_coefficients,
 )
-from motivic_pairs.oracle import enumerate_projective
+from motivic_pairs.oracle import count_marked_union, enumerate_projective
 
 L = MotivicPolynomial.lefschetz()
 ONE = MotivicPolynomial.one()
@@ -33,20 +32,29 @@ def test_projective_point_rejects_zero_vector():
         ProjectivePoint.from_coords((0, 0), 3)
 
 
+def point(*coords):
+    return ProjectivePoint(coords)
+
+
 def test_scene_validation():
-    scene = MarkedP1Scene((0, 2), 3)
-    assert scene.marks == (0, 2)
-    with pytest.raises(ValueError):
-        MarkedP1Scene((0, 0), 3)
-    with pytest.raises(ValueError):
-        MarkedP1Scene((5,), 3)  # not reduced mod 3
+    scene = MarkedP1Scene((point(0, 1), point(1, 1)), 3)
+    assert scene.marks == (point(0, 1), point(1, 1))
+    with pytest.raises(ValueError, match="distinct"):
+        MarkedP1Scene((point(0, 1), point(0, 1)), 3)
+    with pytest.raises(ValueError, match="not a point of the line"):
+        MarkedP1Scene((point(1, 5),), 3)  # not reduced mod 3
+    with pytest.raises(ValueError, match="not a point of the line"):
+        MarkedP1Scene((point(1, 0, 2),), 3)  # a point of the plane
     with pytest.raises(ValueError):
         MarkedP1Scene.standard(5, 3)  # only q+1 points exist
+    with pytest.raises(ValueError):
+        MarkedP1Scene.standard(-1, 3)
 
 
 def test_standard_scene_uses_infinity_last():
-    assert MarkedP1Scene.standard(2, 5).marks == (0, 1)
-    assert MarkedP1Scene.standard(4, 3).marks == (0, 1, 2, INFINITY)
+    assert MarkedP1Scene.standard(2, 5).marks == (point(0, 1), point(1, 1))
+    # (x : 1) in canonical form is (1 : 1/x); (2 : 1) = (1 : 2) over F_3
+    assert MarkedP1Scene.standard(4, 3).marks == (point(0, 1), point(1, 1), point(1, 2), point(1, 0))
     assert MarkedP1Scene.standard(0, 2).marks == ()
 
 
@@ -61,15 +69,20 @@ def test_hyperplane_union_class_frozen():
     assert hyperplane_union_class(1, 1) == ONE
 
 
-def test_union_class_counts_match_enumeration():
-    # independent route: count P^n points lying on some marked hyperplane
-    from motivic_pairs.oracle import count_marked_union
+def mark_sets(q):
+    line = enumerate_projective(1, q)
+    return [marks for s in range(len(line) + 1) for marks in itertools.combinations(line, s)]
 
+
+def test_union_class_counts_match_enumeration():
+    # independent route: count P^n points lying on some marked hyperplane.
+    # Any s distinct points of the line are in general position, so the
+    # count depends on s alone, whichever points are marked.
     for q in (2, 3, 5):
-        for n in range(1, 4):
-            for s in range(0, min(5, q + 1) + 1):
-                scene = MarkedP1Scene.standard(s, q)
-                assert hyperplane_union_class(n, s).evaluate(q) == count_marked_union(n, scene)
+        for marks in mark_sets(q):
+            scene = MarkedP1Scene(marks, q)
+            for n in (1, 2, 3):
+                assert count_marked_union(n, scene) == hyperplane_union_class(n, len(marks)).evaluate(q)
 
 
 def test_sym_pair_routes_agree():
@@ -129,22 +142,18 @@ def test_point_in_marked_union_matches_root_membership():
     # vanishes at the i-th mark, i.e. iff the mark is a root
     for q in (2, 3):
         line = enumerate_projective(1, q)
-        scene = MarkedP1Scene.standard(min(3, q), q)
-        marks = set()
-        for m in scene.marks:
-            if m is INFINITY:
-                marks.add(ProjectivePoint((1, 0)))
-            else:
-                marks.add(ProjectivePoint.from_coords((m, 1), q))
-        for n in (1, 2, 3):
-            for roots in itertools.combinations_with_replacement(line, n):
-                flagged = point_in_marked_union(vieta_coefficients(roots, q), scene)
-                assert flagged == any(r in marks for r in roots)
+        for marks in mark_sets(q):
+            scene = MarkedP1Scene(marks, q)
+            for n in (1, 2, 3):
+                for roots in itertools.combinations_with_replacement(line, n):
+                    flagged = point_in_marked_union(vieta_coefficients(roots, q), scene)
+                    assert flagged == any(r in marks for r in roots), (marks, roots)
 
 
 def test_point_in_marked_union_infinity_hyperplane():
-    scene = MarkedP1Scene((INFINITY,), 2)
-    # v^2 has a root at infinity; u^2 + uv does not vanish there... u^2+uv at
-    # (u:v)=(1:0) is 1, at infinity only the leading coefficient matters
-    assert point_in_marked_union(ProjectivePoint((1, 0, 0)), scene)
-    assert not point_in_marked_union(ProjectivePoint((0, 1, 1)), scene)
+    scene = MarkedP1Scene((point(1, 0),), 2)
+    # at (u : v) = (1 : 0) only the leading coefficient p_n of the form
+    # survives: v^2 has coefficients (1, 0, 0) and vanishes there, while
+    # u^2 + uv, coefficients (0, 1, 1), takes the value 1
+    assert point_in_marked_union(point(1, 0, 0), scene)
+    assert not point_in_marked_union(point(0, 1, 1), scene)

@@ -1,7 +1,7 @@
 """Brute-force counting oracles.
 
-Everything here counts by explicit enumeration or recurrences over exact
-rationals; nothing goes through the series engine.  The engine is tested
+Everything here counts by explicit enumeration or exact integer
+recurrences; nothing goes through the series engine.  The engine is tested
 against these counts elsewhere, so these tests pin the oracles themselves
 to closed forms and hand-checked values.
 """
@@ -23,7 +23,6 @@ from motivic_pairs import (
     enumerate_projective,
     weil_symmetric_counts,
 )
-from motivic_pairs.field import PrimeField
 from motivic_pairs.oracle import (
     _poly_gcd_degree,
     affine_line_counts,
@@ -187,8 +186,8 @@ def test_configs_agree_with_series_exponential():
 # -- fast oracle paths against the slow ones they replace ---------------------------
 #
 # The references below are the earlier implementations: a gcd built from
-# PrimeField method calls and trimmed list rebuilds, and one enumeration of
-# the whole configuration space per weight.
+# trimmed list rebuilds, and one enumeration of the whole configuration
+# space per weight.
 
 
 def _reference_trim(p):
@@ -197,24 +196,23 @@ def _reference_trim(p):
     return p
 
 
-def _reference_mod(a, b, fld):
+def _reference_mod(a, b, q):
     a = _reference_trim(list(a))
-    inv_lead = fld.inv(b[-1])
+    inv_lead = pow(b[-1], -1, q)
     while len(a) >= len(b):
-        factor = fld.mul(a[-1], inv_lead)
+        factor = a[-1] * inv_lead % q
         shift = len(a) - len(b)
         for i, c in enumerate(b):
-            a[shift + i] = fld.sub(a[shift + i], fld.mul(factor, c))
+            a[shift + i] = (a[shift + i] - factor * c) % q
         a = _reference_trim(a)
     return a
 
 
 def reference_gcd_degree(a, b, q):
-    fld = PrimeField(q)
     a = _reference_trim(list(a))
     b = _reference_trim(list(b))
     while b:
-        a, b = b, _reference_mod(a, b, fld)
+        a, b = b, _reference_mod(a, b, q)
     return len(a) - 1
 
 

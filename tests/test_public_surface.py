@@ -1,6 +1,7 @@
-"""The package exports only names that the engine itself uses."""
+"""The package exports only names that the engine itself uses, and needs only the stdlib."""
 
 import ast
+import sys
 from pathlib import Path
 
 import motivic_pairs
@@ -25,3 +26,18 @@ def test_every_exported_name_is_used_inside_the_package():
         if path.name != "__init__.py":
             used |= imported_names(path)
     assert sorted(set(motivic_pairs.__all__) - used) == []
+
+
+def test_every_import_is_relative_or_stdlib():
+    # the engine declares no dependencies (pyproject.toml: dependencies = [])
+    outside = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {m}" for m in modules if m.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
