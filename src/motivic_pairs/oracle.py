@@ -8,8 +8,9 @@ series machinery it is used to check:
 * the exponential point-count identity for symmetric powers,
   sum_n |S^n X| t^n = exp(sum_r N_r t^r / r), evaluated by an exact
   integer recurrence from closed-form extension counts N_r;
-* exhaustive counting of squarefree monic polynomials, the finite-field
-  incarnation of configurations of distinct points on the affine line;
+* exhaustive counting of squarefree monic polynomials by a sieve that
+  marks every multiple of a square, the finite-field incarnation of
+  configurations of distinct points on the affine line;
 * exhaustive enumeration of weighted labelled configurations (K, phi) on
   a finite scene, the dimension-zero incarnation of the coefficients of
   the series exponential.
@@ -109,12 +110,11 @@ def finite_set_counts(s: int) -> Callable[[int], int]:
 
 
 def count_squarefree_monic(q: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Monic degree-n polynomials over F_q coprime to their derivative.
+    """Monic degree-n polynomials over F_q with no square factor g^2, deg g >= 1.
 
-    Exhaustive over all q^n monic polynomials: each one is built with its
-    derivative, and counts when the Euclidean gcd of the two has degree 0.
-    The gcd runs on plain coefficient lists with `% q` arithmetic and a
-    table of inverses.  Refuses beyond the budget.
+    Exhaustive over all q^n monic polynomials, as a sieve: every product
+    g^2 * h of a monic g of degree at least 1 and a monic h is marked, and
+    the count is the polynomials left unmarked.  Refuses beyond the budget.
     """
     if not is_prime(q):
         raise ValueError(f"field size must be prime, got {q}")
@@ -123,43 +123,40 @@ def count_squarefree_monic(q: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
     needed = q**n
     if needed > budget:
         raise BudgetExceededError(needed, budget, f"squarefree enumeration at q={q}, n={n}")
-    inverse = [0] + [pow(x, -1, q) for x in range(1, q)]
-    count = 0
-    for low in itertools.product(range(q), repeat=n):
-        poly = [*low, 1]
-        derivative = [i * c % q for i, c in enumerate(poly)][1:]
-        if _poly_gcd_degree(poly, derivative, q, inverse) == 0:
-            count += 1
-    return count
+    return needed - _square_marks(q, n).count(1)
 
 
-def _poly_gcd_degree(a: Sequence[int], b: Sequence[int], q: int, inverse: Sequence[int]) -> int:
-    """Degree of gcd(a, b) over F_q; the zero polynomial reports -1.
+def _square_marks(q: int, n: int) -> bytearray:
+    """Flags of the monic degree-n polynomials over F_q that have a square factor.
 
-    Coefficients are ascending residues in 0..q-1, leading zeros allowed,
-    and inverse[x] is the inverse of x mod q.  Each remainder step works
-    in place on a copy, tracking degrees instead of trimming lists; the
-    entries above a tracked degree are stale and never read.
+    Entry sum_i c_i q^i stands for x^n + sum_{i<n} c_i x^i.  For each monic g
+    of degree d in 1..n//2, g is squared once and packed as an integer in
+    base 2^width, wide enough that no coefficient of a product with h
+    carries; the products with every monic h of degree n - 2d are built by
+    adding c * x^j * g^2 for each coefficient c of h, and each product's
+    digits are read back mod q into its entry.
     """
-    a, b = list(a), list(b)
-    da, db = len(a) - 1, len(b) - 1
-    while da >= 0 and not a[da]:
-        da -= 1
-    while db >= 0 and not b[db]:
-        db -= 1
-    while db >= 0:
-        # a becomes a mod b, then the two swap roles
-        lead = inverse[b[db]]
-        while da >= db:
-            factor = a[da] * lead % q
-            shift = da - db
-            for i in range(db):
-                a[shift + i] = (a[shift + i] - factor * b[i]) % q
-            da -= 1
-            while da >= 0 and not a[da]:
-                da -= 1
-        a, b, da, db = b, a, db, da
-    return da
+    marks = bytearray(q**n)
+    for d in range(1, n // 2 + 1):
+        m = n - 2 * d
+        # a product coefficient sums at most min(2d, m) + 1 terms below q^2
+        width = ((min(2 * d, m) + 1) * (q - 1) ** 2).bit_length()
+        mask = (1 << width) - 1
+        digits = [(width * i, q**i) for i in range(n)]
+        for low in itertools.product(range(q), repeat=d):
+            g = (*low, 1)
+            square = [0] * (2 * d + 1)
+            for i, a in enumerate(g):
+                for j, b in enumerate(g):
+                    square[i + j] += a * b
+            packed = sum(c % q << width * i for i, c in enumerate(square))
+            products = [packed << width * m]
+            for j in range(m):
+                steps = [c * packed << width * j for c in range(q)]
+                products = [p + step for p in products for step in steps]
+            for p in products:
+                marks[sum((p >> shift & mask) % q * power for shift, power in digits)] = 1
+    return marks
 
 
 @dataclass(frozen=True)

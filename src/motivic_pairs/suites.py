@@ -641,11 +641,36 @@ def suite_identities(order: int, fields: tuple[int, ...], budget: int) -> list[d
     return rows
 
 
+# -- budgets of the oracle suites ------------------------------------------------
+
+
+def _check_enumerations(enumerations: list[tuple[int, str]], budget: int, what: str) -> None:
+    # Before any oracle runs: the first (steps, name) enumeration over the
+    # budget by itself refuses under its own name, and otherwise the total
+    # does, under `what`.
+    total = sum(needed for needed, _ in enumerations)
+    for needed, name in [*enumerations, (total, what)]:
+        if needed > budget:
+            raise BudgetExceededError(needed, budget, name)
+
+
 # -- the worked example ----------------------------------------------------------
 
 
 def suite_example_p1(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
     """Marked-line symmetric powers: both pipelines, counts, and the root map."""
+    # P^n once per marked scene for the union counts, then P^1 and its
+    # n-tuples of roots for the root map
+    enumerations = [
+        ((q ** (n + 1) - 1) // (q - 1), f"projective enumeration at q={q}, n={n}")
+        for q in fields
+        for n in range(1, 4)
+        for _ in range(min(5, q + 1) + 1)
+    ]
+    for q in (p for p in fields if p <= 3):
+        enumerations.append((q + 1, f"projective enumeration at q={q}, n=1"))
+        enumerations += [(comb(q + n, n), f"root tuples at q={q}, n={n}") for n in range(1, 4)]
+    _check_enumerations(enumerations, budget, "example-p1 suite enumerations")
     rows = []
     for n in range(9):
         for s in range(6):
@@ -794,6 +819,11 @@ def suite_weil(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
 def suite_squarefree(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
     """Distinct-point configurations of the affine line vs squarefree counts."""
     top = 6
+    _check_enumerations(
+        [(q**n, f"squarefree enumeration at q={q}, n={n}") for q in fields for n in range(1, top + 1)],
+        budget,
+        "squarefree suite enumerations",
+    )
     series = config_series(MotivicPolynomial.lefschetz(), top)
     rows = []
     for q in fields:

@@ -159,8 +159,24 @@ def test_algebra_over_budget_exits_3(capsys, argv, what):
         (["verify", "--suite", "weil", "--q", str(2**89 - 1)], 2, "is not decided"),
         (["example", "--n", "3000", "--s", "1", "--q", "2"], 3,
          "budget exhausted: zeta series of p1-marked:1 to order 3000 needs ~"),
+        # the oracle suites refuse before enumerating anything: one
+        # enumeration over the budget by itself, or their total
+        (["verify", "--suite", "squarefree", "--q", "1000003"], 3,
+         "budget exhausted: squarefree enumeration at q=1000003, n=2 needs ~"),
+        (["verify", "--suite", "example-p1", "--q", "1000003"], 3,
+         "budget exhausted: projective enumeration at q=1000003, n=2 needs ~"),
+        (["verify", "--suite", "example-p1", "--q", "3121", "--budget", "9800000"], 3,
+         "budget exhausted: projective enumeration at q=3121, n=3 needs ~"),
+        (["verify", "--suite", "squarefree", "--q", "13,11,7", "--budget", "5000000"], 3,
+         "budget exhausted: squarefree suite enumerations needs ~7315014 steps"),
+        (["verify", "--suite", "example-p1", "--q", "211"], 3,
+         "budget exhausted: example-p1 suite enumerations needs ~56901654 steps"),
     ],
-    ids=["verify-q-2^61-1", "affine-marked-q", "q-past-primality-bound", "example-deep-zeta"],
+    ids=[
+        "verify-q-2^61-1", "affine-marked-q", "q-past-primality-bound", "example-deep-zeta",
+        "squarefree-huge-q", "example-p1-huge-q", "example-p1-q3121", "squarefree-total",
+        "example-p1-total",
+    ],
 )
 def test_huge_inputs_end_at_once(capsys, argv, code, message):
     start = time.perf_counter()

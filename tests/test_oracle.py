@@ -7,6 +7,7 @@ to closed forms and hand-checked values.
 """
 
 import itertools
+import json
 import random
 from math import comb
 
@@ -23,8 +24,10 @@ from motivic_pairs import (
     enumerate_projective,
     weil_symmetric_counts,
 )
+from motivic_pairs import oracle
+from motivic_pairs.cli import main
 from motivic_pairs.oracle import (
-    _poly_gcd_degree,
+    _square_marks,
     affine_line_counts,
     finite_set_counts,
     projective_line_counts,
@@ -185,9 +188,9 @@ def test_configs_agree_with_series_exponential():
 
 # -- fast oracle paths against the slow ones they replace ---------------------------
 #
-# The references below are the earlier implementations: a gcd built from
-# trimmed list rebuilds, and one enumeration of the whole configuration
-# space per weight.
+# The references below are the earlier implementations: squarefree as
+# coprime to the derivative, by a gcd built from trimmed list rebuilds, and
+# one enumeration of the whole configuration space per weight.
 
 
 def _reference_trim(p):
@@ -237,16 +240,6 @@ def reference_power_configs(scene, n):
     return (ambient, complement)
 
 
-def _random_coeffs(rng, q):
-    # up to degree 6, often with zero leading entries, sometimes all zero
-    coeffs = [rng.randrange(q) for _ in range(rng.randint(0, 7))]
-    if coeffs and rng.random() < 0.3:
-        coeffs += [0] * rng.randint(1, 3)
-    if rng.random() < 0.1:
-        coeffs = [0] * len(coeffs)
-    return coeffs
-
-
 def _reference_poly_mul(a, b, q):
     out = [0] * max(len(a) + len(b) - 1, 0)
     for i, x in enumerate(a):
@@ -255,22 +248,46 @@ def _reference_poly_mul(a, b, q):
     return out
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7])
-def test_gcd_degree_matches_field_reference(q):
-    rng = random.Random(8000 + q)
-    inverse = [0] + [pow(x, -1, q) for x in range(1, q)]
-    cases = [([], []), ([0, 0], [0]), ([], [1]), ([0, 1], []), ([1, 1, 0, 0], [0, 0, 0])]
-    cases += [(_random_coeffs(rng, q), _random_coeffs(rng, q)) for _ in range(400)]
-    # multiples of one monic factor, so that high gcd degrees occur too
-    for _ in range(100):
-        common = [rng.randrange(q) for _ in range(rng.randint(1, 3))] + [1]
-        a = _reference_poly_mul(_random_coeffs(rng, q), common, q)
-        b = _reference_poly_mul(_random_coeffs(rng, q), common, q)
-        cases.append((a, b))
-    for a, b in cases:
-        before = (list(a), list(b))
-        assert _poly_gcd_degree(a, b, q, inverse) == reference_gcd_degree(a, b, q), (a, b)
-        assert (a, b) == before  # the inputs are left as they were
+def _monic(q, n):
+    # (entry of the sieve, ascending coefficients) of every monic degree-n polynomial
+    for low in itertools.product(range(q), repeat=n):
+        yield sum(c * q**i for i, c in enumerate(low)), [*low, 1]
+
+
+@pytest.mark.parametrize("q, top", [(2, 10), (3, 5), (5, 5), (7, 5)])
+def test_square_marks_match_reference_gcd(q, top):
+    # over a perfect field f has a square factor iff gcd(f, f') is not constant
+    for n in range(1, top + 1):
+        marks = _square_marks(q, n)
+        assert len(marks) == q**n
+        for index, f in _monic(q, n):
+            derivative = [i * c % q for i, c in enumerate(f)][1:]
+            assert marks[index] == (reference_gcd_degree(f, derivative, q) >= 1), (q, f)
+
+
+def _linear_square_marks(q, n):
+    # mutant sieve: only the squares of linear g, so the square of an
+    # irreducible quadratic goes unmarked
+    marks = bytearray(q**n)
+    if n < 2:
+        return marks
+    for r in range(q):
+        square = _reference_poly_mul([-r % q, 1], [-r % q, 1], q)
+        for _, h in _monic(q, n - 2):
+            f = _reference_poly_mul(square, h, q)
+            marks[sum(c * q**i for i, c in enumerate(f[:n]))] = 1
+    return marks
+
+
+def test_squarefree_suite_fails_on_a_linear_only_sieve(monkeypatch, capsys):
+    # (x^2 + x + 1)^2 = x^4 + x^2 + 1 over F_2 has no linear square factor
+    assert not _linear_square_marks(2, 4)[1 + 2**2]
+    monkeypatch.setattr(oracle, "_square_marks", _linear_square_marks)
+    assert count_squarefree_monic(2, 4) == 9 != 2**4 - 2**3
+    assert main(["verify", "--suite", "squarefree"]) == 1
+    (report,) = json.loads(capsys.readouterr().out)["suites"]
+    failed = [row["params"] for row in report["rows"] if not row["pass"]]
+    assert failed[0] == {"q": 2, "n": 4}
 
 
 def _random_scene(rng):

@@ -5,6 +5,8 @@ from collections import Counter
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motivic_pairs import (
     MotivicPolynomial,
@@ -273,6 +275,26 @@ def test_verify_power_axioms_rows():
         assert row["first_mismatch_degree"] is None
         assert row["order"] == 4
         assert row["sample"] == samples[0][0]
+
+
+# single Z[L] lanes: L-degree at most 3, entries in [-3, 3]
+lane_polys = st.dictionaries(st.integers(0, 3), st.integers(-3, 3)).map(MotivicPolynomial)
+
+
+@st.composite
+def lane_samples(draw):
+    order = draw(st.integers(0, 7))
+    a, b = (one_plus(draw(st.lists(lane_polys, min_size=order, max_size=order)), order, ONE) for _ in range(2))
+    return ("random lanes", a, b, draw(lane_polys), draw(lane_polys)), order
+
+
+@settings(max_examples=60, deadline=None)
+@given(lane_samples())
+def test_exponent_laws_hold_on_random_lanes(case):
+    sample, order = case
+    rows = verify_power_axioms([sample], order)
+    assert len(rows) == 5
+    assert [r for r in rows if not r["pass"]] == []
 
 
 def test_verify_identities_rows():
