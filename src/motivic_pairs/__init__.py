@@ -37,8 +37,6 @@ from .power import (
     kapranov_zeta,
     one_plus,
     power_pow,
-    verify_identities,
-    verify_power_axioms,
 )
 from .series import TruncatedSeries
 from .suites import SUITES, run_suite
@@ -70,8 +68,6 @@ __all__ = [
     "run_suite",
     "sym_pair_p1_direct",
     "sym_pair_p1_lambda",
-    "verify_identities",
-    "verify_power_axioms",
     "vieta_coefficients",
     "weil_symmetric_counts",
 ]

@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .field import is_prime
 from .geometry import MarkedP1Scene, hyperplane_union_class, sym_pair_p1_direct, sym_pair_p1_lambda
-from .oracle import DEFAULT_BUDGET, BudgetExceededError, count_marked_union
+from .oracle import DEFAULT_BUDGET, BudgetExceededError, _check_marked_union, count_marked_union
 from .pairs import PairClass, parse_pair_spec, projective_line_marked
 from .power import geometric_series, kapranov_zeta, one_plus, pow_cost, power_pow, tail_slopes, zeta_cost
 from .series import TruncatedSeries
@@ -93,6 +93,10 @@ def cmd_pow(kind: str, tail: Sequence[PairClass], exponent: PairClass, order: in
 
 def cmd_example(n: int, s: int, fields: tuple[int, ...], fmt: str) -> int:
     _check_cost(zeta_cost(projective_line_marked(s), n), f"zeta series of p1-marked:{s} to order {n}")
+    # every scene is charged before any is built: building millions of marks is slow by itself
+    for q in fields:
+        if n >= 1 and s <= q + 1:
+            _check_marked_union(n, q, s, DEFAULT_BUDGET)
     direct = sym_pair_p1_direct(n, s)
     lam = sym_pair_p1_lambda(n, s)
     equal = direct == lam

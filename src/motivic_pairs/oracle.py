@@ -61,15 +61,24 @@ def enumerate_projective(n: int, q: int, budget: int = DEFAULT_BUDGET) -> list[P
     return points
 
 
+def _check_marked_union(n: int, q: int, marks: int, budget: int) -> None:
+    # count_marked_union tests every point of P^n against every mark
+    needed = (q ** (n + 1) - 1) // (q - 1) * max(1, marks)
+    if needed > budget:
+        raise BudgetExceededError(needed, budget, f"projective enumeration at q={q}, n={n} against {marks} marks")
+
+
 def count_marked_union(n: int, scene: MarkedP1Scene, budget: int = DEFAULT_BUDGET) -> int:
     """Points of projective n-space over the scene's field lying on at least one mark hyperplane.
 
-    Exhaustive: every point is tested against every mark, and the point
-    enumeration refuses beyond the budget.  Must agree with evaluating the
-    inclusion-exclusion class at the scene's q.
+    Exhaustive: every point is tested against every mark, so the points
+    times the marks (at least one) are charged to the budget before any
+    point is built.  Must agree with evaluating the inclusion-exclusion
+    class at the scene's q.
     """
     if n < 1:
         raise ValueError("the hyperplane picture needs dimension >= 1")
+    _check_marked_union(n, scene.q, len(scene.marks), budget)
     return sum(1 for p in enumerate_projective(n, scene.q, budget) if point_in_marked_union(p, scene))
 
 

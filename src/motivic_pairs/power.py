@@ -25,7 +25,11 @@ g_n = sum_{i|n} i psi_{n/i}(b_i).  One log recurrence reads g off A, a
 divisor sum inverts it for the factor exponents, and one exp recurrence
 builds A^m from the scaled ghosts: O(N^2) Z[L] products at order N.
 Multiplicativity of zeta in its subscript then forces all the usual
-exponent laws, which `verify_power_axioms` checks coefficientwise.
+exponent laws, which the `power-axioms` suite checks coefficientwise.
+
+Closed-form bounds on the Z[L] term products of zeta, config, pow and a
+series multiply close the module, so that a caller can refuse a
+computation before it starts.
 
 The pair ring is Z[L] x Z[L] and zeta acts on each factor, so every
 series routine here is a function of one Z[L] lane, and each pair routine
@@ -200,76 +204,8 @@ def config_cost(p: PairClass, order: int) -> int:
 
     The two zeta factors, and their series multiply: per lane of L-degree D
     both factors have L-degree at most D*j at t^j, so at most D*j + 1 terms.
+    The factor zeta_{-p}(t^2) costs what zeta_p costs to order N // 2, as
+    -p has the terms and L-degrees of p.
     """
     degrees = (max(p.amb.degree, 0), max(p.comp.degree, 0))
-    return zeta_cost(p, order) + zeta_cost(-p, order // 2) + sum(mul_cost(order, (d, 1), (d, 1)) for d in degrees)
-
-
-# -- executable identity checks ------------------------------------------------
-
-
-def first_mismatch(a: TruncatedSeries, b: TruncatedSeries) -> int | None:
-    """Smallest degree where two windows disagree, or None if they agree.
-
-    Windows of different orders disagree at the first degree past the
-    shorter one, so a truncated result never passes against a full one.
-    """
-    n = min(a.order, b.order)
-    for k in range(n + 1):
-        if a.coeffs[k] != b.coeffs[k]:
-            return k
-    return None if a.order == b.order else n + 1
-
-
-def axiom_row(axiom: str, sample: str, order: int, lhs: TruncatedSeries, rhs: TruncatedSeries) -> dict:
-    """Report row for one coefficientwise series comparison."""
-    mismatch = first_mismatch(lhs, rhs)
-    return {
-        "axiom": axiom,
-        "sample": sample,
-        "order": order,
-        "pass": mismatch is None,
-        "first_mismatch_degree": mismatch,
-    }
-
-
-def verify_power_axioms(
-    samples: Sequence[tuple[str, TruncatedSeries, TruncatedSeries, Any, Any]],
-    order: int,
-) -> list[dict]:
-    """Check the five exponent laws on (name, A, B, m1, m2) samples.
-
-    Per sample: A^0 = 1, A^1 = A, (A*B)^m1 = A^m1 * B^m1,
-    A^(m1+m2) = A^m1 * A^m2, and A^(m1*m2) = (A^m2)^m1, all compared
-    coefficientwise exactly.  Failures become report rows, not errors.
-    """
-    rows: list[dict] = []
-    for name, a, b, m1, m2 in samples:
-        zero, one = type(m1).zero(), type(m1).one()
-        pow_a_m1, pow_a_m2 = power_pow(a, m1), power_pow(a, m2)
-        rows.append(axiom_row("zero-exponent", name, order, power_pow(a, zero), one_plus((), order, one)))
-        rows.append(axiom_row("unit-exponent", name, order, power_pow(a, one), a))
-        rows.append(axiom_row("base-multiplicative", name, order, power_pow(a * b, m1), pow_a_m1 * power_pow(b, m1)))
-        rows.append(axiom_row("exponent-additive", name, order, power_pow(a, m1 + m2), pow_a_m1 * pow_a_m2))
-        rows.append(axiom_row("exponent-multiplicative", name, order, power_pow(a, m1 * m2), power_pow(pow_a_m2, m1)))
-    return rows
-
-
-def verify_identities(p: PairClass, order: int, sample: str = "") -> list[dict]:
-    """Check that the exponential reproduces both generating series.
-
-    (1/(1-t))^p must equal the symmetric-power series of p, and
-    (1 + t)^p must equal the configuration series of p.
-    """
-    label = sample or str(p)
-    one = PairClass.one()
-    return [
-        axiom_row(
-            "geometric-power-is-zeta", label, order,
-            power_pow(geometric_series(order, one), p), kapranov_zeta(p, order),
-        ),
-        axiom_row(
-            "binomial-power-is-config", label, order,
-            power_pow(one_plus((one,), order, one), p), config_series_pair(p, order),
-        ),
-    ]
+    return zeta_cost(p, order) + zeta_cost(p, order // 2) + sum(mul_cost(order, (d, 1), (d, 1)) for d in degrees)

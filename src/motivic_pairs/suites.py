@@ -13,6 +13,13 @@ Row order is fixed and all sampling uses constant seeds, so a suite run
 is reproducible byte for byte.  `run_suite` wraps one suite into a report
 dict; the `SUITES` registry drives the command line.
 
+Every algebra suite refuses over its budget before it builds a series.
+Four of them (statement1, statement2, power-axioms, identities) list their
+(axiom, sample, lhs, rhs) comparisons as one function of a `_Plan` of
+engine calls: run dry, the plan sums the term-product bound of each call
+and builds nothing; run live, it makes the series.  So the bound and the
+work are the same code.
+
 Suites whose content is an exhaustive grid (the worked example, the
 finite-scene enumeration, the counting oracles) fix their own ranges; the
 order parameter governs the suites that check formal series identities.
@@ -23,7 +30,7 @@ from __future__ import annotations
 import itertools
 import random
 from math import comb
-from typing import Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .field import is_prime
 from .geometry import (
@@ -50,7 +57,6 @@ from .oracle import (
 )
 from .pairs import PairClass, catalog, parse_pair_spec, split_atom
 from .power import (
-    axiom_row,
     config_cost,
     config_series,
     config_series_pair,
@@ -61,8 +67,6 @@ from .power import (
     pow_cost,
     power_pow,
     tail_slopes,
-    verify_identities,
-    verify_power_axioms,
     zeta_cost,
 )
 from .series import TruncatedSeries
@@ -112,6 +116,35 @@ def _bound(check: str, params: dict, expected: str, actual, ok: bool) -> dict:
     return {"check": check, "params": params, "expected": expected, "actual": actual, "pass": ok}
 
 
+def first_mismatch(a: TruncatedSeries, b: TruncatedSeries) -> int | None:
+    """Smallest degree where two windows disagree, or None if they agree.
+
+    Windows of different orders disagree at the first degree past the
+    shorter one, so a truncated result never passes against a full one.
+    """
+    n = min(a.order, b.order)
+    for k in range(n + 1):
+        if a.coeffs[k] != b.coeffs[k]:
+            return k
+    return None if a.order == b.order else n + 1
+
+
+def axiom_row(axiom: str, sample: str, order: int, lhs: TruncatedSeries, rhs: TruncatedSeries) -> dict:
+    """Report row for one coefficientwise series comparison."""
+    mismatch = first_mismatch(lhs, rhs)
+    return {
+        "axiom": axiom,
+        "sample": sample,
+        "order": order,
+        "pass": mismatch is None,
+        "first_mismatch_degree": mismatch,
+    }
+
+
+def _axiom_rows(comparisons: Iterable[tuple], order: int) -> list[dict]:
+    return [axiom_row(axiom, sample, order, lhs, rhs) for axiom, sample, lhs, rhs in comparisons]
+
+
 # -- budgets of the algebra suites ----------------------------------------------
 #
 # Each algebra suite sums the term-product bounds of the series it builds
@@ -132,9 +165,68 @@ def _degrees(p: PairClass) -> tuple[int, int]:
     return max(p.amb.degree, 0), max(p.comp.degree, 0)
 
 
-def _pair_mul_cost(order: int, a: tuple[int, int], b: tuple[int, int]) -> int:
-    # a series multiply of two pair series with lane slopes a and b
-    return sum(mul_cost(order, (sa, 1), (sb, 1)) for sa, sb in zip(a, b))
+_ONE = PairClass.one()
+
+
+class _Plan:
+    """The engine calls of an algebra suite, made live or priced dry.
+
+    A live plan makes every series and computes no bound.  A dry plan
+    makes none: each call adds its term-product bound to `cost` and
+    returns, in place of its series, the slopes of that series.  So a
+    suite written once as a function of a plan is bounded by exactly the
+    calls it makes (see _planned).
+    """
+
+    def __init__(self, order: int, live: bool) -> None:
+        self.order, self.live, self.cost = order, live, 0
+
+    def zeta(self, p: PairClass) -> Any:
+        if self.live:
+            return kapranov_zeta(p, self.order)
+        self.cost += zeta_cost(p, self.order)
+        return _degrees(p)
+
+    def config(self, p: PairClass) -> Any:
+        if self.live:
+            return config_series_pair(p, self.order)
+        self.cost += config_cost(p, self.order)
+        return _degrees(p)
+
+    def one_plus(self, tail: Sequence, one: Any = _ONE) -> Any:
+        return one_plus(tail, self.order, one) if self.live else tail_slopes(tail)
+
+    def geometric(self) -> Any:
+        return geometric_series(self.order, _ONE) if self.live else (0, 0)
+
+    def pow(self, a: Any, m: Any) -> Any:
+        if self.live:
+            return power_pow(a, m)
+        self.cost += pow_cost(a, m, self.order)
+        return tuple(s + d for s, d in zip(a, _degrees(m)))  # see pow_cost
+
+    def mul(self, a: Any, b: Any) -> Any:
+        if self.live:
+            return a * b
+        self.cost += sum(mul_cost(self.order, (sa, 1), (sb, 1)) for sa, sb in zip(a, b))
+        return tuple(map(max, a, b))
+
+    def head(self, a: Any, n: int) -> Any:
+        # the coefficients up to t^n, which costs no product
+        return TruncatedSeries(a.coeffs[: n + 1]) if self.live else a
+
+
+def _planned(suite: str, order: int, budget: int, *parts: Callable[[_Plan], Iterator]) -> list[Iterator]:
+    # Every part runs on a dry plan, and over the budget the suite refuses;
+    # then each part on a live plan is returned unstarted, so that a caller
+    # making rows as it goes holds only the series of the current row.
+    dry = _Plan(order, live=False)
+    for part in parts:
+        for _ in part(dry):
+            pass
+    _check_budget(dry.cost, budget, suite, order)
+    live = _Plan(order, live=True)
+    return [part(live) for part in parts]
 
 
 # -- ring-axioms ---------------------------------------------------------------
@@ -403,44 +495,15 @@ def _sampled_sums(
     return [(samples[i], samples[j]) for i, j in rng.sample(pairs, count)]
 
 
-def _multiplicativity_rows(
-    suite: str,
-    prefix: str,
-    series: Callable[[PairClass, int], TruncatedSeries],
-    cost: Callable[[PairClass, int], int],
-    order: int,
-    budget: int,
-    extra_cost: int = 0,
-) -> list[dict]:
-    # series(p + r) = series(p) * series(r) over sampled sums, then 1 + p t + ...
-    # The bound counts the series of p + r, p and r and one multiply per
-    # sum, the series of every catalog sample, and extra_cost for rows the
-    # suite adds; zeta and config of p both have the slopes _degrees(p).
-    samples = catalog_samples()
-    sums = _sampled_sums(samples)
-    costs = {name: cost(p, order) for name, p in samples}
-    needed = extra_cost + sum(costs.values())
+def _multiplicativity_laws(plan: _Plan, prefix: str, samples: Sequence, sums: Sequence) -> Iterator[tuple]:
+    # series(p + r) = series(p) * series(r) over sampled sums, then 1 + p t + ...;
+    # prefix names the plan's series, zeta or config
+    series, head = getattr(plan, prefix), min(plan.order, 1)
     for (name_p, p), (name_r, r) in sums:
-        needed += cost(p + r, order) + costs[name_p] + costs[name_r]
-        needed += _pair_mul_cost(order, _degrees(p), _degrees(r))
-    _check_budget(needed, budget, suite, order)
-    rows = []
-    for (name_p, p), (name_r, r) in sums:
-        lhs = series(p + r, order)
-        rhs = series(p, order) * series(r, order)
-        rows.append(axiom_row(f"{prefix}-multiplicative", f"{name_p} + {name_r}", order, lhs, rhs))
-    head = min(order, 1)
+        yield f"{prefix}-multiplicative", f"{name_p} + {name_r}", series(p + r), plan.mul(series(p), series(r))
     for name, p in samples:
-        rows.append(
-            axiom_row(
-                f"{prefix}-unit-and-linear-term",
-                name,
-                order,
-                TruncatedSeries(series(p, order).coeffs[: head + 1]),
-                TruncatedSeries((PairClass.one(), p)[: head + 1]),
-            )
-        )
-    return rows
+        unit = plan.head(plan.one_plus((p,)), head)
+        yield f"{prefix}-unit-and-linear-term", name, plan.head(series(p), head), unit
 
 
 def suite_statement1(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
@@ -448,7 +511,12 @@ def suite_statement1(order: int, fields: tuple[int, ...], budget: int) -> list[d
 
     Refuses over the budget before building any series.
     """
-    return _multiplicativity_rows("statement1", "zeta", kapranov_zeta, zeta_cost, order, budget)
+    samples = catalog_samples()
+    sums = _sampled_sums(samples)
+    (comparisons,) = _planned(
+        "statement1", order, budget, lambda plan: _multiplicativity_laws(plan, "zeta", samples, sums)
+    )
+    return _axiom_rows(comparisons, order)
 
 
 def suite_statement2(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
@@ -456,70 +524,61 @@ def suite_statement2(order: int, fields: tuple[int, ...], budget: int) -> list[d
 
     Refuses over the budget before building any series.
     """
-    one = PairClass.one()
-    rows = _multiplicativity_rows(
-        "statement2", "config", config_series_pair, config_cost, order, budget, config_cost(one, order)
-    )
-    rows.append(
-        axiom_row(
-            "config-of-unit-is-one-plus-t", "point", order,
-            config_series_pair(one, order), one_plus((one,), order, one),
-        )
-    )
-    return rows
+    samples = catalog_samples()
+    sums = _sampled_sums(samples)
+
+    def laws(plan: _Plan) -> Iterator[tuple]:
+        yield from _multiplicativity_laws(plan, "config", samples, sums)
+        yield "config-of-unit-is-one-plus-t", "point", plan.config(_ONE), plan.one_plus((_ONE,))
+
+    (comparisons,) = _planned("statement2", order, budget, laws)
+    return _axiom_rows(comparisons, order)
 
 
 # -- power axioms and identities -------------------------------------------------
 
 
-# Bases of the power-axioms suite are recipes (kind, argument), so that
-# the suite can bound its cost before it builds any series: "geometric"
-# is 1/(1-t), "one-plus" 1 + c_1 t + c_2 t^2 + ... for the tail given, and
-# "zeta" and "config" the series of the pair given.
+def _exponent_laws(plan: _Plan, name: str, a: Any, b: Any, m1: Any, m2: Any) -> Iterator[tuple]:
+    """The five exponent laws on one sample (name, A, B, m1, m2).
+
+    A^0 = 1, A^1 = A, (A*B)^m1 = A^m1 * B^m1, A^(m1+m2) = A^m1 * A^m2 and
+    A^(m1*m2) = (A^m2)^m1.  The unit comes from the exponent's type, so a
+    live plan checks single Z[L] lanes as well as pairs.
+    """
+    zero, one = type(m1).zero(), type(m1).one()
+    a_m1, a_m2 = plan.pow(a, m1), plan.pow(a, m2)
+    yield "zero-exponent", name, plan.pow(a, zero), plan.one_plus((), one)
+    yield "unit-exponent", name, plan.pow(a, one), a
+    yield "base-multiplicative", name, plan.pow(plan.mul(a, b), m1), plan.mul(a_m1, plan.pow(b, m1))
+    yield "exponent-additive", name, plan.pow(a, m1 + m2), plan.mul(a_m1, a_m2)
+    yield "exponent-multiplicative", name, plan.pow(a, m1 * m2), plan.pow(a_m2, m1)
 
 
-def _build(base: tuple, order: int) -> TruncatedSeries:
-    kind, arg = base
-    if kind == "geometric":
-        return geometric_series(order, PairClass.one())
-    if kind == "one-plus":
-        return one_plus(arg, order, PairClass.one())
-    return (kapranov_zeta if kind == "zeta" else config_series_pair)(arg, order)
+def _identity_laws(plan: _Plan, name: str, p: PairClass) -> Iterator[tuple]:
+    """(1/(1-t))^p is the symmetric-power series of p, and (1 + t)^p its configuration series."""
+    yield "geometric-power-is-zeta", name, plan.pow(plan.geometric(), p), plan.zeta(p)
+    yield "binomial-power-is-config", name, plan.pow(plan.one_plus((_ONE,)), p), plan.config(p)
 
 
-def _build_cost(base: tuple, order: int) -> int:
-    kind, arg = base
-    if kind == "zeta":
-        return zeta_cost(arg, order)
-    if kind == "config":
-        return config_cost(arg, order)
-    return 0
+# Bases of the power-axioms suite are recipes (plan method, *arguments):
+# ("geometric",) is 1/(1-t), ("one_plus", tail) 1 + c_1 t + c_2 t^2 + ...
+# for the tail given, and ("zeta", p) and ("config", p) the series of p.
 
 
-def _slopes(base: tuple) -> tuple[int, int]:
-    kind, arg = base
-    if kind == "geometric":
-        return 0, 0
-    if kind == "one-plus":
-        return tail_slopes(arg)
-    return _degrees(arg)
-
-
-def _raised(slopes: tuple[int, int], exponent: PairClass) -> tuple[int, int]:
-    # A^m has slope s + deg m per lane (see pow_cost)
-    return tuple(s + d for s, d in zip(slopes, _degrees(exponent)))
+def _base(plan: _Plan, recipe: tuple) -> Any:
+    return getattr(plan, recipe[0])(*recipe[1:])
 
 
 def _power_samples() -> list[tuple[str, tuple, tuple, PairClass, PairClass]]:
     e = parse_pair_spec
-    geo, opt = ("geometric", None), ("one-plus", (e("point"),))
+    geo, opt = ("geometric",), ("one_plus", (e("point"),))
     return [
         ("A=1+t, B=1/(1-t); m1=finite:3,1, m2=finite:2,1",
          opt, geo, e("finite:3,1"), e("finite:2,1")),
         ("A=1/(1-t), B=zeta(p1-marked:1); m1=p1-marked:2, m2=pn:1",
          geo, ("zeta", e("p1-marked:1")), e("p1-marked:2"), e("pn:1")),
         ("A=1+t+t^2, B=1+t; m1=p1-marked:1, m2=finite:2,1",
-         ("one-plus", (e("point"), e("point"))), opt, e("p1-marked:1"), e("finite:2,1")),
+         ("one_plus", (e("point"), e("point"))), opt, e("p1-marked:1"), e("finite:2,1")),
         ("A=1/(1-t), B=1+t; m1=finite:3,1-pn:1, m2=point-affine-marked:1",
          geo, opt, e("finite:3,1") - e("pn:1"), e("point") - e("affine-marked:1")),
         ("A=1+t, B=zeta(finite:2,1); m1=-p1-marked:2, m2=finite:4,2",
@@ -531,25 +590,25 @@ def _power_samples() -> list[tuple[str, tuple, tuple, PairClass, PairClass]]:
         ("A=1+t, B=1/(1-t); m1=pn:2-p1-marked:1, m2=finite:5,5",
          opt, geo, e("pn:2") - e("p1-marked:1"), e("finite:5,5")),
         ("A=1+[affine-marked:0]t, B=1/(1-t); m1=affine-marked:0, m2=-point",
-         ("one-plus", (e("affine-marked:0"),)), geo, e("affine-marked:0"), -e("point")),
+         ("one_plus", (e("affine-marked:0"),)), geo, e("affine-marked:0"), -e("point")),
         ("A=1+t, B=1+t; m1=empty, m2=pn:3",
          opt, opt, e("empty"), e("pn:3")),
         ("A=1+[finite:2,1]t+[p1-marked:1]t^2+[finite:3,3]t^3, B=zeta(pn:1); m1=finite:3,2-affine-marked:2, m2=pn:1",
-         ("one-plus", (e("finite:2,1"), e("p1-marked:1"), e("finite:3,3"))),
+         ("one_plus", (e("finite:2,1"), e("p1-marked:1"), e("finite:3,3"))),
          ("zeta", e("pn:1")), e("finite:3,2") - e("affine-marked:2"), e("pn:1")),
         ("A=1/(1-t), B=1+[pn:1]t; m1=p1-marked:4-finite:2,2, m2=affine-marked:3",
-         geo, ("one-plus", (e("pn:1"),)), e("p1-marked:4") - e("finite:2,2"), e("affine-marked:3")),
+         geo, ("one_plus", (e("pn:1"),)), e("p1-marked:4") - e("finite:2,2"), e("affine-marked:3")),
     ]
 
 
 def _roundtrip_bases() -> list[tuple[str, tuple]]:
     e = parse_pair_spec
     return [
-        ("1+t", ("one-plus", (e("point"),))),
-        ("1/(1-t)", ("geometric", None)),
+        ("1+t", ("one_plus", (e("point"),))),
+        ("1/(1-t)", ("geometric",)),
         ("zeta(p1-marked:2)", ("zeta", e("p1-marked:2"))),
         ("config(pn:2)", ("config", e("pn:2"))),
-        ("1+[finite:2,1]t+[p1-marked:1]t^2", ("one-plus", (e("finite:2,1"), e("p1-marked:1")))),
+        ("1+[finite:2,1]t+[p1-marked:1]t^2", ("one_plus", (e("finite:2,1"), e("p1-marked:1")))),
     ]
 
 
@@ -558,54 +617,38 @@ def _effective_combos() -> list[tuple[str, tuple, PairClass]]:
     # for all prime fields
     e = parse_pair_spec
     return [
-        ("(1+t)^finite:4,2", ("one-plus", (e("point"),)), e("finite:4,2")),
-        ("(1+t)^pn-hyp:2,2", ("one-plus", (e("point"),)), e("pn-hyp:2,2")),
-        ("(1/(1-t))^p1-marked:3", ("geometric", None), e("p1-marked:3")),
-        ("(1/(1-t))^pn:2", ("geometric", None), e("pn:2")),
+        ("(1+t)^finite:4,2", ("one_plus", (e("point"),)), e("finite:4,2")),
+        ("(1+t)^pn-hyp:2,2", ("one_plus", (e("point"),)), e("pn-hyp:2,2")),
+        ("(1/(1-t))^p1-marked:3", ("geometric",), e("p1-marked:3")),
+        ("(1/(1-t))^pn:2", ("geometric",), e("pn:2")),
         ("zeta(p1-marked:1)^finite:3,1", ("zeta", e("p1-marked:1")), e("finite:3,1")),
         ("(1+[p1-marked:2]t+[finite:2,1]t^2+[affine-marked:1]t^3)^affine-marked:2",
-         ("one-plus", (e("p1-marked:2"), e("finite:2,1"), e("affine-marked:1"))),
+         ("one_plus", (e("p1-marked:2"), e("finite:2,1"), e("affine-marked:1"))),
          e("affine-marked:2")),
     ]
-
-
-def _power_axioms_cost(order: int, samples: list, roundtrips: list, combos: list) -> int:
-    # the series that verify_power_axioms builds per sample, in its order,
-    # then the round-trips and the effectiveness powers
-    one = PairClass.one()
-    total = 0
-    for _, a, b, m1, m2 in samples:
-        sa, sb = _slopes(a), _slopes(b)
-        sab = tuple(map(max, sa, sb))
-        total += _build_cost(a, order) + _build_cost(b, order)
-        total += sum(pow_cost(sa, m, order) for m in (m1, m2, one, m1 + m2, m1 * m2))
-        total += _pair_mul_cost(order, sa, sb) + pow_cost(sab, m1, order) + pow_cost(sb, m1, order)
-        total += _pair_mul_cost(order, _raised(sa, m1), _raised(sb, m1))
-        total += _pair_mul_cost(order, _raised(sa, m1), _raised(sa, m2))
-        total += pow_cost(_raised(sa, m2), m1, order)
-    for _, base in roundtrips:
-        total += _build_cost(base, order) + pow_cost(_slopes(base), one, order)
-    for _, base, exponent in combos:
-        total += _build_cost(base, order) + pow_cost(_slopes(base), exponent, order)
-    return total
 
 
 def suite_power_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
     """The five exponent laws, factorization round-trips, and effectiveness.
 
-    Refuses over the budget before building anything: the bound sums the
-    base series, every power and every series multiply the rows make.
+    Refuses over the budget before building anything.
     """
     samples, roundtrips, combos = _power_samples(), _roundtrip_bases(), _effective_combos()
-    _check_budget(_power_axioms_cost(order, samples, roundtrips, combos), budget, "power-axioms", order)
-    built = [(name, _build(a, order), _build(b, order), m1, m2) for name, a, b, m1, m2 in samples]
-    rows = verify_power_axioms(built, order)
-    for name, base in roundtrips:
-        series = _build(base, order)
-        rows.append(axiom_row("factor-roundtrip", name, order, power_pow(series, PairClass.one()), series))
 
-    for name, base, exponent in combos:
-        powered = power_pow(_build(base, order), exponent)
+    def laws(plan: _Plan) -> Iterator[tuple]:
+        for name, a, b, m1, m2 in samples:
+            yield from _exponent_laws(plan, name, _base(plan, a), _base(plan, b), m1, m2)
+        for name, recipe in roundtrips:
+            series = _base(plan, recipe)
+            yield "factor-roundtrip", name, plan.pow(series, _ONE), series
+
+    def powers(plan: _Plan) -> Iterator[tuple[str, Any]]:
+        for name, recipe, exponent in combos:
+            yield name, plan.pow(_base(plan, recipe), exponent)
+
+    comparisons, powered_combos = _planned("power-axioms", order, budget, laws, powers)
+    rows = _axiom_rows(comparisons, order)
+    for name, powered in powered_combos:
         for q in fields:
             bad = [
                 n
@@ -627,18 +670,16 @@ def suite_power_axioms(order: int, fields: tuple[int, ...], budget: int) -> list
 def suite_identities(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
     """Exponential forms of both series for every catalog generator.
 
-    Refuses over the budget before building anything: the bound sums the
-    term-product bounds of (1/(1-t))^p and (1+t)^p, of zeta(p), and of
-    config(p) = zeta_p(t) zeta_{-p}(t^2) with its series multiply.
+    Refuses over the budget before building anything.
     """
     samples = catalog_samples()
-    # 1/(1-t) and 1+t have coefficients of L-degree 0: slope 0 in both lanes
-    cost = sum(2 * pow_cost((0, 0), p, order) + zeta_cost(p, order) + config_cost(p, order) for _, p in samples)
-    _check_budget(cost, budget, "identities", order)
-    rows = []
-    for name, p in samples:
-        rows.extend(verify_identities(p, order, sample=name))
-    return rows
+
+    def laws(plan: _Plan) -> Iterator[tuple]:
+        for name, p in samples:
+            yield from _identity_laws(plan, name, p)
+
+    (comparisons,) = _planned("identities", order, budget, laws)
+    return _axiom_rows(comparisons, order)
 
 
 # -- budgets of the oracle suites ------------------------------------------------

@@ -171,11 +171,17 @@ def test_algebra_over_budget_exits_3(capsys, argv, what):
          "budget exhausted: squarefree suite enumerations needs ~7315014 steps"),
         (["verify", "--suite", "example-p1", "--q", "211"], 3,
          "budget exhausted: example-p1 suite enumerations needs ~56901654 steps"),
+        # example tests every point against every mark, and charges both
+        # before it builds a scene
+        (["example", "--n", "1", "--s", "100000", "--q", "100003"], 3,
+         "budget exhausted: projective enumeration at q=100003, n=1 against 100000 marks needs ~10000400000 steps"),
+        (["example", "--n", "1", "--s", "5000000", "--q", "5000011"], 3,
+         "budget exhausted: projective enumeration at q=5000011, n=1 against 5000000 marks needs ~"),
     ],
     ids=[
         "verify-q-2^61-1", "affine-marked-q", "q-past-primality-bound", "example-deep-zeta",
         "squarefree-huge-q", "example-p1-huge-q", "example-p1-q3121", "squarefree-total",
-        "example-p1-total",
+        "example-p1-total", "example-many-marks", "example-millions-of-marks",
     ],
 )
 def test_huge_inputs_end_at_once(capsys, argv, code, message):

@@ -19,10 +19,9 @@ from motivic_pairs import (
     kapranov_zeta,
     one_plus,
     power_pow,
-    verify_identities,
-    verify_power_axioms,
 )
 from motivic_pairs.lefschetz import projective_class, zeta_series
+from motivic_pairs.suites import _axiom_rows, _exponent_laws, _identity_laws, _Plan, axiom_row, first_mismatch
 
 L = MotivicPolynomial.lefschetz()
 ONE = MotivicPolynomial.one()
@@ -252,17 +251,24 @@ def test_power_pow_hilbert_scheme_of_the_plane(zeta, lift):
 # -- report rows -------------------------------------------------------------------
 
 
+def law_rows(laws, order):
+    # the laws of a sample on a live plan, as the suites report them
+    return _axiom_rows(laws(_Plan(order, live=True)), order)
+
+
+def exponent_law_rows(sample, order):
+    return law_rows(lambda plan: _exponent_laws(plan, *sample), order)
+
+
 def test_verify_power_axioms_rows():
-    samples = [
-        (
-            "A=1+t, B=1/(1-t); m1=finite:3,1, m2=pn:1",
-            one_plus_t(4),
-            geometric_series(4, UNIT),
-            catalog("finite", 3, 1),
-            catalog("pn", 1),
-        )
-    ]
-    rows = verify_power_axioms(samples, 4)
+    sample = (
+        "A=1+t, B=1/(1-t); m1=finite:3,1, m2=pn:1",
+        one_plus_t(4),
+        geometric_series(4, UNIT),
+        catalog("finite", 3, 1),
+        catalog("pn", 1),
+    )
+    rows = exponent_law_rows(sample, 4)
     assert [r["axiom"] for r in rows] == [
         "zero-exponent",
         "unit-exponent",
@@ -274,7 +280,7 @@ def test_verify_power_axioms_rows():
         assert row["pass"] is True
         assert row["first_mismatch_degree"] is None
         assert row["order"] == 4
-        assert row["sample"] == samples[0][0]
+        assert row["sample"] == sample[0]
 
 
 # single Z[L] lanes: L-degree at most 3, entries in [-3, 3]
@@ -292,45 +298,33 @@ def lane_samples(draw):
 @given(lane_samples())
 def test_exponent_laws_hold_on_random_lanes(case):
     sample, order = case
-    rows = verify_power_axioms([sample], order)
+    rows = exponent_law_rows(sample, order)
     assert len(rows) == 5
     assert [r for r in rows if not r["pass"]] == []
 
 
 def test_verify_identities_rows():
-    rows = verify_identities(catalog("p1-marked", 1), 6, sample="p1-marked:1")
+    rows = law_rows(lambda plan: _identity_laws(plan, "p1-marked:1", catalog("p1-marked", 1)), 6)
     names = [r["axiom"] for r in rows]
     assert names == ["geometric-power-is-zeta", "binomial-power-is-config"]
     assert all(r["pass"] for r in rows)
+    assert {r["sample"] for r in rows} == {"p1-marked:1"}
 
 
 def test_verify_identities_catches_mismatch():
     # wrong by construction: zeta of a different class
-    rows = verify_power_axioms(
-        [
-            (
-                "broken",
-                one_plus_t(4),
-                geometric_series(4, UNIT),
-                catalog("finite", 2, 0),
-                catalog("finite", 2, 0),
-            )
-        ],
-        4,
-    )
-    assert all(r["pass"] for r in rows)  # honest sample still passes
+    sample = ("broken", one_plus_t(4), geometric_series(4, UNIT), catalog("finite", 2, 0), catalog("finite", 2, 0))
+    assert all(r["pass"] for r in exponent_law_rows(sample, 4))  # honest sample still passes
     lhs = kapranov_zeta(catalog("pn", 1), 4)
     rhs = kapranov_zeta(catalog("pn", 2), 4)
-    from motivic_pairs.power import first_mismatch
-
     assert first_mismatch(lhs, rhs) == 1
     assert first_mismatch(lhs, lhs) is None
+    row = axiom_row("geometric-power-is-zeta", "broken", 4, power_pow(geometric_series(4, UNIT), catalog("pn", 1)), rhs)
+    assert row["pass"] is False and row["first_mismatch_degree"] == 1
 
 
 def test_rows_of_different_orders_fail():
     # a window that stops early must not pass against a full one
-    from motivic_pairs.power import axiom_row, first_mismatch
-
     full = kapranov_zeta(catalog("pn", 1), 8)
     cut = kapranov_zeta(catalog("pn", 1), 0)
     assert first_mismatch(full, cut) == 1

@@ -11,7 +11,7 @@ from motivic_pairs import (
     run_suite,
     suites,
 )
-from motivic_pairs.oracle import BudgetExceededError
+from motivic_pairs.oracle import DEFAULT_BUDGET, BudgetExceededError
 from motivic_pairs.suites import CATALOG_SPECS, catalog_samples
 
 AXIOM_KEYS = {"axiom", "sample", "order", "pass", "first_mismatch_degree"}
@@ -175,7 +175,7 @@ BOUNDS = {
     "ring-axioms": {0: 1864, 8: 273480, 22: 5412544, 27: 10623844},
     "statement1": {0: 48, 8: 108732, 22: 2511370, 27: 4930590},
     "statement2": {0: 240, 8: 305024, 22: 9650276, 27: 20295926},
-    "power-axioms": {0: 76, 8: 257900, 22: 9182788, 27: 19737343},
+    "power-axioms": {0: 76, 8: 264188, 22: 9365938, 27: 20120743},
     "identities": {0: 46, 8: 132642, 22: 4290838, 27: 9078251},
 }
 
@@ -186,3 +186,37 @@ def test_suite_budgets_are_pinned(suite):
         with pytest.raises(BudgetExceededError) as refused:
             run_suite(suite, order, (2,), budget=1)
         assert refused.value.needed == bound, (order, refused.value.needed)
+
+
+# The highest orders each algebra suite accepts under the default budget,
+# as README states them.
+ACCEPTED_ORDERS = {"ring-axioms": 26, "statement1": 33, "statement2": 22, "power-axioms": 22, "identities": 27}
+
+
+@pytest.mark.parametrize("suite", list(ACCEPTED_ORDERS))
+def test_accepted_orders_are_the_readme_ones(suite):
+    accepted = []
+    for order in range(61):
+        with pytest.raises(BudgetExceededError) as refused:
+            run_suite(suite, order, (2,), budget=1)
+        if refused.value.needed <= DEFAULT_BUDGET:
+            accepted.append(order)
+    assert accepted == list(range(ACCEPTED_ORDERS[suite] + 1))
+
+
+PLANNED = ["statement1", "statement2", "power-axioms", "identities"]
+
+
+@pytest.mark.parametrize("suite", PLANNED)
+def test_dry_pass_builds_nothing(monkeypatch, suite):
+    # a refusal prices every series and multiply and builds none of them,
+    # so it is immediate at any order
+    def built(*args):
+        raise AssertionError("a dry pass called the engine")
+
+    for name in ("kapranov_zeta", "config_series_pair", "power_pow", "geometric_series", "one_plus"):
+        monkeypatch.setattr(suites, name, built)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", built)
+    for order in (0, 8, 10**9):
+        with pytest.raises(BudgetExceededError):
+            run_suite(suite, order, (2,), budget=1)
