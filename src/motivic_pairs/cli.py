@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .field import is_prime
 from .geometry import MarkedP1Scene, hyperplane_union_class, sym_pair_p1_direct, sym_pair_p1_lambda
-from .oracle import DEFAULT_BUDGET, BudgetExceededError, _check_marked_union, count_marked_union
+from .oracle import DEFAULT_BUDGET, BudgetExceededError, charge, count_marked_union, marked_union_steps
 from .pairs import PairClass, parse_pair_spec, projective_line_marked
 from .power import geometric_series, kapranov_zeta, one_plus, pow_cost, power_pow, tail_slopes, zeta_cost
 from .series import TruncatedSeries
@@ -67,24 +67,18 @@ def _print_pair_series(series: TruncatedSeries, fmt: str) -> None:
 # -- subcommands -----------------------------------------------------------------
 
 
-def _check_cost(cost: int, what: str) -> None:
-    # Refuse before computing: the bound counts Z[L] term products.
-    if cost > DEFAULT_BUDGET:
-        raise BudgetExceededError(cost, DEFAULT_BUDGET, what)
-
-
 def cmd_zeta(pair: PairClass, order: int, fmt: str) -> int:
     # zeta_cost charges a zero lane nothing, but its recurrence still runs
     # N(N+1)/2 loop steps: charge it like a one-term lane
     idle = order * (order + 1) // 2 * sum(not m.items() for m in (pair.amb, pair.comp))
-    _check_cost(zeta_cost(pair, order) + idle, f"zeta series to order {order}")
+    charge(zeta_cost(pair, order) + idle, f"zeta series to order {order}", DEFAULT_BUDGET)
     _print_pair_series(kapranov_zeta(pair, order), fmt)
     return 0
 
 
 def cmd_pow(kind: str, tail: Sequence[PairClass], exponent: PairClass, order: int, fmt: str) -> int:
     # geometric comes with an empty tail: 1/(1-t) has its slopes, (0, 0)
-    _check_cost(pow_cost(tail_slopes(tail), exponent, order), f"series exponential to order {order}")
+    charge(pow_cost(tail_slopes(tail), exponent, order), f"series exponential to order {order}", DEFAULT_BUDGET)
     one = PairClass.one()
     base = geometric_series(order, one) if kind == "geometric" else one_plus(tail, order, one)
     _print_pair_series(power_pow(base, exponent), fmt)
@@ -92,11 +86,11 @@ def cmd_pow(kind: str, tail: Sequence[PairClass], exponent: PairClass, order: in
 
 
 def cmd_example(n: int, s: int, fields: tuple[int, ...], fmt: str) -> int:
-    _check_cost(zeta_cost(projective_line_marked(s), n), f"zeta series of p1-marked:{s} to order {n}")
+    charge(zeta_cost(projective_line_marked(s), n), f"zeta series of p1-marked:{s} to order {n}", DEFAULT_BUDGET)
     # every scene is charged before any is built: building millions of marks is slow by itself
     for q in fields:
         if n >= 1 and s <= q + 1:
-            _check_marked_union(n, q, s, DEFAULT_BUDGET)
+            charge(*marked_union_steps(n, q, s), DEFAULT_BUDGET)
     direct = sym_pair_p1_direct(n, s)
     lam = sym_pair_p1_lambda(n, s)
     equal = direct == lam

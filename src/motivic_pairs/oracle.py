@@ -16,14 +16,16 @@ series machinery it is used to check:
   the series exponential.
 
 Enumeration budgets are explicit and overruns raise; an oracle must
-refuse rather than silently sample.
+refuse rather than silently sample.  Every refusal in the package, of an
+enumeration or of the term products of a series, goes through `charge`,
+and the work on P^n is priced once, by `marked_union_steps`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 from .field import is_prime
 from .geometry import MarkedP1Scene, ProjectivePoint, point_in_marked_union
@@ -40,6 +42,24 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
+def charge(needed: int, what: str, budget: int) -> None:
+    """Refuse work of `needed` steps, named `what`, when it is over the budget."""
+    if needed > budget:
+        raise BudgetExceededError(needed, budget, what)
+
+
+def marked_union_steps(n: int, q: int, marks: int) -> tuple[int, str]:
+    """Steps and name of testing every point of P^n(F_q) against every mark (at least one)."""
+    against = f" against {marks} marks" if marks else ""
+    return (q ** (n + 1) - 1) // (q - 1) * max(1, marks), f"projective enumeration at q={q}, n={n}{against}"
+
+
+def _points(n: int, q: int) -> Iterator[ProjectivePoint]:
+    for lead in range(n + 1):
+        for tail in itertools.product(range(q), repeat=n - lead):
+            yield ProjectivePoint((0,) * lead + (1,) + tail)
+
+
 def enumerate_projective(n: int, q: int, budget: int = DEFAULT_BUDGET) -> list[ProjectivePoint]:
     """All points of projective n-space over F_q, canonical and duplicate-free.
 
@@ -51,21 +71,8 @@ def enumerate_projective(n: int, q: int, budget: int = DEFAULT_BUDGET) -> list[P
         raise ValueError("dimension must be non-negative")
     if not is_prime(q):
         raise ValueError(f"field size must be prime, got {q}")
-    needed = (q ** (n + 1) - 1) // (q - 1)
-    if needed > budget:
-        raise BudgetExceededError(needed, budget, f"projective enumeration at q={q}, n={n}")
-    points = []
-    for lead in range(n + 1):
-        for tail in itertools.product(range(q), repeat=n - lead):
-            points.append(ProjectivePoint((0,) * lead + (1,) + tail))
-    return points
-
-
-def _check_marked_union(n: int, q: int, marks: int, budget: int) -> None:
-    # count_marked_union tests every point of P^n against every mark
-    needed = (q ** (n + 1) - 1) // (q - 1) * max(1, marks)
-    if needed > budget:
-        raise BudgetExceededError(needed, budget, f"projective enumeration at q={q}, n={n} against {marks} marks")
+    charge(*marked_union_steps(n, q, 0), budget)
+    return list(_points(n, q))
 
 
 def count_marked_union(n: int, scene: MarkedP1Scene, budget: int = DEFAULT_BUDGET) -> int:
@@ -78,8 +85,8 @@ def count_marked_union(n: int, scene: MarkedP1Scene, budget: int = DEFAULT_BUDGE
     """
     if n < 1:
         raise ValueError("the hyperplane picture needs dimension >= 1")
-    _check_marked_union(n, scene.q, len(scene.marks), budget)
-    return sum(1 for p in enumerate_projective(n, scene.q, budget) if point_in_marked_union(p, scene))
+    charge(*marked_union_steps(n, scene.q, len(scene.marks)), budget)
+    return sum(1 for p in _points(n, scene.q) if point_in_marked_union(p, scene))
 
 
 def weil_symmetric_counts(point_count: Callable[[int], int], order: int) -> list[int]:
@@ -129,10 +136,8 @@ def count_squarefree_monic(q: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
         raise ValueError(f"field size must be prime, got {q}")
     if n < 1:
         raise ValueError("degree must be at least 1")
-    needed = q**n
-    if needed > budget:
-        raise BudgetExceededError(needed, budget, f"squarefree enumeration at q={q}, n={n}")
-    return needed - _square_marks(q, n).count(1)
+    charge(q**n, f"squarefree enumeration at q={q}, n={n}", budget)
+    return q**n - _square_marks(q, n).count(1)
 
 
 def _square_marks(q: int, n: int) -> bytearray:
@@ -236,9 +241,7 @@ def count_power_configs(
         for i, (full, marked) in enumerate(scene.labels)
         for label in full
     ]
-    needed = (1 + len(codes)) ** len(scene.atoms)
-    if needed > budget:
-        raise BudgetExceededError(needed, budget, "configuration enumeration")
+    charge((1 + len(codes)) ** len(scene.atoms), "configuration enumeration", budget)
     marked_atoms = set(scene.marked_atoms)
     ambient = [0] * (top + 1)
     complement = [0] * (top + 1)

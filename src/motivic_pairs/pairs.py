@@ -153,11 +153,10 @@ def catalog(name: str, *params: int) -> PairClass:
         # refused before building: pn:n has n + 1 terms, and pn-hyp:n,s sums
         # min(s, n) + 1 classes of at most n + 1 terms (the import is deferred:
         # oracle imports geometry, which imports this module)
-        from .oracle import DEFAULT_BUDGET, BudgetExceededError
+        from .oracle import DEFAULT_BUDGET, charge
 
         n, s = (*params, 0)[:2]
-        if (work := (n + 1) * (min(s, n) + 1)) > DEFAULT_BUDGET:
-            raise BudgetExceededError(work, DEFAULT_BUDGET, f"catalog class {name} of dimension {n}")
+        charge((n + 1) * (min(s, n) + 1), f"catalog class {name} of dimension {n}", DEFAULT_BUDGET)
     return builder(*params)
 
 

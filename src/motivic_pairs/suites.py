@@ -13,8 +13,10 @@ Row order is fixed and all sampling uses constant seeds, so a suite run
 is reproducible byte for byte.  `run_suite` wraps one suite into a report
 dict; the `SUITES` registry drives the command line.
 
-Every algebra suite refuses over its budget before it builds a series.
-Four of them (statement1, statement2, power-axioms, identities) list their
+Every algebra suite refuses over its budget before it builds a series,
+and ring-axioms, example-p1 and squarefree add up the steps their oracles
+will charge before they count anything.
+Four algebra suites (statement1, statement2, power-axioms, identities) list their
 (axiom, sample, lhs, rhs) comparisons as one function of a `_Plan` of
 engine calls: run dry, the plan sums the term-product bound of each call
 and builds nothing; run live, it makes the series.  So the bound and the
@@ -44,14 +46,16 @@ from .geometry import (
 from .lefschetz import MotivicPolynomial, projective_class, zeta_series
 from .oracle import (
     DEFAULT_BUDGET,
-    BudgetExceededError,
     FiniteScene,
+    _points,
     affine_line_counts,
+    charge,
     count_marked_union,
     count_power_configs,
     count_squarefree_monic,
     enumerate_projective,
     finite_set_counts,
+    marked_union_steps,
     projective_line_counts,
     weil_symmetric_counts,
 )
@@ -147,17 +151,10 @@ def _axiom_rows(comparisons: Iterable[tuple], order: int) -> list[dict]:
 
 # -- budgets of the algebra suites ----------------------------------------------
 #
-# Each algebra suite sums the term-product bounds of the series it builds
-# and multiplies (zeta_cost, config_cost, pow_cost, mul_cost) and refuses
-# over the budget before building any of them.  A lane bound (s, t) of
-# mul_cost says the t^j coefficient has at most s*j + t terms; the series
+# The term-product bounds are zeta_cost, config_cost, pow_cost and
+# mul_cost.  A lane bound (s, t) of mul_cost says the t^j coefficient has at most s*j + t terms; the series
 # of pairs here have L-degree at most s*j at t^j per lane (their slopes),
 # so (s, 1).
-
-
-def _check_budget(cost: int, budget: int, suite: str, order: int) -> None:
-    if cost > budget:
-        raise BudgetExceededError(cost, budget, f"{suite} suite at order {order}")
 
 
 def _degrees(p: PairClass) -> tuple[int, int]:
@@ -224,7 +221,7 @@ def _planned(suite: str, order: int, budget: int, *parts: Callable[[_Plan], Iter
     for part in parts:
         for _ in part(dry):
             pass
-    _check_budget(dry.cost, budget, suite, order)
+    charge(dry.cost, f"{suite} suite at order {order}", budget)
     live = _Plan(order, live=True)
     return [part(live) for part in parts]
 
@@ -272,11 +269,13 @@ def _union_formula(a: PairClass, b: PairClass, _c: PairClass) -> bool:
     return (a * b).subvariety == a.amb * sb + sa * b.amb - sa * sb
 
 
-def _brute_counts(spec: str, q: int, budget: int) -> tuple[int, int] | None:
+def _brute_counts(spec: str, q: int, budget: int, priced: list | None = None) -> tuple[int, int] | None:
     """Point counts (ambient, complement) of a catalog scene over F_q.
 
     Counts by explicit enumeration, never by evaluating classes.  Returns
-    None when the scene does not exist over F_q (more marks than points).
+    None when the scene does not exist over F_q (more marks than points),
+    and when given a list `priced`: then it counts nothing and adds the
+    (steps, name) of every enumeration it would make to that list.
     """
     name, params = split_atom(spec)
     if name == "point":
@@ -291,29 +290,23 @@ def _brute_counts(spec: str, q: int, budget: int) -> tuple[int, int] | None:
         (s,) = params
         if s > q:
             return None
-        if q > budget:
-            raise BudgetExceededError(q, budget, f"affine line enumeration at q={q}")
+        line = (q, f"affine line enumeration at q={q}")
+        if priced is not None:
+            priced.append(line)
+            return None
+        charge(*line, budget)
         points = range(q)
         return (len(points), len([x for x in points if x >= s]))
-    if name == "p1-marked":
-        (s,) = params
-        if s > q + 1:
-            return None
-        points = enumerate_projective(1, q, budget)
-        marks = set(MarkedP1Scene.standard(s, q).marks)
-        return (len(points), len([p for p in points if p not in marks]))
-    if name == "pn":
-        (n,) = params
-        points = enumerate_projective(n, q, budget)
-        return (len(points), len(points))
-    if name == "pn-hyp":
-        n, s = params
-        if s > q + 1 or n < 1:
-            return None
-        total = len(enumerate_projective(n, q, budget))
-        on_union = count_marked_union(n, MarkedP1Scene.standard(s, q), budget)
-        return (total, total - on_union)
-    raise ValueError(f"no brute-force scene for {spec!r}")
+    # P^n with s standard marks: all its points, then those on a mark hyperplane
+    n, s = {"p1-marked": (1, *params), "pn": (*params, 0), "pn-hyp": params}[name]
+    if s > q + 1:
+        return None
+    if priced is not None:
+        priced += [marked_union_steps(n, q, 0), marked_union_steps(n, q, s)]
+        return None
+    charge(*marked_union_steps(n, q, 0), budget)
+    total = sum(1 for _ in _points(n, q))
+    return (total, total - count_marked_union(n, MarkedP1Scene.standard(s, q), budget))
 
 
 def _ring_axioms_cost(order: int) -> int:
@@ -338,9 +331,17 @@ def _ring_axioms_cost(order: int) -> int:
 def suite_ring_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
     """Ring laws, series laws, zeta structure, and catalog scenes vs enumeration.
 
-    Refuses over the budget before drawing a series (see _ring_axioms_cost).
+    Refuses over the budget before drawing a series (see _ring_axioms_cost)
+    or counting a scene.
     """
-    _check_budget(_ring_axioms_cost(order), budget, "ring-axioms", order)
+    charge(_ring_axioms_cost(order), f"ring-axioms suite at order {order}", budget)
+    # then every scene's enumerations, and the P^1 of each product count
+    scenes = [(spec, q, entry) for spec, entry in catalog_samples() for q in fields]
+    priced: list = []
+    for spec, q, _ in scenes:
+        _brute_counts(spec, q, budget, priced)
+    priced += [marked_union_steps(1, q, 0) for q in fields]
+    _check_enumerations(priced, budget, "ring-axioms suite enumerations")
     rng = random.Random(RING_SEED)
     poly_triples = [tuple(_random_poly(rng) for _ in range(3)) for _ in range(25)]
     pair_triples = [tuple(_random_pair(rng) for _ in range(3)) for _ in range(25)]
@@ -417,13 +418,12 @@ def suite_ring_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[
             )
         )
 
-    scenes = [
+    counted = [
         (spec, q, counts, entry)
-        for spec, entry in catalog_samples()
-        for q in fields
+        for spec, q, entry in scenes
         if (counts := _brute_counts(spec, q, budget)) is not None
     ]
-    for spec, q, counts, entry in scenes:
+    for spec, q, counts, entry in counted:
         rows.append(
             _check(
                 "catalog-count",
@@ -432,7 +432,7 @@ def suite_ring_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[
                 [entry.amb.evaluate(q), entry.comp.evaluate(q)],
             )
         )
-    for spec, q, _, entry in scenes:
+    for spec, q, _, entry in counted:
         amb, comp = entry.amb.evaluate(q), entry.comp.evaluate(q)
         rows.append(
             _bound(
@@ -686,13 +686,11 @@ def suite_identities(order: int, fields: tuple[int, ...], budget: int) -> list[d
 
 
 def _check_enumerations(enumerations: list[tuple[int, str]], budget: int, what: str) -> None:
-    # Before any oracle runs: the first (steps, name) enumeration over the
-    # budget by itself refuses under its own name, and otherwise the total
-    # does, under `what`.
-    total = sum(needed for needed, _ in enumerations)
-    for needed, name in [*enumerations, (total, what)]:
-        if needed > budget:
-            raise BudgetExceededError(needed, budget, name)
+    # the first (steps, name) over the budget refuses under its own name,
+    # and otherwise the total does, under `what`
+    for needed, name in enumerations:
+        charge(needed, name, budget)
+    charge(sum(needed for needed, _ in enumerations), what, budget)
 
 
 # -- the worked example ----------------------------------------------------------
@@ -700,16 +698,12 @@ def _check_enumerations(enumerations: list[tuple[int, str]], budget: int, what: 
 
 def suite_example_p1(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
     """Marked-line symmetric powers: both pipelines, counts, and the root map."""
-    # P^n once per marked scene for the union counts, then P^1 and its
-    # n-tuples of roots for the root map
-    enumerations = [
-        ((q ** (n + 1) - 1) // (q - 1), f"projective enumeration at q={q}, n={n}")
-        for q in fields
-        for n in range(1, 4)
-        for _ in range(min(5, q + 1) + 1)
-    ]
+    # P^n against the marks of each scene for the union counts, then P^1
+    # and its n-tuples of roots for the root map
+    scenes = [(q, n, s) for q in fields for n in range(1, 4) for s in range(min(5, q + 1) + 1)]
+    enumerations = [marked_union_steps(n, q, s) for q, n, s in scenes]
     for q in (p for p in fields if p <= 3):
-        enumerations.append((q + 1, f"projective enumeration at q={q}, n=1"))
+        enumerations.append(marked_union_steps(1, q, 0))
         enumerations += [(comb(q + n, n), f"root tuples at q={q}, n={n}") for n in range(1, 4)]
     _check_enumerations(enumerations, budget, "example-p1 suite enumerations")
     rows = []
@@ -724,18 +718,15 @@ def suite_example_p1(order: int, fields: tuple[int, ...], budget: int) -> list[d
                 )
             )
 
-    for q in fields:
-        for n in range(1, 4):
-            for s in range(0, min(5, q + 1) + 1):
-                scene = MarkedP1Scene.standard(s, q)
-                rows.append(
-                    _check(
-                        "hyperplane-union-count",
-                        {"n": n, "s": s, "q": q},
-                        count_marked_union(n, scene, budget),
-                        hyperplane_union_class(n, s).evaluate(q),
-                    )
-                )
+    for q, n, s in scenes:
+        rows.append(
+            _check(
+                "hyperplane-union-count",
+                {"n": n, "s": s, "q": q},
+                count_marked_union(n, MarkedP1Scene.standard(s, q), budget),
+                hyperplane_union_class(n, s).evaluate(q),
+            )
+        )
 
     for q in fields:
         for n in range(1, 4):

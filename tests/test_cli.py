@@ -166,11 +166,19 @@ def test_algebra_over_budget_exits_3(capsys, argv, what):
         (["verify", "--suite", "example-p1", "--q", "1000003"], 3,
          "budget exhausted: projective enumeration at q=1000003, n=2 needs ~"),
         (["verify", "--suite", "example-p1", "--q", "3121", "--budget", "9800000"], 3,
-         "budget exhausted: projective enumeration at q=3121, n=3 needs ~"),
+         "budget exhausted: projective enumeration at q=3121, n=2 against 2 marks needs ~19487526"),
         (["verify", "--suite", "squarefree", "--q", "13,11,7", "--budget", "5000000"], 3,
          "budget exhausted: squarefree suite enumerations needs ~7315014 steps"),
+        (["verify", "--suite", "example-p1", "--q", "113"], 3,
+         "budget exhausted: example-p1 suite enumerations needs ~23500432 steps"),
+        # a scene is charged its points times its marks (at least one)
         (["verify", "--suite", "example-p1", "--q", "211"], 3,
-         "budget exhausted: example-p1 suite enumerations needs ~56901654 steps"),
+         "budget exhausted: projective enumeration at q=211, n=3 against 2 marks needs ~18877328"),
+        # ring-axioms charges every catalog scene before it counts any
+        (["verify", "--suite", "ring-axioms", "--q", "211"], 3,
+         "budget exhausted: projective enumeration at q=211, n=3 against 2 marks needs ~18877328"),
+        (["verify", "--suite", "ring-axioms", "--q", "113"], 3,
+         "budget exhausted: ring-axioms suite enumerations needs ~13194819 steps"),
         # example tests every point against every mark, and charges both
         # before it builds a scene
         (["example", "--n", "1", "--s", "100000", "--q", "100003"], 3,
@@ -181,7 +189,8 @@ def test_algebra_over_budget_exits_3(capsys, argv, what):
     ids=[
         "verify-q-2^61-1", "affine-marked-q", "q-past-primality-bound", "example-deep-zeta",
         "squarefree-huge-q", "example-p1-huge-q", "example-p1-q3121", "squarefree-total",
-        "example-p1-total", "example-many-marks", "example-millions-of-marks",
+        "example-p1-total", "example-p1-q211", "ring-axioms-q211", "ring-axioms-total",
+        "example-many-marks", "example-millions-of-marks",
     ],
 )
 def test_huge_inputs_end_at_once(capsys, argv, code, message):
@@ -328,11 +337,11 @@ def test_verify_budget_exhaustion_exit_code(capsys):
 
 
 def test_verify_budget_bounds_projective_enumeration(capsys):
-    # P^2 over F_2 has 7 points, more than the budget of the suite run
+    # P^1 over F_2 has 3 points, tested against 2 marks: more than the budget of the suite run
     assert main(["verify", "--suite", "example-p1", "--q", "2", "--budget", "5"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "projective enumeration at q=2, n=2 needs ~7 steps, budget is 5" in captured.err
+    assert "projective enumeration at q=2, n=1 against 2 marks needs ~6 steps, budget is 5" in captured.err
 
 
 def test_verify_identities_over_budget_exits_3(capsys):

@@ -41,3 +41,22 @@ def test_every_import_is_relative_or_stdlib():
                 continue
             outside += [f"{path.name}: {m}" for m in modules if m.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_every_budget_refusal_goes_through_one_guard():
+    # `raise BudgetExceededError` is written once, in oracle.charge
+    raisers = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(raised, "id", getattr(raised, "attr", None)) != "BudgetExceededError":
+                continue
+            scope = parents[node]
+            while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                scope = parents[scope]
+            raisers.append(f"{path.name}: {getattr(scope, 'name', '<module>')}")
+    assert raisers == ["oracle.py: charge"]

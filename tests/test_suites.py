@@ -7,6 +7,7 @@ from motivic_pairs import (
     TruncatedSeries,
     catalog,
     lefschetz,
+    oracle,
     power,
     run_suite,
     suites,
@@ -220,3 +221,41 @@ def test_dry_pass_builds_nothing(monkeypatch, suite):
     for order in (0, 8, 10**9):
         with pytest.raises(BudgetExceededError):
             run_suite(suite, order, (2,), budget=1)
+
+
+# -- budgets of the oracle suites ---------------------------------------------------
+
+
+@pytest.fixture
+def enumerated(monkeypatch):
+    # the steps of every enumeration charged in a live run, by an oracle or
+    # a scene count, and apart from them the totals checked up front
+    spent, totals, checking = [], [], [False]
+    charge, check = oracle.charge, suites._check_enumerations
+
+    def recorded(needed, what, budget):
+        if not checking[0] and " enumeration at q=" in what:
+            spent.append(needed)
+        charge(needed, what, budget)
+
+    def up_front(enumerations, budget, what):
+        totals.append(sum(needed for needed, _ in enumerations))
+        checking[0] = True
+        try:
+            check(enumerations, budget, what)
+        finally:
+            checking[0] = False
+
+    monkeypatch.setattr(oracle, "charge", recorded)
+    monkeypatch.setattr(suites, "charge", recorded)
+    monkeypatch.setattr(suites, "_check_enumerations", up_front)
+    return spent, totals
+
+
+@pytest.mark.parametrize("fields", [(2, 3, 5), (7, 11)])
+@pytest.mark.parametrize("suite", ["example-p1", "squarefree", "ring-axioms"])
+def test_up_front_totals_cover_their_oracles(enumerated, suite, fields):
+    spent, totals = enumerated
+    assert run_suite(suite, 4, fields)["pass"]
+    (total,) = totals
+    assert 0 < sum(spent) <= total, (sum(spent), total)
