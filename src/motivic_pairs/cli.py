@@ -32,6 +32,7 @@ from typing import Sequence
 
 from .field import is_prime
 from .geometry import MarkedP1Scene, hyperplane_union_class, sym_pair_p1_direct, sym_pair_p1_lambda
+from .lefschetz import lane_memo
 from .oracle import DEFAULT_BUDGET, BudgetExceededError, charge, count_marked_union, marked_union_steps
 from .pairs import PairClass, parse_pair_spec, projective_line_marked
 from .power import geometric_series, kapranov_zeta, one_plus, pow_cost, power_pow, tail_slopes, zeta_cost
@@ -272,7 +273,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     out = io.StringIO()  # the command prints here; _write passes it on
     try:
-        with contextlib.redirect_stdout(out):
+        with lane_memo(), contextlib.redirect_stdout(out):  # each lane series once per command
             code = _run(args)
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)

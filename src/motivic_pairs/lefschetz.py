@@ -28,13 +28,21 @@ sum c_d 2^(w d), so the sum is one big-integer computation, unpacked once
 into balanced base-2^w digits.  The digit width w comes from a proven bound
 on the result's coefficients, so packing is exact.  Small and sparse sums
 keep the dict loop, which is faster for them.
+
+Inside `lane_memo()`, which the command line opens once per command,
+zeta_series, power.config_series and power._lane_pow compute each lane
+result once; the table is dropped when the block ends.  Library calls,
+outside any block, are never memoized.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import functools
 import sys
 from array import array
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .series import TruncatedSeries
 
@@ -118,7 +126,10 @@ class MotivicPolynomial:
     def __sub__(self, other: "MotivicPolynomial") -> "MotivicPolynomial":
         if not isinstance(other, MotivicPolynomial):
             return NotImplemented
-        return self + (-other)
+        merged = dict(self._coeffs)
+        for degree, coeff in other._coeffs.items():
+            merged[degree] = merged.get(degree, 0) - coeff
+        return MotivicPolynomial._trusted(merged)
 
     def __mul__(self, other: "MotivicPolynomial") -> "MotivicPolynomial":
         if not isinstance(other, MotivicPolynomial):
@@ -396,6 +407,42 @@ def ghost_exp(ghosts: Sequence[MotivicPolynomial]) -> tuple[MotivicPolynomial, .
     return tuple(coeffs)
 
 
+# -- the lane memo ---------------------------------------------------------------------
+#
+# Results are shared between callers, which is safe because nothing changes a
+# polynomial's _coeffs, or a series' coefficient tuple, once built.
+
+_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("lane_memo", default=None)
+
+
+@contextlib.contextmanager
+def lane_memo() -> Iterator[None]:
+    """Compute each lane routine's result once per distinct arguments until the block ends, however it ends."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _lane_memoized(routine: Callable) -> Callable:
+    # keyed on (routine, *args): the arguments are polynomials, ints and
+    # tuples of polynomials, hashed and compared by value; the command line
+    # passes none by keyword, so a keyword call simply runs
+    @functools.wraps(routine)
+    def call(*args, **kwargs):
+        memo = _MEMO.get()
+        if memo is None or kwargs:
+            return routine(*args, **kwargs)
+        key = (routine, *args)
+        if key not in memo:
+            memo[key] = routine(*args)
+        return memo[key]
+
+    return call
+
+
+@_lane_memoized
 def zeta_series(m: MotivicPolynomial, order: int) -> TruncatedSeries:
     """Symmetric-power generating series of a class m = sum m_k L^k.
 

@@ -35,7 +35,10 @@ The pair ring is Z[L] x Z[L] and zeta acts on each factor, so every
 series routine here is a function of one Z[L] lane, and each pair routine
 maps it over the ambient and the complement lane.  Ring constants come
 from the coefficient types themselves (`PairClass.one()`,
-`MotivicPolynomial.one()`).
+`MotivicPolynomial.one()`).  Like lefschetz.zeta_series, config_series
+and _lane_pow compute each lane result once per command line command
+(`lefschetz.lane_memo()`) and drop it when the command ends; library
+calls are never memoized.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from .lefschetz import MotivicPolynomial, adams, ghost_exp, ghost_log, zeta_series
+from .lefschetz import MotivicPolynomial, _lane_memoized, ghost_exp, ghost_log, zeta_series
 from .pairs import PairClass
 from .series import TruncatedSeries
 
@@ -71,6 +74,7 @@ def kapranov_zeta(p: PairClass, order: int) -> TruncatedSeries:
     return _pair_series(zeta_series(p.amb, order).coeffs, zeta_series(p.comp, order).coeffs)
 
 
+@_lane_memoized
 def config_series(m: MotivicPolynomial, order: int) -> TruncatedSeries:
     """Generating series of configuration-space classes of one lane: zeta_m(t) * zeta_{-m}(t^2)."""
     squares = [MotivicPolynomial.zero()] * (order + 1)
@@ -97,20 +101,27 @@ class LambdaRing:
 PAIR_RING = LambdaRing(PairClass.one(), kapranov_zeta)
 
 
-def _lane_pow(coeffs: Sequence[MotivicPolynomial], m: MotivicPolynomial) -> tuple[MotivicPolynomial, ...]:
+@_lane_memoized
+def _lane_pow(coeffs: tuple[MotivicPolynomial, ...], m: MotivicPolynomial) -> tuple[MotivicPolynomial, ...]:
     # With c_i = i*b_i the ghosts are g_n = sum_{i|n} psi_{n/i}(c_i), because
     # psi commutes with integer multiples; so c needs no division, and the
-    # ghosts of A^m are sum_{i|n} psi_{n/i}(m*c_i).
-    c = [MotivicPolynomial.zero(), *ghost_log(coeffs)]
+    # ghosts of A^m are sum_{i|n} psi_{n/i}(m*c_i).  The divisor sum runs on
+    # degree -> coefficient dicts in place: c_i is final once every i' < i
+    # has taken psi_{i/i'}(c_i') off it.
+    c = [{}, *(dict(g.items()) for g in ghost_log(coeffs))]
     order = len(coeffs) - 1
-    scaled = [MotivicPolynomial.zero()] * (order + 1)
+    scaled: list[dict[int, int]] = [{} for _ in range(order + 1)]
     for i in range(1, order + 1):
         for n in range(2 * i, order + 1, i):
-            c[n] = c[n] - adams(c[i], n // i)
-        mc = m * c[i]
+            r, target = n // i, c[n]
+            for d, v in c[i].items():
+                target[d * r] = target.get(d * r, 0) - v
+        mc = (m * MotivicPolynomial._trusted(c[i])).items()
         for n in range(i, order + 1, i):
-            scaled[n] = scaled[n] + adams(mc, n // i)
-    return ghost_exp(scaled[1:])
+            r, target = n // i, scaled[n]
+            for d, v in mc:
+                target[d * r] = target.get(d * r, 0) + v
+    return ghost_exp([MotivicPolynomial._trusted(g) for g in scaled[1:]])
 
 
 def power_pow(series: TruncatedSeries, exponent: Any, ring: Any = None) -> TruncatedSeries:
@@ -128,8 +139,8 @@ def power_pow(series: TruncatedSeries, exponent: Any, ring: Any = None) -> Trunc
     if exponent == type(exponent).zero():
         return one_plus((), series.order, one)
     if isinstance(exponent, PairClass):
-        amb = _lane_pow([c.amb for c in series.coeffs], exponent.amb)
-        return _pair_series(amb, _lane_pow([c.comp for c in series.coeffs], exponent.comp))
+        amb = _lane_pow(tuple(c.amb for c in series.coeffs), exponent.amb)
+        return _pair_series(amb, _lane_pow(tuple(c.comp for c in series.coeffs), exponent.comp))
     return TruncatedSeries(_lane_pow(series.coeffs, exponent))
 
 

@@ -297,16 +297,21 @@ def _brute_counts(spec: str, q: int, budget: int, priced: list | None = None) ->
         charge(*line, budget)
         points = range(q)
         return (len(points), len([x for x in points if x >= s]))
-    # P^n with s standard marks: all its points, then those on a mark hyperplane
+    # P^n with s standard marks: one pass counts all its points and those on a mark hyperplane
     n, s = {"p1-marked": (1, *params), "pn": (*params, 0), "pn-hyp": params}[name]
     if s > q + 1:
         return None
+    steps = marked_union_steps(n, q, s)
     if priced is not None:
-        priced += [marked_union_steps(n, q, 0), marked_union_steps(n, q, s)]
+        priced.append(steps)
         return None
-    charge(*marked_union_steps(n, q, 0), budget)
-    total = sum(1 for _ in _points(n, q))
-    return (total, total - count_marked_union(n, MarkedP1Scene.standard(s, q), budget))
+    charge(*steps, budget)
+    scene = MarkedP1Scene.standard(s, q)
+    total = on_marks = 0
+    for point in _points(n, q):
+        total += 1
+        on_marks += point_in_marked_union(point, scene)
+    return (total, total - on_marks)
 
 
 def _ring_axioms_cost(order: int) -> int:

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from motivic_pairs import MotivicPolynomial, PairClass, catalog
-from motivic_pairs import suites
+from motivic_pairs import MotivicPolynomial, PairClass, catalog, kapranov_zeta
+from motivic_pairs import cli, lefschetz, power, suites
 from motivic_pairs.cli import main
 from motivic_pairs.pairs import MAX_SPEC_DEPTH, parse_pair_spec
 
@@ -177,8 +177,8 @@ def test_algebra_over_budget_exits_3(capsys, argv, what):
         # ring-axioms charges every catalog scene before it counts any
         (["verify", "--suite", "ring-axioms", "--q", "211"], 3,
          "budget exhausted: projective enumeration at q=211, n=3 against 2 marks needs ~18877328"),
-        (["verify", "--suite", "ring-axioms", "--q", "113"], 3,
-         "budget exhausted: ring-axioms suite enumerations needs ~13194819 steps"),
+        (["verify", "--suite", "ring-axioms", "--q", "127"], 3,
+         "budget exhausted: ring-axioms suite enumerations needs ~12455040 steps"),
         # example tests every point against every mark, and charges both
         # before it builds a scene
         (["example", "--n", "1", "--s", "100000", "--q", "100003"], 3,
@@ -433,6 +433,70 @@ def test_crash_is_internal_error_exit_4(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError: suite broke\n"
+
+
+# -- the lane memo: one table per command -----------------------------------------------
+
+
+def test_equal_lanes_run_one_recurrence_per_command(capsys, monkeypatch):
+    # pn:3 is unmarked, so its ambient and complement lanes are equal
+    calls = []
+    original = lefschetz.ghost_exp
+
+    def counting(ghosts):
+        calls.append(len(ghosts))
+        return original(ghosts)
+
+    monkeypatch.setattr(lefschetz, "ghost_exp", counting)
+    assert main(["zeta", "--pair", "pn:3", "--order", "6"]) == 0
+    assert calls == [6]
+    # a library call memoizes nothing
+    kapranov_zeta(catalog("pn", 3), 6)
+    assert calls == [6, 6, 6]
+
+
+def corrupt_lane_pow(monkeypatch):
+    # power_pow's exp step adds 1 to the top coefficient; zeta_series is untouched
+    original = power.ghost_exp
+
+    def corrupt(ghosts):
+        coeffs = original(ghosts)
+        return (*coeffs[:-1], coeffs[-1] + MotivicPolynomial.one()) if ghosts else coeffs
+
+    monkeypatch.setattr(power, "ghost_exp", corrupt)
+
+
+def test_no_lane_result_outlives_its_command(capsys, monkeypatch):
+    assert main(["verify", "--suite", "identities"]) == 0
+    corrupt_lane_pow(monkeypatch)
+    assert main(["verify", "--suite", "identities"]) == 1
+
+
+def test_memo_is_dropped_on_every_exit_code(capsys, monkeypatch):
+    seen = []
+
+    def check(argv, code):
+        if code == 2:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        else:
+            assert main(argv) == code
+        assert lefschetz._MEMO.get() is None
+
+    check(["zeta", "--pair", "pn:3", "--order", "4"], 0)
+    check(["zeta", "--pair", "nosuch:1", "--order", "4"], 2)
+    check(["zeta", "--pair", "pn:2", "--order", "3000"], 3)
+
+    def broken(pair, order):
+        seen.append(lefschetz._MEMO.get())
+        raise RuntimeError("zeta broke")
+
+    monkeypatch.setattr(cli, "kapranov_zeta", broken)
+    check(["zeta", "--pair", "pn:3", "--order", "4"], 4)
+    assert seen == [{}]  # the table was open while the command ran
+    corrupt_lane_pow(monkeypatch)
+    check(["verify", "--suite", "identities"], 1)
 
 
 def test_verify_unknown_suite_is_usage_error():

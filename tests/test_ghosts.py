@@ -28,8 +28,8 @@ from motivic_pairs import (
     power_pow,
 )
 from motivic_pairs import lefschetz
-from motivic_pairs.lefschetz import adams, ghost_exp, ghost_log, projective_class, zeta_series
-from motivic_pairs.power import pow_cost, tail_slopes, zeta_cost
+from motivic_pairs.lefschetz import adams, ghost_exp, ghost_log, lane_memo, projective_class, zeta_series
+from motivic_pairs.power import _lane_pow, pow_cost, tail_slopes, zeta_cost
 from motivic_pairs.suites import _divide
 
 L = MotivicPolynomial.lefschetz()
@@ -444,6 +444,54 @@ def test_generated_ghosts_match_dict_loops(tail):
     assert ghosts == ref_ghost_log(coeffs)
     assert ghost_exp(ghosts) == coeffs
     assert ghost_exp(ghosts) == ref_ghost_exp(ghosts)
+
+
+def reference_lane_pow(coeffs, m):
+    # the divisor sum as chains of polynomial operations, each step a new polynomial
+    c = [ZERO, *ghost_log(coeffs)]
+    order = len(coeffs) - 1
+    scaled = [ZERO] * (order + 1)
+    for i in range(1, order + 1):
+        for n in range(2 * i, order + 1, i):
+            c[n] = c[n] - adams(c[i], n // i)
+        for n in range(i, order + 1, i):
+            scaled[n] = scaled[n] + adams(m * c[i], n // i)
+    return ghost_exp(scaled[1:])
+
+
+lane_coefficients = st.one_of(st.integers(-4, 4), st.integers(-(2**70), 2**70))
+
+
+@st.composite
+def unit_lanes(draw):
+    # 1 + a_1 t + ... + a_N t^N, N in 0..12: zero, sparse, dense and wide
+    # coefficients, and psi_r images of high L-degree
+    order = draw(st.integers(0, 12))
+    tail = []
+    for _ in range(order):
+        poly = draw(st.dictionaries(st.integers(0, 6), lane_coefficients, max_size=4).map(MotivicPolynomial))
+        tail.append(adams(poly, draw(st.integers(1, 12))) if draw(st.booleans()) else poly)
+    return (MotivicPolynomial.one(), *tail)
+
+
+exponents = st.one_of(
+    st.just(ZERO),
+    st.integers(-3, 3).map(MotivicPolynomial.constant),
+    st.dictionaries(st.integers(0, 4), st.integers(-3, 3), min_size=2, max_size=4).map(MotivicPolynomial),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_lanes(), exponents)
+def test_lane_pow_dict_divisor_sum_matches_polynomial_chain(coeffs, m):
+    expected = reference_lane_pow(coeffs, m)
+    assert _lane_pow(coeffs, m) == expected
+    with lane_memo():
+        first = _lane_pow(coeffs, m)
+        again = _lane_pow(coeffs, m)
+    assert first == expected
+    assert again is first  # computed once inside the block
+    assert _lane_pow(coeffs, m) is not first  # and never reused outside it
 
 
 # -- series multiply and divide through the sum-of-products routine ---------------------------

@@ -60,3 +60,27 @@ def test_every_budget_refusal_goes_through_one_guard():
                 scope = parents[scope]
             raisers.append(f"{path.name}: {getattr(scope, 'name', '<module>')}")
     assert raisers == ["oracle.py: charge"]
+
+
+def test_a_polynomials_terms_are_set_only_where_it_is_built():
+    # results are shared inside `lefschetz.lane_memo()`, so no code may change
+    # a polynomial's _coeffs after __init__ or _trusted has built it
+    writes = []
+    mutators = {"clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__"}
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and node.attr == "_coeffs"):
+                continue
+            parent = parents[node]
+            if isinstance(node.ctx, ast.Store):
+                scope = parent
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parents[scope]
+                writes.append(f"{path.name}: {getattr(scope, 'name', '<module>')}")
+            elif isinstance(parent, ast.Subscript) and not isinstance(parent.ctx, ast.Load):
+                writes.append(f"{path.name}: item of _coeffs")
+            elif isinstance(parent, ast.Attribute) and parent.attr in mutators:
+                writes.append(f"{path.name}: _coeffs.{parent.attr}")
+    assert sorted(writes) == ["lefschetz.py: __init__", "lefschetz.py: _trusted"]
