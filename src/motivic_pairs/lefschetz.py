@@ -20,14 +20,17 @@ coefficients of t A'(t) / A(t): exact integer log and exp recurrences move
 between a series and its ghosts, and the Adams operations psi_r (L to L^r)
 are the ghosts of a zeta series.
 
-Every product is a sum of products sum f*g (f*g alone, a coefficient of a
-series product, a step of a ghost recurrence), and one routine takes them
-all.  A large sum runs packed (Kronecker substitution): a polynomial whose
-coefficients are below 2^(w-1) in absolute value is the integer
-sum c_d 2^(w d), so the sum is one big-integer computation, unpacked once
-into balanced base-2^w digits.  The digit width w comes from a proven bound
-on the result's coefficients, so packing is exact.  Small and sparse sums
-keep the dict loop, which is faster for them.
+Every product is a sum of products sum f*g: f*g alone, a coefficient of a
+series product, a step of a ghost recurrence.  A large sum runs packed
+(Kronecker substitution): a polynomial whose coefficients are below
+2^(w-1) in absolute value is the integer sum c_d 2^(w d), so the sum is
+one big-integer computation, unpacked once into balanced base-2^w digits.
+The digit width w comes from a proven bound on the result's coefficients,
+so packing is exact.  f*g and a series coefficient pack their polynomials
+for the one sum; a ghost recurrence, once it packs, keeps both of its
+sequences packed, so each step is one C-level sum of big-integer products
+that packs the polynomial it reads and unpacks the one it makes.  Small
+and sparse sums keep the dict loop, which is faster for them.
 
 Inside `lane_memo()`, which the command line opens once per command,
 zeta_series, power.config_series and power._lane_pow compute each lane
@@ -42,6 +45,7 @@ import contextvars
 import functools
 import sys
 from array import array
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .series import TruncatedSeries
@@ -100,7 +104,7 @@ class MotivicPolynomial:
     @property
     def degree(self) -> int:
         """Degree in L; the zero polynomial reports -1."""
-        return max(self._coeffs) if self._coeffs else -1
+        return next(reversed(self._coeffs), -1)
 
     # -- ring structure: operands are polynomials, no integer is coerced ------
 
@@ -198,9 +202,9 @@ def adams(m: MotivicPolynomial, r: int) -> MotivicPolynomial:
 
 # -- sums of products -----------------------------------------------------------
 #
-# _sum_of_products takes every Z[L] product here: one pair for f*g, the pairs
-# a_j b_(k-j) for coefficient k of a series product, the pairs g_k a_(n-k) for
-# a step of a ghost recurrence.  Its packed route reads a polynomial
+# Every Z[L] product here is a sum of products sum f*g: one pair for f*g, the
+# pairs a_j b_(k-j) for coefficient k of a series product, the pairs g_k a_(n-k)
+# for a step of a ghost recurrence.  The packed route reads a polynomial
 # sum c_d L^d with |c_d| < 2^(w-1) as the integer sum c_d 2^(w d) in base 2^w
 # with balanced digits (Kronecker substitution), so a whole sum is one sum of
 # integer products, which CPython multiplies in C (Karatsuba from about 70
@@ -209,10 +213,11 @@ def adams(m: MotivicPolynomial, r: int) -> MotivicPolynomial:
 # few terms, or when both factors are sparse, as psi_r images are for large r.
 # So f*g and a series coefficient pack when some pair has _PACK_TERMS terms
 # in both factors and one factor has a term in at least one degree out of
-# _PACK_SPREAD (_either_dense).  A ghost step packs when its newest ghost has
-# _PACK_TERMS terms and it or the newest coefficient is dense (the rule for
-# f*g ran series-deep power_pow slower), and its recurrence keeps one packer,
-# so each coefficient is packed once per digit width.  Both constants come
+# _PACK_SPREAD (_either_dense).  A ghost recurrence packs from the first step
+# whose newest ghost has _PACK_TERMS terms and it or the newest coefficient is
+# dense (the rule for f*g ran series-deep power_pow slower); from there on it
+# keeps both sequences packed (_PackedRecurrence), so a step packs only the
+# polynomial it reads and unpacks only the one it makes.  Both constants come
 # from timing the two routes on random polynomials: from 16 dense terms a
 # product ran faster packed, while a product of two psi_r images of 16 to 32
 # terms (one term in r degrees) ran about 2x slower packed at r = 8 and 50x
@@ -232,27 +237,21 @@ def _either_dense(f: MotivicPolynomial, g: MotivicPolynomial) -> bool:
     return any(_PACK_SPREAD * len(c) > next(reversed(c), 0) for c in (f._coeffs, g._coeffs))
 
 
-def _sum_of_products(
-    pairs: Iterable[tuple[MotivicPolynomial, MotivicPolynomial]],
-    lead: tuple[MotivicPolynomial, MotivicPolynomial] | None = None,
-    packer: list | None = None,
-) -> dict[int, int]:
-    """sum f*g over the (f, g) pairs as a degree -> coefficient dict; zero entries may stay.
+def _bits(coeffs: Mapping[int, int]) -> int:
+    """The least b with every |c| < 2^b."""
+    return max(map(abs, coeffs.values()), default=0).bit_length()
 
-    A ghost step also passes lead, its newest ghost and newest coefficient,
-    and packer, a list its recurrence keeps: the first packed step puts
-    the packer there.
-    """
-    if lead is None:  # the first pair that passes the rule for f*g, if any, leads
-        for f, g in pairs:
-            if len(f._coeffs) >= _PACK_TERMS <= len(g._coeffs) and _either_dense(f, g):
-                lead = f, g
-                break
-    if lead is not None and len(lead[0]._coeffs) >= _PACK_TERMS and _either_dense(*lead):
-        slot = packer if packer is not None else []
-        if not slot:
-            slot.append(_Packer())
-        return slot[0].sum_of_products(pairs)
+
+def _sum_of_products(pairs: Sequence[tuple[MotivicPolynomial, MotivicPolynomial]]) -> dict[int, int]:
+    """sum f*g over the (f, g) pairs as a degree -> coefficient dict; zero entries may stay."""
+    for f, g in pairs:
+        if len(f._coeffs) >= _PACK_TERMS <= len(g._coeffs) and _either_dense(f, g):
+            return _packed_sum(pairs)
+    return _dict_sum(pairs)
+
+
+def _dict_sum(pairs: Iterable[tuple[MotivicPolynomial, MotivicPolynomial]]) -> dict[int, int]:
+    """sum f*g one term product at a time; zero entries may stay."""
     acc = {}
     get = acc.get
     for f, g in pairs:
@@ -262,6 +261,29 @@ def _sum_of_products(
                 d = d1 + d2
                 acc[d] = get(d, 0) + c1 * c2
     return acc
+
+
+def _packed_sum(pairs: Iterable[tuple[MotivicPolynomial, MotivicPolynomial]]) -> dict[int, int]:
+    """sum f*g as one sum of packed integer products, zeros omitted; some pair is nonzero."""
+    fs, gs = zip(*[(f._coeffs, g._coeffs) for f, g in pairs if f._coeffs and g._coeffs])
+    width = _sum_width(map(_bits, fs), map(_bits, gs), map(len, fs), map(len, gs), len(fs))
+    return _unpack(sum(_pack(f, width) * _pack(g, width) for f, g in zip(fs, gs)), width)
+
+
+def _sum_width(
+    bits_f: Iterable, bits_g: Iterable, terms_f: Iterable, terms_g: Iterable, count: int, own: int = 0
+) -> int:
+    """The digit width proven for a sum of `count` products f*g, and one polynomial of `own` bits besides.
+
+    A coefficient of f*g is a sum of at most min(terms) products below
+    2^(bits f + bits g), so a coefficient of the sum is below
+    2^(top + bitlen(count * terms)) in absolute value, over the pairs; with
+    a sign bit and a spare bit for the polynomial besides, it lies inside
+    the digits' range |c| < 2^(width-1).
+    """
+    top = max(map(add, bits_f, bits_g), default=0)
+    most = max(map(min, terms_f, terms_g), default=0)
+    return _digit_width(max(top + (count * most).bit_length(), own) + 2)
 
 
 def _digit_width(bits: int) -> int:
@@ -276,7 +298,7 @@ def _digit_width(bits: int) -> int:
 
 
 def _pack(coeffs: dict[int, int], width: int) -> int:
-    """The integer sum c_d 2^(width*d) for a degree -> coefficient mapping.
+    """The integer sum c_d 2^(width*d) for a degree -> coefficient mapping in ascending degree.
 
     width is a multiple of 8 and every |c_d| < 2^(width-1).  Each digit is
     written with the bias 2^(width-1) added, which makes it non-negative, so
@@ -285,7 +307,7 @@ def _pack(coeffs: dict[int, int], width: int) -> int:
     """
     size = width >> 3
     half = 1 << (width - 1)
-    digits = [half] * (max(coeffs) + 1 if coeffs else 0)
+    digits = [half] * (next(reversed(coeffs), -1) + 1)
     for d, c in coeffs.items():
         digits[d] += c
     if size in _WORDS:
@@ -298,15 +320,17 @@ def _pack(coeffs: dict[int, int], width: int) -> int:
     return int.from_bytes(raw, "little") - int.from_bytes(half.to_bytes(size, "little") * len(digits), "little")
 
 
-def _unpack(value: int, width: int, length: int) -> dict[int, int]:
-    """The balanced base-2^width digits of value, zeros omitted: the inverse of _pack.
+def _unpack(value: int, width: int) -> dict[int, int]:
+    """The balanced base-2^width digits of value, zeros omitted, in ascending degree: the inverse of _pack.
 
-    value must be the packing of a polynomial of degree below length whose
-    coefficients satisfy |c_d| < 2^(width-1); adding the bias 2^(width-1)
-    to every digit makes them all non-negative, so they are plain bytes.
+    Every integer has them, each digit in -2^(width-1) <= c < 2^(width-1);
+    one digit more than |value| has bits, counted in digits, holds them
+    all.  Adding the bias 2^(width-1) to every digit makes them all
+    non-negative, so they are plain bytes.
     """
     size = width >> 3
     half = 1 << (width - 1)
+    length = abs(value).bit_length() // width + 2
     value += int.from_bytes(half.to_bytes(size, "little") * length, "little")
     raw = value.to_bytes(size * length, "little")
     if size in _WORDS:
@@ -318,50 +342,30 @@ def _unpack(value: int, width: int, length: int) -> dict[int, int]:
     return {d: x - half for d, x in enumerate(digits) if x != half}
 
 
-class _Packer:
-    """The packed route of _sum_of_products, for one sum or one recurrence.
+def _widen(value: int, width: int, wider: int) -> int:
+    """The packing at digit width `wider` of the polynomial that value packs at `width`.
 
-    It keeps each polynomial's bit size and its packed form at the current
-    digit width, so a recurrence packs each coefficient once per width.
-    The width only grows, so a form stays valid until the bound outgrows
-    it.  A packer lives as long as the sum or recurrence that made it.
+    With the bias 2^(width-1) added, the digits are unsigned, so each
+    widens by zero bytes; the old bias then comes off at the new width.
+    One slice copy per byte of a digit does the work, not one per digit.
     """
+    size, step = width >> 3, wider >> 3
+    length = abs(value).bit_length() // width + 2
+    half = (1 << (width - 1)).to_bytes(size, "little")
+    raw = (value + int.from_bytes(half * length, "little")).to_bytes(size * length, "little")
+    wide = bytearray(step * length)
+    for i in range(size):
+        wide[i::step] = raw[i::size]
+    return int.from_bytes(wide, "little") - int.from_bytes(half.ljust(step, b"\0") * length, "little")
 
-    __slots__ = ("_forms", "_width")
 
-    def __init__(self) -> None:
-        # id -> [polynomial (kept alive, so the id stays its own), bits, width, packed]
-        self._forms: dict[int, list] = {}
-        self._width = 8
-
-    def _form(self, p: MotivicPolynomial) -> list:
-        form = self._forms.get(id(p))
-        if form is None:
-            bits = max(map(abs, p._coeffs.values())).bit_length()
-            form = self._forms[id(p)] = [p, bits, 0, 0]
-        return form
-
-    def sum_of_products(self, pairs: Iterable[tuple[MotivicPolynomial, MotivicPolynomial]]) -> dict[int, int]:
-        """sum f*g over the (f, g) pairs as a degree -> coefficient dict, zeros omitted."""
-        pairs = [(self._form(f), self._form(g)) for f, g in pairs if f._coeffs and g._coeffs]
-        if not pairs:
-            return {}
-        # Every coefficient of f*g is a sum of at most min(terms) products
-        # below 2^(bits f + bits g), so a coefficient of the whole sum is
-        # below 2^(top + bitlen(len(pairs) * terms)) = 2^(needed - 2) in
-        # absolute value: a sign bit and a spare bit inside the digits'
-        # range |c| < 2^(width - 1).
-        top = max(f[1] + g[1] for f, g in pairs)
-        terms = max(min(len(f[0]._coeffs), len(g[0]._coeffs)) for f, g in pairs)
-        needed = top + (len(pairs) * terms).bit_length() + 2
-        self._width = width = max(self._width, _digit_width(needed))
-        total = 0
-        for f, g in pairs:
-            for form in (f, g):
-                if form[2] != width:
-                    form[2], form[3] = width, _pack(form[0]._coeffs, width)
-            total += f[3] * g[3]
-        return _unpack(total, width, max(f[0].degree + g[0].degree for f, g in pairs) + 1)
+# -- ghost recurrences ------------------------------------------------------------------
+#
+# Both recurrences run over g_0 = 0, g_1, g_2, ... and a_0 = 1, a_1, a_2, ...:
+# step n forms S_n = sum_{0<k<n} g_k a_{n-k}; the log step reads a_n and makes
+# g_n = n a_n - S_n, the exp step reads g_n and makes a_n = (g_n + S_n) / n.
+# A recurrence runs the dict loop until its newest ghost has _PACK_TERMS
+# terms and it or the newest coefficient is dense, and packed from there on.
 
 
 def ghost_log(coeffs: Sequence[MotivicPolynomial]) -> tuple[MotivicPolynomial, ...]:
@@ -372,9 +376,14 @@ def ghost_log(coeffs: Sequence[MotivicPolynomial]) -> tuple[MotivicPolynomial, .
     needed.  The constant term coeffs[0] is taken to be 1 and is not read.
     """
     ghosts = [MotivicPolynomial._trusted({})]
-    packer: list = []
+    packed = None
     for n in range(1, len(coeffs)):
-        sums = _sum_of_products(zip(ghosts[1:], coeffs[n - 1 : 0 : -1]), (ghosts[n - 1], coeffs[n - 1]), packer)
+        if packed is None and len(ghosts[n - 1]._coeffs) >= _PACK_TERMS and _either_dense(ghosts[n - 1], coeffs[n - 1]):
+            packed = _PackedRecurrence((ghosts, coeffs), True, n)
+        if packed is not None:
+            ghosts.append(packed.step(n))
+            continue
+        sums = _dict_sum(zip(ghosts[1:], coeffs[n - 1 : 0 : -1]))
         acc = {d: n * c for d, c in coeffs[n]._coeffs.items()}
         for d, c in sums.items():
             acc[d] = acc.get(d, 0) - c
@@ -388,23 +397,105 @@ def ghost_exp(ghosts: Sequence[MotivicPolynomial]) -> tuple[MotivicPolynomial, .
     Exp step: n a_n = g_n + S_n with the log step's S_n = sum_{k<n} g_k a_{n-k}.
     The division by n is exact for the ghosts of any series over Z[L]; a
     remainder means the ghosts belong to no such series and raises
-    ArithmeticError.
+    ArithmeticError, naming the lowest L-degree that n does not divide.
     """
     coeffs = [MotivicPolynomial._trusted({0: 1})]
-    packer: list = []
+    packed = None
     for n in range(1, len(ghosts) + 1):
-        acc = _sum_of_products(zip(ghosts, coeffs[n - 1 : 0 : -1]), (ghosts[n - 1], coeffs[n - 1]), packer)
+        if packed is None and len(ghosts[n - 1]._coeffs) >= _PACK_TERMS and _either_dense(ghosts[n - 1], coeffs[n - 1]):
+            packed = _PackedRecurrence(([MotivicPolynomial._trusted({}), *ghosts], coeffs), False, n)
+        if packed is not None:
+            coeffs.append(packed.step(n))
+            continue
+        acc = _dict_sum(zip(ghosts, coeffs[n - 1 : 0 : -1]))
         for d, c in ghosts[n - 1]._coeffs.items():
             acc[d] = acc.get(d, 0) + c
+        quot = {}
         for d, c in acc.items():
-            quot, rem = divmod(c, n)
+            quot[d], rem = divmod(c, n)
             if rem:
-                raise ArithmeticError(
-                    f"L^{d} t^{n} would have coefficient {c}/{n}: no series over Z[L] has these ghosts"
-                )
-            acc[d] = quot
-        coeffs.append(MotivicPolynomial._trusted(acc))
+                raise _non_integral(acc, n)
+        coeffs.append(MotivicPolynomial._trusted(quot))
     return tuple(coeffs)
+
+
+def _non_integral(acc: dict[int, int], n: int) -> ArithmeticError:
+    # the error of an exp step whose n a_n = acc has a coefficient that n
+    # does not divide, at the lowest such L-degree
+    d = min(d for d, c in acc.items() if c % n)
+    return ArithmeticError(f"L^{d} t^{n} would have coefficient {acc[d]}/{n}: no series over Z[L] has these ghosts")
+
+
+class _PackedRecurrence:
+    """A ghost recurrence from the step that first packs on.
+
+    seqs are its ghosts g_0 = 0, g_1, ... and coefficients a_0 = 1, a_1, ...;
+    seqs[log] is the sequence it reads, whole from the start, and
+    seqs[not log] the one it makes, one more at each step.  ints, bits and
+    terms hold, for both, each polynomial's packed form at the digit width,
+    the bits of its largest coefficient and its term count, indexed by
+    t-degree, up to the step that ran last.  A step is one C-level sum of
+    big-integer products: it packs the polynomial it reads and unpacks the
+    one it makes, and widens the packed forms only when the width grows.
+    """
+
+    __slots__ = ("seqs", "log", "width", "ints", "bits", "terms")
+
+    def __init__(self, seqs: tuple[Sequence, list], log: bool, n: int) -> None:
+        self.seqs, self.log, self.ints = seqs, log, None
+        self.bits, self.terms = ([[size(p._coeffs) for p in seq[:n]] for seq in seqs] for size in (_bits, len))
+        # The L1 norm |p| = sum |c_d| bounds every coefficient of p, and
+        # |fg| <= |f| |g|, so the recurrence run on the norms (of the whole
+        # read sequence and of the n polynomials made so far) bounds every
+        # step left.  If that bound fits a machine word, the steps share its
+        # width and nothing is widened.  Above a word it runs wider than the
+        # steps' own bounds, and wider products cost more than widening, so
+        # the width starts at 0 and grows with the steps.
+        norm_g, norm_a = norms = [[sum(map(abs, p._coeffs.values())) for p in seq] for seq in seqs]
+        bound = 0
+        for k in range(n, len(norms[log])):
+            top = sum(map(mul, norm_g[1:k], norm_a[k - 1 : 0 : -1])) + (k * norm_a[k] if log else norm_g[k])
+            norms[not log].append(top if log else top // k)
+            bound = max(bound, top)
+        self.width = _digit_width(bound.bit_length() + 1) if bound.bit_length() < 8 * max(_WORDS) else 0
+
+    def step(self, n: int) -> MotivicPolynomial:
+        """The polynomial that step n makes."""
+        log, bits, terms = self.log, self.bits, self.terms
+        read = self.seqs[log][n]._coeffs
+        bits[log].append(_bits(read))
+        terms[log].append(len(read))
+        (bits_g, bits_a), (terms_g, terms_a) = bits, terms
+        own = bits_a[n] + n.bit_length() if log else bits_g[n]  # n a_n or g_n
+        width = _sum_width(bits_g[1:n], bits_a[n - 1 : 0 : -1], terms_g[1:n], terms_a[n - 1 : 0 : -1], n - 1, own)
+        width = max(self.width, width)
+        if self.ints is None:
+            self.ints = tuple([_pack(p._coeffs, width) for p in seq[: n + 1]] for seq in self.seqs)
+        else:
+            if width != self.width:
+                self.ints = tuple([_widen(x, self.width, width) for x in ints] for ints in self.ints)
+            self.ints[log].append(_pack(read, width))
+        self.width = width
+        ints_g, ints_a = self.ints
+        total = sum(map(mul, ints_g[1:n], ints_a[n - 1 : 0 : -1]))
+        if log:
+            total = n * ints_a[n] - total
+            made = _unpack(total, width)
+        else:
+            # n a_n = total has digits below 2^(width-1) in absolute value.
+            # All are divisible by n exactly when n divides total and every
+            # balanced digit q of the quotient has |n q| < 2^(width-1), as
+            # balanced digits are unique.
+            total += ints_g[n]
+            quot, rem = divmod(total, n)
+            made = _unpack(quot, width)
+            if rem or n * max(map(abs, made.values()), default=0) >> (width - 1):
+                raise _non_integral(_unpack(total, width), n)
+            total = quot
+        self.ints[not log].append(total)
+        bits[not log].append(_bits(made))
+        terms[not log].append(len(made))
+        return MotivicPolynomial._trusted(made)
 
 
 # -- the lane memo ---------------------------------------------------------------------

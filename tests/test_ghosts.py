@@ -12,7 +12,7 @@ from collections import namedtuple
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motivic_pairs import (
@@ -293,17 +293,23 @@ def ref_ghost_exp(ghosts):
 
 @pytest.fixture
 def packed_calls(monkeypatch):
-    # the pair counts of the sums that _sum_of_products takes packed (it is
-    # the only caller of the packed route), so a test can show that route ran
+    # the pair counts of the sums that run packed: a sum of products that
+    # _sum_of_products packs, or a step of a packed ghost recurrence (the two
+    # packed entries), so a test can show that the packed route ran
     calls = []
-    original = lefschetz._Packer.sum_of_products
+    packed_sum, step = lefschetz._packed_sum, lefschetz._PackedRecurrence.step
 
-    def spy(self, pairs):
+    def spy_sum(pairs):
         pairs = list(pairs)
         calls.append(len(pairs))
-        return original(self, pairs)
+        return packed_sum(pairs)
 
-    monkeypatch.setattr(lefschetz._Packer, "sum_of_products", spy)
+    def spy_step(recurrence, n):
+        calls.append(n - 1)
+        return step(recurrence, n)
+
+    monkeypatch.setattr(lefschetz, "_packed_sum", spy_sum)
+    monkeypatch.setattr(lefschetz._PackedRecurrence, "step", spy_step)
     return calls
 
 
@@ -359,9 +365,26 @@ def test_pack_and_unpack_are_inverse_at_the_digit_extremes():
         expected = {d: c for d, c in coeffs.items() if c}
         value = lefschetz._pack(coeffs, width)
         assert value == sum(c << (width * d) for d, c in coeffs.items())
-        assert lefschetz._unpack(value, width, 40) == expected
-        # a longer window reads zero digits above the top degree
-        assert lefschetz._unpack(value, width, 45) == expected
+        assert lefschetz._unpack(value, width) == expected
+        assert list(lefschetz._unpack(value, width)) == sorted(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.integers(-(2**300), 2**300), st.integers(2**14, 2**15), st.integers(-(2**70), 2**70)),
+    st.sampled_from((8, 16, 24, 32, 64, 72, 128)),
+)
+@example(32700, 8)  # (120 - 2^8 + 2^16) / 2: 15 bits, but three balanced base-2^8 digits
+def test_unpack_gives_the_balanced_digits_of_any_integer(value, width):
+    # the exp step's exactness check unpacks a quotient that need not be a packing
+    digits = lefschetz._unpack(value, width)
+    half = 1 << (width - 1)
+    assert all(-half <= c < half for c in digits.values())
+    assert sum(c << (width * d) for d, c in digits.items()) == value
+    assert list(digits) == sorted(digits)
+    wider = width + 8 * (1 + value % 5)
+    if all(abs(c) < half for c in digits.values()):
+        assert lefschetz._widen(value, width, wider) == lefschetz._pack(digits, wider)
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["small", "wide"])
@@ -421,6 +444,93 @@ def test_packed_exp_of_non_integral_ghosts_raises(packed_calls):
     with pytest.raises(ArithmeticError, match=r"t\^2 would have coefficient"):
         ghost_exp([g, g])
     assert packed_calls
+
+
+# -- packed recurrences across digit widths ------------------------------------------
+#
+# A packed recurrence keeps both sequences packed at one digit width and
+# widens them when a step's bound outgrows it.  The inputs below hold the
+# recurrence in the dict loop up to a chosen step (constant coefficients,
+# so every ghost before it has one term), then turn dense with coefficients
+# that gain `ramp` bits a step, so the width crosses 8, 16, 32, 64 and more
+# partway through.
+
+
+def ramped_series(rng, order, start, ramp):
+    coeffs = [MotivicPolynomial.one()]
+    for j in range(1, order + 1):
+        terms = 1 if j < start else PACK + j % 5
+        top = 2 ** (1 + ramp * j)
+        coeffs.append(MotivicPolynomial({d: rng.choice((-1, 1)) * rng.randint(1, top) for d in range(terms)}))
+    return coeffs
+
+
+@pytest.fixture
+def packed_widths(monkeypatch):
+    # per packed recurrence, the digit width after each of its steps
+    widths = {}
+    step = lefschetz._PackedRecurrence.step
+
+    def spy(recurrence, n):
+        made = step(recurrence, n)
+        widths.setdefault(id(recurrence), [recurrence]).append(recurrence.width)
+        return made
+
+    monkeypatch.setattr(lefschetz._PackedRecurrence, "step", spy)
+    return widths
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 24), st.data())
+def test_packed_recurrences_match_dict_loops_across_widths(order, data):
+    start = data.draw(st.integers(1, order), label="start")
+    ramp = data.draw(st.sampled_from((0, 1, 3, 6)), label="ramp")
+    coeffs = ramped_series(random.Random(data.draw(st.integers(0, 2**32), label="seed")), order, start, ramp)
+    ghosts = ghost_log(coeffs)
+    assert ghosts == ref_ghost_log(coeffs)
+    assert ghost_exp(ghosts) == ref_ghost_exp(ghosts) == tuple(coeffs)
+
+
+def test_packed_widths_cross_every_word_size(packed_widths):
+    # the same inputs as above, showing what they exercise: recurrences that
+    # start packing late and widen from 8 bits up past a machine word, and
+    # ones whose L1 bound fits a word and keep one width throughout
+    for order, start, ramp in ((24, 1, 0), (24, 12, 1), (20, 5, 6), (6, 2, 0), (24, 23, 0)):
+        coeffs = ramped_series(random.Random(26), order, start, ramp)
+        ghosts = ghost_log(coeffs)
+        assert ghosts == ref_ghost_log(coeffs)
+        assert ghost_exp(ghosts) == ref_ghost_exp(ghosts) == tuple(coeffs)
+    runs = [widths for _, *widths in packed_widths.values()]
+    assert any({8, 16, 32, 64} <= set(widths) and widths[-1] > 64 for widths in runs)
+    assert any(len(set(widths)) == 1 for widths in runs)
+    assert any(len(widths) <= 2 for widths in runs)  # packing began at a late step
+
+
+@pytest.mark.parametrize(
+    "n, error",
+    # n a_n gains L^d: n does not divide the packed sum; or it gains
+    # L^(d+1) - L^d, whose packing 2^(w d) (2^w - 1) every width w (a multiple
+    # of 8) makes divisible by 17, a factor of 2^8 - 1, though no digit is
+    [(19, {7: 1}), (17, {7: -1, 8: 1})],
+    ids=["remainder", "digits"],
+)
+def test_late_non_integral_ghost_raises_as_in_the_dict_loop(packed_calls, monkeypatch, n, error):
+    coeffs = ramped_series(random.Random(27), 20, 2, 2)
+    ghosts = list(ghost_log(coeffs))
+    ghosts[n - 1] = ghosts[n - 1] + MotivicPolynomial(error)
+    c = n * coeffs[n].coefficient(7) + error[7]
+    expected = f"L^7 t^{n} would have coefficient {c}/{n}: no series over Z[L] has these ghosts"
+    packed_calls.clear()
+    with pytest.raises(ArithmeticError) as packed:
+        ghost_exp(ghosts)
+    assert packed_calls[-1] == n - 1  # raised in a packed step
+    with monkeypatch.context() as dict_only:
+        dict_only.setattr(lefschetz, "_PACK_TERMS", 10**9)
+        packed_calls.clear()
+        with pytest.raises(ArithmeticError) as unpacked:
+            ghost_exp(ghosts)
+        assert not packed_calls
+    assert str(packed.value) == str(unpacked.value) == expected
 
 
 # -- the same, with generated inputs ------------------------------------------------

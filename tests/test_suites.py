@@ -131,13 +131,24 @@ def term_products(monkeypatch):
     # series multiply or divide, a ghost recurrence or power_pow's scaling
     # (not the few products that build catalog classes and exponents)
     count, depth = [0], [0]
-    routine = lefschetz._sum_of_products
 
-    def counted(pairs, *rest):
-        pairs = list(pairs)
+    def counted(routine):
+        # a sum taken by the dict loop or packed
+        def wrapper(pairs):
+            pairs = list(pairs)
+            if depth[0]:
+                count[0] += sum(terms(f) * terms(g) for f, g in pairs)
+            return routine(pairs)
+        return wrapper
+
+    step = lefschetz._PackedRecurrence.step
+
+    def counted_step(recurrence, n):
+        # a packed ghost step: sum_{0<k<n} terms(g_k) terms(a_(n-k))
         if depth[0]:
-            count[0] += sum(terms(f) * terms(g) for f, g in pairs)
-        return routine(pairs, *rest)
+            ghosts, coeffs = recurrence.seqs
+            count[0] += sum(terms(g) * terms(a) for g, a in zip(ghosts[1:n], coeffs[n - 1 : 0 : -1]))
+        return step(recurrence, n)
 
     def inside(fn):
         def wrapper(*args):
@@ -148,7 +159,9 @@ def term_products(monkeypatch):
                 depth[0] -= 1
         return wrapper
 
-    monkeypatch.setattr(lefschetz, "_sum_of_products", counted)
+    monkeypatch.setattr(lefschetz, "_dict_sum", counted(lefschetz._dict_sum))
+    monkeypatch.setattr(lefschetz, "_packed_sum", counted(lefschetz._packed_sum))
+    monkeypatch.setattr(lefschetz._PackedRecurrence, "step", counted_step)
     for module in (lefschetz, power):
         monkeypatch.setattr(module, "ghost_exp", inside(lefschetz.ghost_exp))
         monkeypatch.setattr(module, "ghost_log", inside(lefschetz.ghost_log))
@@ -168,6 +181,25 @@ def test_suite_budgets_cover_their_term_products(term_products, suite):
         assert report["pass"]
         assert 0 < term_products[0] <= refused.value.needed, (order, term_products[0], refused.value.needed)
 
+
+
+def test_term_products_count_every_ghost_step_packed_or_not(term_products, monkeypatch):
+    # zeta of P^20: its psi_r ghosts have 21 terms and psi_1 is dense, so
+    # the exp recurrence packs from its first step; the count must be the
+    # same sum over the steps as when every step runs the dict loop
+    m = lefschetz.projective_class(20)
+    psi = [lefschetz.adams(m, r) for r in range(1, 9)]
+    steps = []
+    step = lefschetz._PackedRecurrence.step
+    monkeypatch.setattr(lefschetz._PackedRecurrence, "step", lambda rec, n: steps.append(n) or step(rec, n))
+    coeffs = lefschetz.ghost_exp(psi)
+    assert steps == list(range(1, 9))
+    expected = sum(terms(psi[k - 1]) * terms(coeffs[n - k]) for n in range(1, 9) for k in range(1, n))
+    assert term_products[0] == expected > 0
+    term_products[0] = 0
+    monkeypatch.setattr(lefschetz, "_PACK_TERMS", 10**9)
+    assert lefschetz.ghost_exp(psi) == coeffs
+    assert term_products[0] == expected and steps == list(range(1, 9))
 
 # The bounds each algebra suite refuses with under a budget of 1, by order.
 # They are closed forms of the order alone, so any change to a cost bound
