@@ -17,13 +17,15 @@ error, 3 budget exhausted (an enumeration, or the term products that
 without a traceback).  A reader that closes stdout early does not change
 the exit code and prints nothing to stderr.  Identical invocations print
 byte-identical output: suites run sequentially in a fixed order and all
-sampling inside them is constant-seeded.
+sampling inside them is constant-seeded.  JSON output is exactly
+`json.dumps(obj, indent=2)`, byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -54,9 +56,32 @@ def _table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
+_escape = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
+
+
+def _render(obj: object, pad: str = "\n") -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte: C escaping, one join per container.
+
+    `json`'s own indented encoder is pure Python.  A non-string key raises `TypeError`.
+    """
+    kind = type(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is str:
+        return _escape(obj)
+    if isinstance(obj, (dict, list, tuple)) and obj:
+        inner = pad + "  "
+        if isinstance(obj, dict):
+            items = [_escape(k) + ": " + _render(v, inner) for k, v in obj.items()]
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+        items = [int.__repr__(v) if type(v) is int else _render(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(obj)
+
+
 def _print_pair_series(series: TruncatedSeries, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(series.to_json(lambda c: c.to_json()), indent=2))
+        print(_render(series.to_json(lambda c: c.to_json())))
         return
     rows = [
         (f"t^{n}", str(c.amb), str(c.comp), str(c.subvariety))
@@ -123,7 +148,7 @@ def cmd_example(n: int, s: int, fields: tuple[int, ...], fmt: str) -> int:
             "equal": equal,
             "counts": counts,
         }
-        print(json.dumps(report, indent=2))
+        print(_render(report))
     else:
         print(f"direct: {direct}")
         print(f"lambda: {lam}")
@@ -152,7 +177,7 @@ def cmd_verify(suite: str, order: int, fields: tuple[int, ...], budget: int, fmt
         "pass": all(r["pass"] for r in reports),
     }
     if fmt == "json":
-        print(json.dumps(report, indent=2))
+        print(_render(report))
     else:
         for suite_report in reports:
             rows = suite_report["rows"]
@@ -168,6 +193,7 @@ def cmd_verify(suite: str, order: int, fields: tuple[int, ...], budget: int, fmt
 # -- entry point -----------------------------------------------------------------
 
 
+@functools.cache  # parse_args keeps no state: one parser serves every command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="motivic-pairs",

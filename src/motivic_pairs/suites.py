@@ -778,29 +778,31 @@ def suite_eq3_finite(order: int, fields: tuple[int, ...], budget: int) -> list[d
     rows = []
     label_options = [(a, b) for a in range(3) for b in range(a + 1)]
     top = 4
+    bases = {
+        (l1, l2): one_plus((catalog("finite", *l1), catalog("finite", *l2)), top, PairClass.one())
+        for l1 in label_options for l2 in label_options
+    }
     for size in range(5):
         for marked in range(size + 1):
             exponent = catalog("finite", size, marked)
-            for l1 in label_options:
-                for l2 in label_options:
-                    scene = FiniteScene.from_sizes(size, marked, [l1, l2])
-                    base = one_plus((catalog("finite", *l1), catalog("finite", *l2)), top, PairClass.one())
-                    powered = power_pow(base, exponent)
-                    expected = [list(counts) for counts in count_power_configs(scene, top, budget)]
-                    actual = [
-                        [c.amb.coefficient(0), c.comp.coefficient(0)]
-                        if c.amb.degree <= 0 and c.comp.degree <= 0
-                        else [str(c.amb), str(c.comp)]
-                        for c in powered.coeffs
-                    ]
-                    rows.append(
-                        _check(
-                            "power-config-count",
-                            {"atoms": size, "marked": marked, "labels": [list(l1), list(l2)]},
-                            expected,
-                            actual,
-                        )
+            for (l1, l2), base in bases.items():
+                scene = FiniteScene.from_sizes(size, marked, [l1, l2])
+                powered = power_pow(base, exponent)
+                expected = [list(counts) for counts in count_power_configs(scene, top, budget)]
+                actual = [
+                    [c.amb.coefficient(0), c.comp.coefficient(0)]
+                    if c.amb.degree <= 0 and c.comp.degree <= 0
+                    else [str(c.amb), str(c.comp)]
+                    for c in powered.coeffs
+                ]
+                rows.append(
+                    _check(
+                        "power-config-count",
+                        {"atoms": size, "marked": marked, "labels": [list(l1), list(l2)]},
+                        expected,
+                        actual,
                     )
+                )
     return rows
 
 

@@ -314,6 +314,13 @@ PINNED_OUTPUTS = [
      "1e8d2875d6040b07dfe25a2bfdc1032f43b697280bcba577d6c3ea53c8069388"),
     (["verify", "--suite", "squarefree", "--q", "7"],
      "29524ed7494eecffd8ef3028f87f1dd49d8660a51738e81fc0956c9924bd77c7"),
+    (["zeta", "--pair", "p1-marked:2", "--order", "8", "--format", "json"],
+     "9612a071af98faeb7f91364db8af9e2eb99d4483ed42c7b899d3c17755ee3f68"),
+    (["example", "--n", "3", "--s", "2", "--format", "json"],
+     "63da05f998e9c260a3888d3280dbd3a3d0effd954770c79aa6bba26127c26946"),
+    # q = 2 has too few points for 4 marks: the report holds a "skipped" entry
+    (["example", "--n", "2", "--s", "4", "--q", "2,3,5", "--format", "json"],
+     "c763ab8d5282b83d9c22d56c6163096bdf3c147eb5e34d76baa3cb1b0167cb1c"),
 ]
 
 
@@ -322,6 +329,7 @@ PINNED_OUTPUTS = [
     ids=[
         "verify-order0", "verify-order1", "verify-order5",
         "pow-geometric", "pow-one-plus-t", "pow-coeffs", "verify-squarefree-q7",
+        "zeta-json", "example-json", "example-json-skipped",
     ],
 )
 def test_output_is_pinned(capsys, argv, expected):
@@ -505,6 +513,19 @@ def test_verify_unknown_suite_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_one_parser_carries_nothing_between_commands(capsys):
+    # the parser is built once per process; a usage error must not leak into the next command
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "nope"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["verify", "--suite", "weil"]) == 0
+    argv = [sys.executable, "-m", "motivic_pairs", "verify", "--suite", "weil"]
+    fresh = subprocess.run(argv, capture_output=True, check=True, timeout=120)
+    assert capsys.readouterr().out.encode() == fresh.stdout
+
+
 # -- shared validation -------------------------------------------------------------
 
 
@@ -560,6 +581,55 @@ def test_work_without_term_products_is_refused_at_once(capsys, argv, message):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"budget exhausted: {message} needs ~")
+
+
+# -- JSON rendering -----------------------------------------------------------------
+
+# keys and strings: non-ASCII, quotes, backslashes and control characters
+json_text = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\té☃')), max_size=6)
+json_ints = st.one_of(st.integers(), st.integers(min_value=2**64 + 1), st.integers(max_value=-(2**64) - 1))
+json_scalars = st.one_of(json_ints, json_text, st.booleans(), st.none(), st.floats())
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(json_text, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values)
+def test_render_is_json_dumps_indent_2(value):
+    assert cli._render(value) == json.dumps(value, indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.one_of(json_ints, st.booleans(), st.none(), st.floats()), json_scalars, min_size=1))
+def test_render_of_a_non_string_key_matches_json_or_raises(value):
+    # reports hold only str keys; any other key may raise, but never render differently
+    try:
+        rendered = cli._render(value)
+    except TypeError:
+        return
+    assert rendered == json.dumps(value, indent=2)
+
+
+def test_render_is_json_dumps_on_every_suite_report(capsys, monkeypatch):
+    render, printed = cli._render, []
+
+    def recording(obj, pad="\n"):
+        if pad == "\n":  # the whole report, not a nested value
+            printed.append(obj)
+        return render(obj, pad)
+
+    monkeypatch.setattr(cli, "_render", recording)
+    for suite in [*suites.SUITES, "all"]:
+        assert main(["verify", "--suite", suite]) == 0
+        assert capsys.readouterr().out == json.dumps(printed.pop(), indent=2) + "\n"
+    assert printed == []
 
 
 # -- argv fuzz ----------------------------------------------------------------------

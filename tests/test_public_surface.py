@@ -84,3 +84,16 @@ def test_a_polynomials_terms_are_set_only_where_it_is_built():
             elif isinstance(parent, ast.Attribute) and parent.attr in mutators:
                 writes.append(f"{path.name}: _coeffs.{parent.attr}")
     assert sorted(writes) == ["lefschetz.py: __init__", "lefschetz.py: _trusted"]
+
+
+def test_indented_json_has_one_renderer():
+    # cli._render writes json.dumps(obj, indent=2) byte for byte; the pure-Python indented encoder stays unused
+    callers = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("dump", "dumps") and any(k.arg == "indent" for k in node.keywords):
+                callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []
