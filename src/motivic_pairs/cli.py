@@ -35,7 +35,7 @@ from typing import Sequence
 from .field import is_prime
 from .geometry import MarkedP1Scene, hyperplane_union_class, sym_pair_p1_direct, sym_pair_p1_lambda
 from .lefschetz import lane_memo
-from .oracle import DEFAULT_BUDGET, BudgetExceededError, charge, count_marked_union, marked_union_steps
+from .oracle import DEFAULT_BUDGET, BudgetExceededError, charge, charge_each, count_marked_union, marked_union_steps
 from .pairs import PairClass, parse_pair_spec, projective_line_marked
 from .power import geometric_series, kapranov_zeta, one_plus, pow_cost, power_pow, tail_slopes, zeta_cost
 from .series import TruncatedSeries
@@ -113,10 +113,9 @@ def cmd_pow(kind: str, tail: Sequence[PairClass], exponent: PairClass, order: in
 
 def cmd_example(n: int, s: int, fields: tuple[int, ...], fmt: str) -> int:
     charge(zeta_cost(projective_line_marked(s), n), f"zeta series of p1-marked:{s} to order {n}", DEFAULT_BUDGET)
-    # every scene is charged before any is built: building millions of marks is slow by itself
-    for q in fields:
-        if n >= 1 and s <= q + 1:
-            charge(*marked_union_steps(n, q, s), DEFAULT_BUDGET)
+    # every scene, then all of them, is charged before any is built: building millions of marks is slow by itself
+    prices = [marked_union_steps(n, q, s) for q in fields if n >= 1 and s <= q + 1]
+    charge_each(prices, "example enumerations", DEFAULT_BUDGET)
     direct = sym_pair_p1_direct(n, s)
     lam = sym_pair_p1_lambda(n, s)
     equal = direct == lam

@@ -17,8 +17,10 @@ series machinery it is used to check:
 
 Enumeration budgets are explicit and overruns raise; an oracle must
 refuse rather than silently sample.  Every refusal in the package, of an
-enumeration or of the term products of a series, goes through `charge`,
-and the work on P^n is priced once, by `marked_union_steps`.
+enumeration or of the term products of a series, goes through `charge`;
+`charge_each` refuses a list of enumerations one by one, then as a whole.
+Each oracle's work is priced once, by its `*_steps` function, which the
+suites' dry plans read too.
 """
 
 from __future__ import annotations
@@ -48,10 +50,27 @@ def charge(needed: int, what: str, budget: int) -> None:
         raise BudgetExceededError(needed, budget, what)
 
 
+def charge_each(enumerations: Sequence[tuple[int, str]], total: str, budget: int) -> None:
+    """Refuse the first (steps, name) over the budget under its own name, else their sum under `total`."""
+    for needed, what in enumerations:
+        charge(needed, what, budget)
+    charge(sum(needed for needed, _ in enumerations), total, budget)
+
+
 def marked_union_steps(n: int, q: int, marks: int) -> tuple[int, str]:
     """Steps and name of testing every point of P^n(F_q) against every mark (at least one)."""
-    against = f" against {marks} marks" if marks else ""
+    against = f" against {marks} mark{'s' if marks > 1 else ''}" if marks else ""
     return (q ** (n + 1) - 1) // (q - 1) * max(1, marks), f"projective enumeration at q={q}, n={n}{against}"
+
+
+def squarefree_steps(q: int, n: int) -> tuple[int, str]:
+    """Steps and name of sieving the q^n monic polynomials of degree n over F_q."""
+    return q**n, f"squarefree enumeration at q={q}, n={n}"
+
+
+def power_config_steps(atoms: int, labels: int) -> tuple[int, str]:
+    """Steps and name of visiting every labelled configuration: (1 + labels)^atoms."""
+    return (1 + labels) ** atoms, "configuration enumeration"
 
 
 def _points(n: int, q: int) -> Iterator[ProjectivePoint]:
@@ -136,7 +155,7 @@ def count_squarefree_monic(q: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
         raise ValueError(f"field size must be prime, got {q}")
     if n < 1:
         raise ValueError("degree must be at least 1")
-    charge(q**n, f"squarefree enumeration at q={q}, n={n}", budget)
+    charge(*squarefree_steps(q, n), budget)
     return q**n - _square_marks(q, n).count(1)
 
 
@@ -241,7 +260,7 @@ def count_power_configs(
         for i, (full, marked) in enumerate(scene.labels)
         for label in full
     ]
-    charge((1 + len(codes)) ** len(scene.atoms), "configuration enumeration", budget)
+    charge(*power_config_steps(len(scene.atoms), len(codes)), budget)
     marked_atoms = set(scene.marked_atoms)
     ambient = [0] * (top + 1)
     complement = [0] * (top + 1)

@@ -13,14 +13,14 @@ Row order is fixed and all sampling uses constant seeds, so a suite run
 is reproducible byte for byte.  `run_suite` wraps one suite into a report
 dict; the `SUITES` registry drives the command line.
 
-Every algebra suite refuses over its budget before it builds a series,
-and ring-axioms, example-p1 and squarefree add up the steps their oracles
-will charge before they count anything.
-Four algebra suites (statement1, statement2, power-axioms, identities) list their
-(axiom, sample, lhs, rhs) comparisons as one function of a `_Plan` of
-engine calls: run dry, the plan sums the term-product bound of each call
-and builds nothing; run live, it makes the series.  So the bound and the
-work are the same code.
+Every suite but weil is one function of a `_Plan` of engine and oracle
+calls: run dry, the plan sums the term-product bound of each series call
+and lists the steps of each enumeration, building, drawing and counting
+nothing, and over the budget the suite refuses; run live, it makes the
+series and calls the oracles.  So the bound and the work are the same
+code.  Only series of a fixed small size are made outside a plan: those
+of weil, the coherence rows of example-p1 and the configuration series
+of squarefree.
 
 Suites whose content is an exhaustive grid (the worked example, the
 finite-scene enumeration, the counting oracles) fix their own ranges; the
@@ -29,6 +29,7 @@ order parameter governs the suites that check formal series identities.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from math import comb
@@ -50,13 +51,16 @@ from .oracle import (
     _points,
     affine_line_counts,
     charge,
+    charge_each,
     count_marked_union,
     count_power_configs,
     count_squarefree_monic,
     enumerate_projective,
     finite_set_counts,
     marked_union_steps,
+    power_config_steps,
     projective_line_counts,
+    squarefree_steps,
     weil_symmetric_counts,
 )
 from .pairs import PairClass, catalog, parse_pair_spec, split_atom
@@ -149,80 +153,163 @@ def _axiom_rows(comparisons: Iterable[tuple], order: int) -> list[dict]:
     return [axiom_row(axiom, sample, order, lhs, rhs) for axiom, sample, lhs, rhs in comparisons]
 
 
-# -- budgets of the algebra suites ----------------------------------------------
+# -- the plan of a suite ----------------------------------------------------------
 #
-# The term-product bounds are zeta_cost, config_cost, pow_cost and
-# mul_cost.  A lane bound (s, t) of mul_cost says the t^j coefficient has at most s*j + t terms; the series
-# of pairs here have L-degree at most s*j at t^j per lane (their slopes),
-# so (s, 1).
+# The term-product bounds are zeta_cost, config_cost, pow_cost and mul_cost,
+# and the enumeration prices those of the oracle module.  A lane bound (s, t)
+# says the t^j coefficient has L-degree below s*j + t, so at most s*j + t
+# terms, which is how mul_cost reads it.
 
 
-def _degrees(p: PairClass) -> tuple[int, int]:
-    # the slopes of zeta(p) and config(p): L-degree at most deg * j at t^j
-    return max(p.amb.degree, 0), max(p.comp.degree, 0)
+def _slopes(c: Any) -> tuple[tuple[int, int], ...]:
+    # the bounds of zeta(c) and config(c), L-degree at most deg * j at t^j, in
+    # each Z[L] lane: both of a pair, or a polynomial itself
+    lanes = (c.amb, c.comp) if isinstance(c, PairClass) else (c,)
+    return tuple((max(m.degree, 0), 1) for m in lanes)
 
 
 _ONE = PairClass.one()
 
 
 class _Plan:
-    """The engine calls of an algebra suite, made live or priced dry.
+    """The engine and oracle calls of a suite, made live or priced dry.
 
-    A live plan makes every series and computes no bound.  A dry plan
-    makes none: each call adds its term-product bound to `cost` and
-    returns, in place of its series, the slopes of that series.  So a
-    suite written once as a function of a plan is bounded by exactly the
-    calls it makes (see _planned).
+    A live plan makes every series and calls every oracle.  A dry plan does
+    neither: each series call adds its term-product bound to `cost` and
+    returns, in place of its series, its bound (s, t) per lane; each oracle
+    call appends its (steps, name) to `enumerations` and returns None; and
+    a random draw draws nothing and stands for its worst case.  So a suite
+    written once as a function of a plan is bounded by exactly the calls it
+    makes (see _planned).
     """
 
-    def __init__(self, order: int, live: bool) -> None:
-        self.order, self.live, self.cost = order, live, 0
+    def __init__(self, order: int, live: bool, budget: int = DEFAULT_BUDGET) -> None:
+        self.order, self.live, self.budget = order, live, budget
+        self.cost, self.enumerations = 0, []
 
-    def zeta(self, p: PairClass) -> Any:
+    # -- series
+
+    def zeta(self, p: Any) -> Any:
+        # of a pair, or of one Z[L] lane, priced as a pair whose other lane is 0 and costs nothing
+        lane = not isinstance(p, PairClass)
         if self.live:
-            return kapranov_zeta(p, self.order)
-        self.cost += zeta_cost(p, self.order)
-        return _degrees(p)
+            return zeta_series(p, self.order) if lane else kapranov_zeta(p, self.order)
+        self.cost += zeta_cost(PairClass(p, MotivicPolynomial.zero()) if lane else p, self.order)
+        return _slopes(p)
 
     def config(self, p: PairClass) -> Any:
         if self.live:
             return config_series_pair(p, self.order)
         self.cost += config_cost(p, self.order)
-        return _degrees(p)
+        return _slopes(p)
 
-    def one_plus(self, tail: Sequence, one: Any = _ONE) -> Any:
-        return one_plus(tail, self.order, one) if self.live else tail_slopes(tail)
+    def one_plus(self, *tail: PairClass) -> Any:
+        return one_plus(tail, self.order, _ONE) if self.live else tuple((s, 1) for s in tail_slopes(tail))
+
+    def unit(self, one: Any) -> Any:
+        # the series 1, of pairs or of one Z[L] lane as `one` is
+        return one_plus((), self.order, one) if self.live else _slopes(one)
 
     def geometric(self) -> Any:
-        return geometric_series(self.order, _ONE) if self.live else (0, 0)
+        return geometric_series(self.order, _ONE) if self.live else _slopes(_ONE)
 
     def pow(self, a: Any, m: Any) -> Any:
         if self.live:
             return power_pow(a, m)
-        self.cost += pow_cost(a, m, self.order)
-        return tuple(s + d for s, d in zip(a, _degrees(m)))  # see pow_cost
+        self.cost += pow_cost([s for s, _ in a], m, self.order)  # a series raised here has the bounds (s, 1)
+        return tuple((s + d, 1) for (s, _), (d, _) in zip(a, _slopes(m)))  # see pow_cost
 
     def mul(self, a: Any, b: Any) -> Any:
         if self.live:
             return a * b
-        self.cost += sum(mul_cost(self.order, (sa, 1), (sb, 1)) for sa, sb in zip(a, b))
-        return tuple(map(max, a, b))
+        self.cost += sum(mul_cost(self.order, la, lb) for la, lb in zip(a, b))
+        return tuple((max(sa, sb), ta + tb - 1) for (sa, ta), (sb, tb) in zip(a, b))
+
+    def divide(self, a: Any, u: Any) -> Any:
+        # u_0 = 1 and q_n = a_n - sum u_j q_(n-j): each step adds at most the
+        # L-degree of a u_j, and the products are at most those of u * q
+        if self.live:
+            return _divide(a, u)
+        quotient = tuple((max(sa, su + tu - 1), ta) for (sa, ta), (su, tu) in zip(a, u))
+        self.mul(u, quotient)
+        return quotient
 
     def head(self, a: Any, n: int) -> Any:
         # the coefficients up to t^n, which costs no product
         return TruncatedSeries(a.coeffs[: n + 1]) if self.live else a
 
+    def random_lane(self, rng: random.Random) -> MotivicPolynomial:
+        # dry: the worst case of _random_poly, 4 terms up to L^3
+        return _random_poly(rng) if self.live else projective_class(3)
 
-def _planned(suite: str, order: int, budget: int, *parts: Callable[[_Plan], Iterator]) -> list[Iterator]:
-    # Every part runs on a dry plan, and over the budget the suite refuses;
-    # then each part on a live plan is returned unstarted, so that a caller
-    # making rows as it goes holds only the series of the current row.
+    def random_series(self, rng: random.Random, unit: bool = False) -> Any:
+        # coefficients of _random_poly, after a constant 1 if unit; dry, the
+        # worst case: L-degree at most 3 at every t^j, so the bound (0, 4)
+        if not self.live:
+            return ((0, 4),)
+        head = (MotivicPolynomial.one(),) if unit else ()
+        return TruncatedSeries(head + tuple(_random_poly(rng) for _ in range(self.order + 1 - len(head))))
+
+    # -- oracles
+
+    def affine_line(self, q: int, s: int) -> Any:
+        # (points of the line over F_q, those off its first s)
+        if self.live:
+            points = range(q)
+            return len(points), len([x for x in points if x >= s])
+        self.enumerations.append((q, f"affine line enumeration at q={q}"))
+
+    def scene(self, n: int, q: int, s: int) -> Any:
+        # (points of P^n over F_q, those on no mark): one pass tests every point against every mark
+        if not self.live:
+            self.enumerations.append(marked_union_steps(n, q, s))
+            return None
+        marks = MarkedP1Scene.standard(s, q)
+        total = on_marks = 0
+        for point in _points(n, q):
+            total += 1
+            on_marks += point_in_marked_union(point, marks)
+        return total, total - on_marks
+
+    def marked_union(self, n: int, q: int, s: int) -> Any:
+        if self.live:
+            return count_marked_union(n, MarkedP1Scene.standard(s, q), self.budget)
+        self.enumerations.append(marked_union_steps(n, q, s))
+
+    def points(self, n: int, q: int) -> Any:
+        if self.live:
+            return enumerate_projective(n, q, self.budget)
+        self.enumerations.append(marked_union_steps(n, q, 0))
+
+    def root_tuples(self, line: Any, q: int, n: int) -> Any:
+        # the n-multisets of the points of the line over F_q
+        if self.live:
+            return itertools.combinations_with_replacement(line, n)
+        self.enumerations.append((comb(q + n, n), f"root tuples at q={q}, n={n}"))
+
+    def squarefree(self, q: int, n: int) -> Any:
+        if self.live:
+            return count_squarefree_monic(q, n, self.budget)
+        self.enumerations.append(squarefree_steps(q, n))
+
+    def power_configs(self, size: int, marked: int, labels: Sequence[tuple[int, int]], top: int) -> Any:
+        if self.live:
+            return count_power_configs(FiniteScene.from_sizes(size, marked, labels), top, self.budget)
+        self.enumerations.append(power_config_steps(size, sum(full for full, _ in labels)))
+
+
+def _planned(suite: str, order: int, budget: int, *parts: Callable[[_Plan], Iterable]) -> list[Iterable]:
+    # Every part runs on a dry plan, and over the budget the suite refuses:
+    # on its term products, then on its enumerations (see charge_each).  Then
+    # each part on a live plan is returned unstarted, so that a caller making
+    # rows as it goes holds only the series of the current row.
     dry = _Plan(order, live=False)
     for part in parts:
         for _ in part(dry):
             pass
     charge(dry.cost, f"{suite} suite at order {order}", budget)
-    live = _Plan(order, live=True)
+    charge_each(dry.enumerations, f"{suite} suite enumerations", budget)
+    live = _Plan(order, live=True, budget=budget)
     return [part(live) for part in parts]
 
 
@@ -237,15 +324,6 @@ def _random_pair(rng: random.Random) -> PairClass:
     return PairClass(_random_poly(rng), _random_poly(rng))
 
 
-def _random_series(rng: random.Random, order: int) -> TruncatedSeries:
-    return TruncatedSeries(tuple(_random_poly(rng) for _ in range(order + 1)))
-
-
-def _random_unit_series(rng: random.Random, order: int) -> TruncatedSeries:
-    coeffs = (MotivicPolynomial.one(),) + tuple(_random_poly(rng) for _ in range(order))
-    return TruncatedSeries(coeffs)
-
-
 def _divide(a: TruncatedSeries, u: TruncatedSeries) -> TruncatedSeries:
     # a / u to the common order, for u_0 = 1: the long division
     # q_n = a_n - sum u_j q_{n-j} needs no coefficient division
@@ -258,201 +336,120 @@ def _divide(a: TruncatedSeries, u: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(quot))
 
 
-def _law_row(check: str, cases: Sequence[tuple], law: Callable[..., bool]) -> dict:
-    bad = [f"sample {i}" for i, case in enumerate(cases) if not law(*case)]
-    return _check(check, {"samples": len(cases), "seed": RING_SEED}, [], bad)
+def _law_row(check: str, holds: Sequence[bool]) -> dict:
+    bad = [f"sample {i}" for i, ok in enumerate(holds) if not ok]
+    return _check(check, {"samples": len(holds), "seed": RING_SEED}, [], bad)
 
 
-def _union_formula(a: PairClass, b: PairClass, _c: PairClass) -> bool:
-    # the product's marked set is a union, so its class obeys inclusion-exclusion
-    sa, sb = a.subvariety, b.subvariety
-    return (a * b).subvariety == a.amb * sb + sa * b.amb - sa * sb
+def _series_laws(plan: _Plan, rng: random.Random) -> Iterator[tuple[str, list]]:
+    # (check, whether each sample holds) of the series and zeta laws; both
+    # sides of a sample are made before they are compared, so a dry plan
+    # prices them whatever the comparison says
+    mul, divide, zeta = plan.mul, plan.divide, plan.zeta
+    triples = [tuple(plan.random_series(rng) for _ in range(3)) for _ in range(SERIES_SAMPLES)]
+    divisions = [(plan.random_series(rng), plan.random_series(rng, unit=True)) for _ in range(SERIES_SAMPLES)]
+    lanes = [(plan.random_lane(rng), plan.random_lane(rng)) for _ in range(ZETA_SAMPLES)]
+    unit = plan.unit(MotivicPolynomial.one())
+    yield "series-mul-commutative", [mul(a, b) == mul(b, a) for a, b, _ in triples]
+    yield "series-mul-associative", [mul(mul(a, b), c) == mul(a, mul(b, c)) for a, b, c in triples]
+    yield "series-div-roundtrip", [
+        (mul(divide(a, u), u), mul(divide(unit, u), u)) == (a, unit) for a, u in divisions
+    ]
+    yield "zeta-multiplicative-base", [zeta(a + b) == mul(zeta(a), zeta(b)) for a, b in lanes]
+    yield "zeta-inverse", [mul(zeta(-a), zeta(a)) == unit for a, _ in lanes]
 
 
-def _brute_counts(spec: str, q: int, budget: int, priced: list | None = None) -> tuple[int, int] | None:
+def _brute_counts(plan: _Plan, spec: str, q: int) -> tuple[int, int] | None:
     """Point counts (ambient, complement) of a catalog scene over F_q.
 
     Counts by explicit enumeration, never by evaluating classes.  Returns
     None when the scene does not exist over F_q (more marks than points),
-    and when given a list `priced`: then it counts nothing and adds the
-    (steps, name) of every enumeration it would make to that list.
+    and on a dry plan for a scene it enumerates.
     """
     name, params = split_atom(spec)
-    if name == "point":
-        return (1, 1)
-    if name == "empty":
-        return (0, 0)
-    if name == "finite":
-        size, marked = params
+    if name in ("point", "empty", "finite"):
+        size, marked = {"point": (1, 0), "empty": (0, 0)}.get(name, params)
         atoms = range(size)
-        return (len(atoms), len([a for a in atoms if a >= marked]))
+        return len(atoms), len([a for a in atoms if a >= marked])
     if name == "affine-marked":
         (s,) = params
-        if s > q:
-            return None
-        line = (q, f"affine line enumeration at q={q}")
-        if priced is not None:
-            priced.append(line)
-            return None
-        charge(*line, budget)
-        points = range(q)
-        return (len(points), len([x for x in points if x >= s]))
-    # P^n with s standard marks: one pass counts all its points and those on a mark hyperplane
+        return plan.affine_line(q, s) if s <= q else None
+    # P^n with s standard marks
     n, s = {"p1-marked": (1, *params), "pn": (*params, 0), "pn-hyp": params}[name]
-    if s > q + 1:
-        return None
-    steps = marked_union_steps(n, q, s)
-    if priced is not None:
-        priced.append(steps)
-        return None
-    charge(*steps, budget)
-    scene = MarkedP1Scene.standard(s, q)
-    total = on_marks = 0
-    for point in _points(n, q):
-        total += 1
-        on_marks += point_in_marked_union(point, scene)
-    return (total, total - on_marks)
+    return plan.scene(n, q, s) if s <= q + 1 else None
 
 
-def _ring_axioms_cost(order: int) -> int:
-    # _random_poly has at most 4 terms, of L-degree at most 3: a random
-    # series has the lane bound (0, 4), a product of two (0, 7), a quotient
-    # by a random unit series (3, 4) (L-degree at most 3j + 3), and the zeta
-    # series of a random polynomial (3, 1).  Per series triple, the series
-    # laws make four products of two random series and two with a product;
-    # per division case, two divisions and two multiplies; per zeta case,
-    # five zeta series and two multiplies.
-    rand, prod, quot, zeta = (0, 4), (0, 7), (3, 4), (3, 1)
-    zero = MotivicPolynomial.zero()
-    random_zeta = zeta_cost(PairClass(projective_class(3), zero), order)  # one lane, 4 terms, L-degree 3
-    return (
-        SERIES_SAMPLES * (4 * mul_cost(order, rand, rand) + 2 * mul_cost(order, prod, rand))
-        + SERIES_SAMPLES * 4 * mul_cost(order, quot, rand)
-        + ZETA_SAMPLES * (5 * random_zeta + 2 * mul_cost(order, zeta, zeta))
-        + zeta_cost(PairClass(projective_class(1), zero), order)
-    )
+# The ring laws, each on a sample (a, b, c) of polynomials or of pairs
+_RING_LAWS = [
+    ("add-commutative", lambda a, b, c: a + b == b + a),
+    ("add-associative", lambda a, b, c: (a + b) + c == a + (b + c)),
+    ("mul-commutative", lambda a, b, c: a * b == b * a),
+    ("mul-associative", lambda a, b, c: (a * b) * c == a * (b * c)),
+    ("distributive", lambda a, b, c: a * (b + c) == a * b + a * c),
+    ("identities", lambda a, b, c: a + type(a).zero() == a and a * type(a).one() == a and a - a == type(a).zero()),
+]
 
 
 def suite_ring_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
     """Ring laws, series laws, zeta structure, and catalog scenes vs enumeration.
 
-    Refuses over the budget before drawing a series (see _ring_axioms_cost)
-    or counting a scene.
+    Refuses over the budget before drawing a series or counting a scene.
     """
-    charge(_ring_axioms_cost(order), f"ring-axioms suite at order {order}", budget)
-    # then every scene's enumerations, and the P^1 of each product count
     scenes = [(spec, q, entry) for spec, entry in catalog_samples() for q in fields]
-    priced: list = []
-    for spec, q, _ in scenes:
-        _brute_counts(spec, q, budget, priced)
-    priced += [marked_union_steps(1, q, 0) for q in fields]
-    _check_enumerations(priced, budget, "ring-axioms suite enumerations")
     rng = random.Random(RING_SEED)
-    poly_triples = [tuple(_random_poly(rng) for _ in range(3)) for _ in range(25)]
-    pair_triples = [tuple(_random_pair(rng) for _ in range(3)) for _ in range(25)]
-    series_triples = [tuple(_random_series(rng, order) for _ in range(3)) for _ in range(SERIES_SAMPLES)]
-    division_cases = [
-        (_random_series(rng, order), _random_unit_series(rng, order)) for _ in range(SERIES_SAMPLES)
-    ]
-    zeta_cases = [(_random_poly(rng), _random_poly(rng)) for _ in range(ZETA_SAMPLES)]
-
-    zero, one = MotivicPolynomial.zero(), MotivicPolynomial.one()
-    unit_series = one_plus((), order, one)
-    rows = [
-        _law_row("mp-add-commutative", poly_triples, lambda a, b, c: a + b == b + a),
-        _law_row("mp-add-associative", poly_triples, lambda a, b, c: (a + b) + c == a + (b + c)),
-        _law_row("mp-mul-commutative", poly_triples, lambda a, b, c: a * b == b * a),
-        _law_row("mp-mul-associative", poly_triples, lambda a, b, c: (a * b) * c == a * (b * c)),
-        _law_row("mp-distributive", poly_triples, lambda a, b, c: a * (b + c) == a * b + a * c),
+    # the live series laws draw after the polynomial and pair samples below
+    laws, (p1_zeta,), counts, lines = _planned(
+        "ring-axioms",
+        order,
+        budget,
+        lambda plan: _series_laws(plan, rng),
+        lambda plan: [plan.zeta(projective_class(1))],
+        lambda plan: ((spec, q, entry, _brute_counts(plan, spec, q)) for spec, q, entry in scenes),
+        lambda plan: ((q, plan.points(1, q)) for q in fields),
+    )
+    polys = [tuple(_random_poly(rng) for _ in range(3)) for _ in range(25)]
+    pairs = [tuple(_random_pair(rng) for _ in range(3)) for _ in range(25)]
+    rows = [_law_row(f"mp-{name}", [law(*sample) for sample in polys]) for name, law in _RING_LAWS]
+    rows += [
+        _law_row("pair-ring-laws", [all(law(*sample) for _, law in _RING_LAWS) for sample in pairs]),
+        # the product's marked set is a union, so its class obeys inclusion-exclusion
         _law_row(
-            "mp-identities",
-            poly_triples,
-            lambda a, b, c: a + zero == a and a * one == a and a - a == zero,
+            "pair-union-formula",
+            [
+                (a * b).subvariety == a.amb * b.subvariety + a.subvariety * b.amb - a.subvariety * b.subvariety
+                for a, b, _ in pairs
+            ],
         ),
-        _law_row(
-            "pair-ring-laws",
-            pair_triples,
-            lambda a, b, c: a + b == b + a
-            and (a + b) + c == a + (b + c)
-            and a * b == b * a
-            and (a * b) * c == a * (b * c)
-            and a * (b + c) == a * b + a * c
-            and a + PairClass.zero() == a
-            and a * PairClass.one() == a
-            and a - a == PairClass.zero(),
-        ),
-        _law_row("pair-union-formula", pair_triples, _union_formula),
-        _law_row("series-mul-commutative", series_triples, lambda a, b, c: a * b == b * a),
-        _law_row(
-            "series-mul-associative", series_triples, lambda a, b, c: (a * b) * c == a * (b * c)
-        ),
-        _law_row(
-            "series-div-roundtrip",
-            division_cases,
-            lambda a, u: _divide(a, u) * u == a and _divide(unit_series, u) * u == unit_series,
-        ),
-        _law_row(
-            "zeta-multiplicative-base",
-            zeta_cases,
-            lambda a, b: zeta_series(a + b, order) == zeta_series(a, order) * zeta_series(b, order),
-        ),
-        _law_row(
-            "zeta-inverse",
-            [(a,) for a, _ in zeta_cases],
-            lambda a: zeta_series(-a, order) * zeta_series(a, order) == unit_series,
-        ),
-    ]
-
-    z = zeta_series(projective_class(1), order)
-    rows.append(
+        *(_law_row(check, holds) for check, holds in laws),
         _check(
             "zeta-p1-is-projective-classes",
-            {"order": z.order},
-            [str(projective_class(n)) for n in range(z.order + 1)],
-            [str(c) for c in z.coeffs],
-        )
-    )
-
-    for q in fields:
-        rows.append(
-            _check(
-                "projective-specialization",
-                {"q": q, "max_dim": 10},
-                [(q ** (n + 1) - 1) // (q - 1) for n in range(11)],
-                [projective_class(n).evaluate(q) for n in range(11)],
-            )
-        )
-
-    counted = [
-        (spec, q, counts, entry)
-        for spec, q, entry in scenes
-        if (counts := _brute_counts(spec, q, budget)) is not None
+            {"order": order},
+            [str(projective_class(n)) for n in range(order + 1)],
+            [str(c) for c in p1_zeta.coeffs],
+        ),
     ]
-    for spec, q, counts, entry in counted:
-        rows.append(
-            _check(
-                "catalog-count",
-                {"entry": spec, "q": q},
-                list(counts),
-                [entry.amb.evaluate(q), entry.comp.evaluate(q)],
-            )
+    rows += [
+        _check(
+            "projective-specialization",
+            {"q": q, "max_dim": 10},
+            [(q ** (n + 1) - 1) // (q - 1) for n in range(11)],
+            [projective_class(n).evaluate(q) for n in range(11)],
         )
-    for spec, q, _, entry in counted:
-        amb, comp = entry.amb.evaluate(q), entry.comp.evaluate(q)
-        rows.append(
-            _bound(
-                "catalog-effective",
-                {"entry": spec, "q": q},
-                "0 <= comp <= amb",
-                [comp, amb],
-                0 <= comp <= amb,
-            )
-        )
+        for q in fields
+    ]
+    counted = [
+        ({"entry": spec, "q": q}, list(found), [entry.amb.evaluate(q), entry.comp.evaluate(q)])
+        for spec, q, entry, found in counts
+        if found is not None
+    ]
+    rows += [_check("catalog-count", *row) for row in counted]
+    rows += [
+        _bound("catalog-effective", params, "0 <= comp <= amb", [comp, amb], 0 <= comp <= amb)
+        for params, _, (amb, comp) in counted
+    ]
 
-    marked_line = parse_pair_spec("p1-marked:1")
-    squared = marked_line * marked_line
-    for q in fields:
-        points = enumerate_projective(1, q, budget)
+    squared = parse_pair_spec("prod(p1-marked:1,p1-marked:1)")
+    for q, points in lines:
         (mark,) = MarkedP1Scene.standard(1, q).marks
         on_union = [(x, y) for x in points for y in points if x == mark or y == mark]
         total = len(points) ** 2
@@ -465,7 +462,7 @@ def suite_ring_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[
             )
         )
 
-    product = parse_pair_spec("finite:3,1") * parse_pair_spec("finite:2,0")
+    product = parse_pair_spec("prod(finite:3,1,finite:2,0)")
     atoms = [(i, j) for i in range(3) for j in range(2)]
     unmarked = [(i, j) for i, j in atoms if i >= 1]
     rows.append(
@@ -476,14 +473,12 @@ def suite_ring_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[
             [product.amb.coefficient(0), product.comp.coefficient(0)],
         )
     )
-
-    reassembled = parse_pair_spec("finite:1,1") + parse_pair_spec("affine-marked:1")
     rows.append(
         _check(
             "pair-cut-paste",
             {"entry": "p1-marked:2", "cut": "one marked point"},
             str(parse_pair_spec("p1-marked:2")),
-            str(reassembled),
+            str(parse_pair_spec("sum(finite:1,1,affine-marked:1)")),
         )
     )
     return rows
@@ -492,22 +487,15 @@ def suite_ring_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[
 # -- statements 1 and 2 --------------------------------------------------------
 
 
-def _sampled_sums(
-    samples: Sequence[tuple[str, PairClass]], count: int = 24
-) -> list[tuple[tuple[str, PairClass], tuple[str, PairClass]]]:
-    pairs = [(i, j) for i in range(len(samples)) for j in range(i, len(samples))]
-    rng = random.Random(SUM_SEED)
-    return [(samples[i], samples[j]) for i, j in rng.sample(pairs, count)]
-
-
-def _multiplicativity_laws(plan: _Plan, prefix: str, samples: Sequence, sums: Sequence) -> Iterator[tuple]:
-    # series(p + r) = series(p) * series(r) over sampled sums, then 1 + p t + ...;
+def _multiplicativity_laws(plan: _Plan, prefix: str, samples: Sequence) -> Iterator[tuple]:
+    # series(p + r) = series(p) * series(r) over 24 sampled sums, then 1 + p t + ...;
     # prefix names the plan's series, zeta or config
     series, head = getattr(plan, prefix), min(plan.order, 1)
+    sums = random.Random(SUM_SEED).sample(list(itertools.combinations_with_replacement(samples, 2)), 24)
     for (name_p, p), (name_r, r) in sums:
         yield f"{prefix}-multiplicative", f"{name_p} + {name_r}", series(p + r), plan.mul(series(p), series(r))
     for name, p in samples:
-        unit = plan.head(plan.one_plus((p,)), head)
+        unit = plan.head(plan.one_plus(p), head)
         yield f"{prefix}-unit-and-linear-term", name, plan.head(series(p), head), unit
 
 
@@ -517,10 +505,7 @@ def suite_statement1(order: int, fields: tuple[int, ...], budget: int) -> list[d
     Refuses over the budget before building any series.
     """
     samples = catalog_samples()
-    sums = _sampled_sums(samples)
-    (comparisons,) = _planned(
-        "statement1", order, budget, lambda plan: _multiplicativity_laws(plan, "zeta", samples, sums)
-    )
+    (comparisons,) = _planned("statement1", order, budget, lambda plan: _multiplicativity_laws(plan, "zeta", samples))
     return _axiom_rows(comparisons, order)
 
 
@@ -530,11 +515,10 @@ def suite_statement2(order: int, fields: tuple[int, ...], budget: int) -> list[d
     Refuses over the budget before building any series.
     """
     samples = catalog_samples()
-    sums = _sampled_sums(samples)
 
     def laws(plan: _Plan) -> Iterator[tuple]:
-        yield from _multiplicativity_laws(plan, "config", samples, sums)
-        yield "config-of-unit-is-one-plus-t", "point", plan.config(_ONE), plan.one_plus((_ONE,))
+        yield from _multiplicativity_laws(plan, "config", samples)
+        yield "config-of-unit-is-one-plus-t", "point", plan.config(_ONE), plan.one_plus(_ONE)
 
     (comparisons,) = _planned("statement2", order, budget, laws)
     return _axiom_rows(comparisons, order)
@@ -552,7 +536,7 @@ def _exponent_laws(plan: _Plan, name: str, a: Any, b: Any, m1: Any, m2: Any) -> 
     """
     zero, one = type(m1).zero(), type(m1).one()
     a_m1, a_m2 = plan.pow(a, m1), plan.pow(a, m2)
-    yield "zero-exponent", name, plan.pow(a, zero), plan.one_plus((), one)
+    yield "zero-exponent", name, plan.pow(a, zero), plan.unit(one)
     yield "unit-exponent", name, plan.pow(a, one), a
     yield "base-multiplicative", name, plan.pow(plan.mul(a, b), m1), plan.mul(a_m1, plan.pow(b, m1))
     yield "exponent-additive", name, plan.pow(a, m1 + m2), plan.mul(a_m1, a_m2)
@@ -562,75 +546,53 @@ def _exponent_laws(plan: _Plan, name: str, a: Any, b: Any, m1: Any, m2: Any) -> 
 def _identity_laws(plan: _Plan, name: str, p: PairClass) -> Iterator[tuple]:
     """(1/(1-t))^p is the symmetric-power series of p, and (1 + t)^p its configuration series."""
     yield "geometric-power-is-zeta", name, plan.pow(plan.geometric(), p), plan.zeta(p)
-    yield "binomial-power-is-config", name, plan.pow(plan.one_plus((_ONE,)), p), plan.config(p)
+    yield "binomial-power-is-config", name, plan.pow(plan.one_plus(_ONE), p), plan.config(p)
 
 
-# Bases of the power-axioms suite are recipes (plan method, *arguments):
-# ("geometric",) is 1/(1-t), ("one_plus", tail) 1 + c_1 t + c_2 t^2 + ...
-# for the tail given, and ("zeta", p) and ("config", p) the series of p.
+# Bases of the power-axioms suite are recipes (plan method, *pair specs):
+# ("geometric",) is 1/(1-t), ("one_plus", c_1, c_2, ...) is 1 + c_1 t + c_2 t^2 + ...,
+# and ("zeta", p) and ("config", p) are the series of p.  Exponents are pair specs.
 
-
-def _base(plan: _Plan, recipe: tuple) -> Any:
-    return getattr(plan, recipe[0])(*recipe[1:])
-
-
-def _power_samples() -> list[tuple[str, tuple, tuple, PairClass, PairClass]]:
-    e = parse_pair_spec
-    geo, opt = ("geometric",), ("one_plus", (e("point"),))
-    return [
-        ("A=1+t, B=1/(1-t); m1=finite:3,1, m2=finite:2,1",
-         opt, geo, e("finite:3,1"), e("finite:2,1")),
-        ("A=1/(1-t), B=zeta(p1-marked:1); m1=p1-marked:2, m2=pn:1",
-         geo, ("zeta", e("p1-marked:1")), e("p1-marked:2"), e("pn:1")),
-        ("A=1+t+t^2, B=1+t; m1=p1-marked:1, m2=finite:2,1",
-         ("one_plus", (e("point"), e("point"))), opt, e("p1-marked:1"), e("finite:2,1")),
-        ("A=1/(1-t), B=1+t; m1=finite:3,1-pn:1, m2=point-affine-marked:1",
-         geo, opt, e("finite:3,1") - e("pn:1"), e("point") - e("affine-marked:1")),
-        ("A=1+t, B=zeta(finite:2,1); m1=-p1-marked:2, m2=finite:4,2",
-         opt, ("zeta", e("finite:2,1")), -e("p1-marked:2"), e("finite:4,2")),
-        ("A=zeta(finite:2,1), B=1+t; m1=affine-marked:1, m2=p1-marked:3",
-         ("zeta", e("finite:2,1")), opt, e("affine-marked:1"), e("p1-marked:3")),
-        ("A=config(p1-marked:1), B=1/(1-t); m1=pn:2, m2=point",
-         ("config", e("p1-marked:1")), geo, e("pn:2"), e("point")),
-        ("A=1+t, B=1/(1-t); m1=pn:2-p1-marked:1, m2=finite:5,5",
-         opt, geo, e("pn:2") - e("p1-marked:1"), e("finite:5,5")),
-        ("A=1+[affine-marked:0]t, B=1/(1-t); m1=affine-marked:0, m2=-point",
-         ("one_plus", (e("affine-marked:0"),)), geo, e("affine-marked:0"), -e("point")),
-        ("A=1+t, B=1+t; m1=empty, m2=pn:3",
-         opt, opt, e("empty"), e("pn:3")),
-        ("A=1+[finite:2,1]t+[p1-marked:1]t^2+[finite:3,3]t^3, B=zeta(pn:1); m1=finite:3,2-affine-marked:2, m2=pn:1",
-         ("one_plus", (e("finite:2,1"), e("p1-marked:1"), e("finite:3,3"))),
-         ("zeta", e("pn:1")), e("finite:3,2") - e("affine-marked:2"), e("pn:1")),
-        ("A=1/(1-t), B=1+[pn:1]t; m1=p1-marked:4-finite:2,2, m2=affine-marked:3",
-         geo, ("one_plus", (e("pn:1"),)), e("p1-marked:4") - e("finite:2,2"), e("affine-marked:3")),
-    ]
-
-
-def _roundtrip_bases() -> list[tuple[str, tuple]]:
-    e = parse_pair_spec
-    return [
-        ("1+t", ("one_plus", (e("point"),))),
-        ("1/(1-t)", ("geometric",)),
-        ("zeta(p1-marked:2)", ("zeta", e("p1-marked:2"))),
-        ("config(pn:2)", ("config", e("pn:2"))),
-        ("1+[finite:2,1]t+[p1-marked:1]t^2", ("one_plus", (e("finite:2,1"), e("p1-marked:1")))),
-    ]
-
-
-def _effective_combos() -> list[tuple[str, tuple, PairClass]]:
-    # every scene here exists over F_2 already, so the counts stay genuine
-    # for all prime fields
-    e = parse_pair_spec
-    return [
-        ("(1+t)^finite:4,2", ("one_plus", (e("point"),)), e("finite:4,2")),
-        ("(1+t)^pn-hyp:2,2", ("one_plus", (e("point"),)), e("pn-hyp:2,2")),
-        ("(1/(1-t))^p1-marked:3", ("geometric",), e("p1-marked:3")),
-        ("(1/(1-t))^pn:2", ("geometric",), e("pn:2")),
-        ("zeta(p1-marked:1)^finite:3,1", ("zeta", e("p1-marked:1")), e("finite:3,1")),
-        ("(1+[p1-marked:2]t+[finite:2,1]t^2+[affine-marked:1]t^3)^affine-marked:2",
-         ("one_plus", (e("p1-marked:2"), e("finite:2,1"), e("affine-marked:1"))),
-         e("affine-marked:2")),
-    ]
+_GEO, _OPT = ("geometric",), ("one_plus", "point")
+_POWER_SAMPLES = [
+    ("A=1+t, B=1/(1-t); m1=finite:3,1, m2=finite:2,1", _OPT, _GEO, "finite:3,1", "finite:2,1"),
+    ("A=1/(1-t), B=zeta(p1-marked:1); m1=p1-marked:2, m2=pn:1", _GEO, ("zeta", "p1-marked:1"), "p1-marked:2", "pn:1"),
+    ("A=1+t+t^2, B=1+t; m1=p1-marked:1, m2=finite:2,1",
+     ("one_plus", "point", "point"), _OPT, "p1-marked:1", "finite:2,1"),
+    ("A=1/(1-t), B=1+t; m1=finite:3,1-pn:1, m2=point-affine-marked:1",
+     _GEO, _OPT, "sum(finite:3,1,neg(pn:1))", "sum(point,neg(affine-marked:1))"),
+    ("A=1+t, B=zeta(finite:2,1); m1=-p1-marked:2, m2=finite:4,2",
+     _OPT, ("zeta", "finite:2,1"), "neg(p1-marked:2)", "finite:4,2"),
+    ("A=zeta(finite:2,1), B=1+t; m1=affine-marked:1, m2=p1-marked:3",
+     ("zeta", "finite:2,1"), _OPT, "affine-marked:1", "p1-marked:3"),
+    ("A=config(p1-marked:1), B=1/(1-t); m1=pn:2, m2=point", ("config", "p1-marked:1"), _GEO, "pn:2", "point"),
+    ("A=1+t, B=1/(1-t); m1=pn:2-p1-marked:1, m2=finite:5,5", _OPT, _GEO, "sum(pn:2,neg(p1-marked:1))", "finite:5,5"),
+    ("A=1+[affine-marked:0]t, B=1/(1-t); m1=affine-marked:0, m2=-point",
+     ("one_plus", "affine-marked:0"), _GEO, "affine-marked:0", "neg(point)"),
+    ("A=1+t, B=1+t; m1=empty, m2=pn:3", _OPT, _OPT, "empty", "pn:3"),
+    ("A=1+[finite:2,1]t+[p1-marked:1]t^2+[finite:3,3]t^3, B=zeta(pn:1); m1=finite:3,2-affine-marked:2, m2=pn:1",
+     ("one_plus", "finite:2,1", "p1-marked:1", "finite:3,3"), ("zeta", "pn:1"),
+     "sum(finite:3,2,neg(affine-marked:2))", "pn:1"),
+    ("A=1/(1-t), B=1+[pn:1]t; m1=p1-marked:4-finite:2,2, m2=affine-marked:3",
+     _GEO, ("one_plus", "pn:1"), "sum(p1-marked:4,neg(finite:2,2))", "affine-marked:3"),
+]
+_ROUNDTRIP_BASES = [
+    ("1+t", _OPT),
+    ("1/(1-t)", _GEO),
+    ("zeta(p1-marked:2)", ("zeta", "p1-marked:2")),
+    ("config(pn:2)", ("config", "pn:2")),
+    ("1+[finite:2,1]t+[p1-marked:1]t^2", ("one_plus", "finite:2,1", "p1-marked:1")),
+]
+# every scene here exists over F_2 already, so the counts stay genuine for all prime fields
+_EFFECTIVE_COMBOS = [
+    ("(1+t)^finite:4,2", _OPT, "finite:4,2"),
+    ("(1+t)^pn-hyp:2,2", _OPT, "pn-hyp:2,2"),
+    ("(1/(1-t))^p1-marked:3", _GEO, "p1-marked:3"),
+    ("(1/(1-t))^pn:2", _GEO, "pn:2"),
+    ("zeta(p1-marked:1)^finite:3,1", ("zeta", "p1-marked:1"), "finite:3,1"),
+    ("(1+[p1-marked:2]t+[finite:2,1]t^2+[affine-marked:1]t^3)^affine-marked:2",
+     ("one_plus", "p1-marked:2", "finite:2,1", "affine-marked:1"), "affine-marked:2"),
+]
 
 
 def suite_power_axioms(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
@@ -638,28 +600,27 @@ def suite_power_axioms(order: int, fields: tuple[int, ...], budget: int) -> list
 
     Refuses over the budget before building anything.
     """
-    samples, roundtrips, combos = _power_samples(), _roundtrip_bases(), _effective_combos()
+    e = functools.cache(parse_pair_spec)  # each spec parsed once a run
+
+    def base(plan: _Plan, recipe: tuple) -> Any:
+        return getattr(plan, recipe[0])(*map(e, recipe[1:]))
 
     def laws(plan: _Plan) -> Iterator[tuple]:
-        for name, a, b, m1, m2 in samples:
-            yield from _exponent_laws(plan, name, _base(plan, a), _base(plan, b), m1, m2)
-        for name, recipe in roundtrips:
-            series = _base(plan, recipe)
+        for name, a, b, m1, m2 in _POWER_SAMPLES:
+            yield from _exponent_laws(plan, name, base(plan, a), base(plan, b), e(m1), e(m2))
+        for name, recipe in _ROUNDTRIP_BASES:
+            series = base(plan, recipe)
             yield "factor-roundtrip", name, plan.pow(series, _ONE), series
 
     def powers(plan: _Plan) -> Iterator[tuple[str, Any]]:
-        for name, recipe, exponent in combos:
-            yield name, plan.pow(_base(plan, recipe), exponent)
+        for name, recipe, exponent in _EFFECTIVE_COMBOS:
+            yield name, plan.pow(base(plan, recipe), e(exponent))
 
     comparisons, powered_combos = _planned("power-axioms", order, budget, laws, powers)
     rows = _axiom_rows(comparisons, order)
     for name, powered in powered_combos:
         for q in fields:
-            bad = [
-                n
-                for n, c in enumerate(powered.coeffs)
-                if not 0 <= c.comp.evaluate(q) <= c.amb.evaluate(q)
-            ]
+            bad = [n for n, c in enumerate(powered.coeffs) if not 0 <= c.comp.evaluate(q) <= c.amb.evaluate(q)]
             rows.append(
                 {
                     "axiom": "effective",
@@ -687,81 +648,55 @@ def suite_identities(order: int, fields: tuple[int, ...], budget: int) -> list[d
     return _axiom_rows(comparisons, order)
 
 
-# -- budgets of the oracle suites ------------------------------------------------
-
-
-def _check_enumerations(enumerations: list[tuple[int, str]], budget: int, what: str) -> None:
-    # the first (steps, name) over the budget refuses under its own name,
-    # and otherwise the total does, under `what`
-    for needed, name in enumerations:
-        charge(needed, name, budget)
-    charge(sum(needed for needed, _ in enumerations), what, budget)
-
-
 # -- the worked example ----------------------------------------------------------
 
 
 def suite_example_p1(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
-    """Marked-line symmetric powers: both pipelines, counts, and the root map."""
-    # P^n against the marks of each scene for the union counts, then P^1
-    # and its n-tuples of roots for the root map
+    """Marked-line symmetric powers: both pipelines, counts, and the root map.
+
+    Refuses over the budget before it builds a scene or a point.
+    """
     scenes = [(q, n, s) for q in fields for n in range(1, 4) for s in range(min(5, q + 1) + 1)]
-    enumerations = [marked_union_steps(n, q, s) for q, n, s in scenes]
-    for q in (p for p in fields if p <= 3):
-        enumerations.append(marked_union_steps(1, q, 0))
-        enumerations += [(comb(q + n, n), f"root tuples at q={q}, n={n}") for n in range(1, 4)]
-    _check_enumerations(enumerations, budget, "example-p1 suite enumerations")
-    rows = []
-    for n in range(9):
-        for s in range(6):
-            rows.append(
-                _check(
-                    "sym-pair-coherence",
-                    {"n": n, "s": s},
-                    str(sym_pair_p1_direct(n, s)),
-                    str(sym_pair_p1_lambda(n, s)),
-                )
-            )
 
-    for q, n, s in scenes:
-        rows.append(
-            _check(
-                "hyperplane-union-count",
-                {"n": n, "s": s, "q": q},
-                count_marked_union(n, MarkedP1Scene.standard(s, q), budget),
-                hyperplane_union_class(n, s).evaluate(q),
-            )
-        )
+    def roots(plan: _Plan) -> Iterator[tuple]:
+        # P^1 over each small field, and the n-tuples of its points
+        for q in (p for p in fields if p <= 3):
+            line = plan.points(1, q)
+            for n in range(1, 4):
+                yield q, n, plan.root_tuples(line, q, n)
 
+    unions, root_tuples = _planned(
+        "example-p1",
+        order,
+        budget,
+        lambda plan: ((q, n, s, plan.marked_union(n, q, s)) for q, n, s in scenes),
+        roots,
+    )
+    rows = [
+        _check("sym-pair-coherence", {"n": n, "s": s}, str(sym_pair_p1_direct(n, s)), str(sym_pair_p1_lambda(n, s)))
+        for n in range(9)
+        for s in range(6)
+    ]
+    rows += [
+        _check("hyperplane-union-count", {"n": n, "s": s, "q": q}, counted, hyperplane_union_class(n, s).evaluate(q))
+        for q, n, s, counted in unions
+    ]
     for q in fields:
         for n in range(1, 4):
             for s in range(0, min(4, q) + 1):
-                grown = hyperplane_union_class(n, s + 1) - hyperplane_union_class(n, s)
-                diff = grown.evaluate(q)
-                rows.append(
-                    _bound(
-                        "hyperplane-union-monotone",
-                        {"n": n, "s": s, "q": q},
-                        ">= 0",
-                        diff,
-                        diff >= 0,
-                    )
-                )
+                diff = (hyperplane_union_class(n, s + 1) - hyperplane_union_class(n, s)).evaluate(q)
+                rows.append(_bound("hyperplane-union-monotone", {"n": n, "s": s, "q": q}, ">= 0", diff, diff >= 0))
 
-    for q in (p for p in fields if p <= 3):
-        line = enumerate_projective(1, q, budget)
-        for n in range(1, 4):
-            s = min(3, q)
-            scene = MarkedP1Scene.standard(s, q)
-            marks = set(scene.marks)
-            bad = []
-            for roots in itertools.combinations_with_replacement(line, n):
-                flagged = point_in_marked_union(vieta_coefficients(roots, q), scene)
-                if flagged != any(r in marks for r in roots):
-                    bad.append("(" + ", ".join(str(r) for r in roots) + ")")
-            rows.append(
-                _check("vieta-mark-detection", {"n": n, "s": s, "q": q}, [], bad)
-            )
+    for q, n, tuples in root_tuples:
+        s = min(3, q)
+        scene = MarkedP1Scene.standard(s, q)
+        marks = set(scene.marks)
+        bad = [
+            "(" + ", ".join(map(str, roots)) + ")"
+            for roots in tuples
+            if point_in_marked_union(vieta_coefficients(roots, q), scene) != any(r in marks for r in roots)
+        ]
+        rows.append(_check("vieta-mark-detection", {"n": n, "s": s, "q": q}, [], bad))
     return rows
 
 
@@ -773,37 +708,36 @@ def suite_eq3_finite(order: int, fields: tuple[int, ...], budget: int) -> list[d
 
     The grid is every scene with at most 4 atoms, label weights 1 and 2,
     and at most 2 labels per weight; the engine side is the series
-    exponential on the matching constant pair classes.
+    exponential on the matching constant pair classes, to order 4 whatever
+    the suite's order.  Refuses over the budget before it builds a scene.
     """
-    rows = []
-    label_options = [(a, b) for a in range(3) for b in range(a + 1)]
     top = 4
-    bases = {
-        (l1, l2): one_plus((catalog("finite", *l1), catalog("finite", *l2)), top, PairClass.one())
-        for l1 in label_options for l2 in label_options
-    }
-    for size in range(5):
-        for marked in range(size + 1):
-            exponent = catalog("finite", size, marked)
-            for (l1, l2), base in bases.items():
-                scene = FiniteScene.from_sizes(size, marked, [l1, l2])
-                powered = power_pow(base, exponent)
-                expected = [list(counts) for counts in count_power_configs(scene, top, budget)]
-                actual = [
-                    [c.amb.coefficient(0), c.comp.coefficient(0)]
-                    if c.amb.degree <= 0 and c.comp.degree <= 0
-                    else [str(c.amb), str(c.comp)]
-                    for c in powered.coeffs
-                ]
-                rows.append(
-                    _check(
-                        "power-config-count",
-                        {"atoms": size, "marked": marked, "labels": [list(l1), list(l2)]},
-                        expected,
-                        actual,
-                    )
-                )
-    return rows
+    label_options = [(a, b) for a in range(3) for b in range(a + 1)]
+    labellings = [(l1, l2) for l1 in label_options for l2 in label_options]
+
+    def configs(plan: _Plan) -> Iterator[tuple]:
+        bases = {labels: plan.one_plus(*(catalog("finite", *l) for l in labels)) for labels in labellings}
+        for size in range(5):
+            for marked in range(size + 1):
+                exponent = catalog("finite", size, marked)
+                for labels, base in bases.items():
+                    yield size, marked, labels, plan.power_configs(size, marked, labels, top), plan.pow(base, exponent)
+
+    (counted,) = _planned("eq3-finite", top, budget, configs)
+    return [
+        _check(
+            "power-config-count",
+            {"atoms": size, "marked": marked, "labels": [list(l) for l in labels]},
+            [list(counts) for counts in expected],
+            [
+                [c.amb.coefficient(0), c.comp.coefficient(0)]
+                if c.amb.degree <= 0 and c.comp.degree <= 0
+                else [str(c.amb), str(c.comp)]
+                for c in powered.coeffs
+            ],
+        )
+        for size, marked, labels, expected, powered in counted
+    ]
 
 
 # -- counting oracles --------------------------------------------------------------
@@ -856,34 +790,24 @@ def suite_weil(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
 
 
 def suite_squarefree(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
-    """Distinct-point configurations of the affine line vs squarefree counts."""
+    """Distinct-point configurations of the affine line vs squarefree counts.
+
+    Refuses over the budget before it counts anything.
+    """
     top = 6
-    _check_enumerations(
-        [(q**n, f"squarefree enumeration at q={q}, n={n}") for q in fields for n in range(1, top + 1)],
+    (counts,) = _planned(
+        "squarefree",
+        order,
         budget,
-        "squarefree suite enumerations",
+        lambda plan: ((q, n, plan.squarefree(q, n)) for q in fields for n in range(1, top + 1)),
     )
     series = config_series(MotivicPolynomial.lefschetz(), top)
     rows = []
-    for q in fields:
-        for n in range(1, top + 1):
-            counted = count_squarefree_monic(q, n, budget)
-            rows.append(
-                _check(
-                    "squarefree-config",
-                    {"q": q, "n": n},
-                    counted,
-                    series.coefficient(n).evaluate(q),
-                )
-            )
-            rows.append(
-                _check(
-                    "squarefree-closed-form",
-                    {"q": q, "n": n},
-                    q if n == 1 else q**n - q ** (n - 1),
-                    counted,
-                )
-            )
+    for q, n, counted in counts:
+        rows += [
+            _check("squarefree-config", {"q": q, "n": n}, counted, series.coefficient(n).evaluate(q)),
+            _check("squarefree-closed-form", {"q": q, "n": n}, q if n == 1 else q**n - q ** (n - 1), counted),
+        ]
     return rows
 
 

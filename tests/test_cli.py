@@ -185,12 +185,15 @@ def test_algebra_over_budget_exits_3(capsys, argv, what):
          "budget exhausted: projective enumeration at q=100003, n=1 against 100000 marks needs ~10000400000 steps"),
         (["example", "--n", "1", "--s", "5000000", "--q", "5000011"], 3,
          "budget exhausted: projective enumeration at q=5000011, n=1 against 5000000 marks needs ~"),
+        # each field fits the budget, but not both
+        (["example", "--n", "3", "--s", "1", "--q", "199,197"], 3,
+         "budget exhausted: example enumerations needs ~15604780 steps, budget is 10000000"),
     ],
     ids=[
         "verify-q-2^61-1", "affine-marked-q", "q-past-primality-bound", "example-deep-zeta",
         "squarefree-huge-q", "example-p1-huge-q", "example-p1-q3121", "squarefree-total",
         "example-p1-total", "example-p1-q211", "ring-axioms-q211", "ring-axioms-total",
-        "example-many-marks", "example-millions-of-marks",
+        "example-many-marks", "example-millions-of-marks", "example-total",
     ],
 )
 def test_huge_inputs_end_at_once(capsys, argv, code, message):

@@ -1,0 +1,43 @@
+"""Every suite can fail: an oracle mutant that does not crash fails the named check.
+
+Each mutant is patched where the suites call it and run through the command
+line, so a pass here shows that a live plan calls the oracle and compares
+its counts, never a dry plan's stand-ins.
+"""
+
+import itertools
+import json
+
+import pytest
+
+from motivic_pairs import oracle, suites
+from motivic_pairs.cli import main
+
+
+def one_more_on_the_union(n, scene, budget):
+    return oracle.count_marked_union(n, scene, budget) + 1
+
+
+def one_point_dropped(n, q):
+    return itertools.islice(oracle._points(n, q), 1, None)
+
+
+def one_complement_lost(scene, top, budget):
+    (ambient, complement), *rest = oracle.count_power_configs(scene, top, budget)
+    return [(ambient, complement - 1), *rest]
+
+
+MUTANTS = [
+    ("count_marked_union", one_more_on_the_union, "example-p1", "hyperplane-union-count"),
+    ("_points", one_point_dropped, "ring-axioms", "catalog-count"),
+    ("count_power_configs", one_complement_lost, "eq3-finite", "power-config-count"),
+]
+
+
+@pytest.mark.parametrize("name, mutant, suite, check", MUTANTS, ids=[m[0] for m in MUTANTS])
+def test_an_oracle_mutant_fails_its_suite(monkeypatch, capsys, name, mutant, suite, check):
+    monkeypatch.setattr(suites, name, mutant)
+    assert main(["verify", "--suite", suite]) == 1
+    (report,) = json.loads(capsys.readouterr().out)["suites"]
+    failed = {row.get("check", row.get("axiom")) for row in report["rows"] if not row["pass"]}
+    assert failed == {check}

@@ -97,3 +97,30 @@ def test_indented_json_has_one_renderer():
             if name in ("dump", "dumps") and any(k.arg == "indent" for k in node.keywords):
                 callers.append(f"{path.name}:{node.lineno}")
     assert callers == []
+
+
+def test_suites_charge_and_count_only_through_their_plan():
+    # a suite's up-front price is a dry run of its plan: `_planned` holds its
+    # only charges, and only `_Plan` calls an oracle, so no price is kept apart
+    # from the work it prices
+    watched = {
+        "charge", "charge_each",
+        "_points", "count_marked_union", "count_power_configs", "count_squarefree_monic", "enumerate_projective",
+    }
+    path = SOURCE / "suites.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    uses = {
+        (node.id, getattr(top, "name", "<module>"))
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id in watched
+    }
+    assert sorted(uses) == [
+        ("_points", "_Plan"),
+        ("charge", "_planned"),
+        ("charge_each", "_planned"),
+        ("count_marked_union", "_Plan"),
+        ("count_power_configs", "_Plan"),
+        ("count_squarefree_monic", "_Plan"),
+        ("enumerate_projective", "_Plan"),
+    ]

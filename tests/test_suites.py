@@ -205,7 +205,7 @@ def test_term_products_count_every_ghost_step_packed_or_not(term_products, monke
 # They are closed forms of the order alone, so any change to a cost bound
 # shows here.
 BOUNDS = {
-    "ring-axioms": {0: 1864, 8: 273480, 22: 5412544, 27: 10623844},
+    "ring-axioms": {0: 1624, 8: 262680, 22: 5346304, 27: 10526404},
     "statement1": {0: 48, 8: 108732, 22: 2511370, 27: 4930590},
     "statement2": {0: 240, 8: 305024, 22: 9650276, 27: 20295926},
     "power-axioms": {0: 76, 8: 264188, 22: 9365938, 27: 20120743},
@@ -237,19 +237,23 @@ def test_accepted_orders_are_the_readme_ones(suite):
     assert accepted == list(range(ACCEPTED_ORDERS[suite] + 1))
 
 
-PLANNED = ["statement1", "statement2", "power-axioms", "identities"]
+PLANNED = ["ring-axioms", "statement1", "statement2", "power-axioms", "identities", "example-p1", "squarefree", "eq3-finite"]
 
 
 @pytest.mark.parametrize("suite", PLANNED)
 def test_dry_pass_builds_nothing(monkeypatch, suite):
-    # a refusal prices every series and multiply and builds none of them,
-    # so it is immediate at any order
+    # a refusal prices every series, multiply and enumeration, and builds,
+    # draws or counts none of them, so it is immediate at any order
     def built(*args):
         raise AssertionError("a dry pass called the engine")
 
-    for name in ("kapranov_zeta", "config_series_pair", "power_pow", "geometric_series", "one_plus"):
+    engine = ("kapranov_zeta", "config_series_pair", "power_pow", "geometric_series", "one_plus", "zeta_series")
+    oracles = ("_points", "count_marked_union", "enumerate_projective", "count_squarefree_monic", "count_power_configs")
+    for name in (*engine, *oracles, "_divide", "_random_poly"):
         monkeypatch.setattr(suites, name, built)
     monkeypatch.setattr(TruncatedSeries, "__mul__", built)
+    monkeypatch.setattr(suites.MarkedP1Scene, "standard", built)
+    monkeypatch.setattr(suites.FiniteScene, "from_sizes", built)
     for order in (0, 8, 10**9):
         with pytest.raises(BudgetExceededError):
             run_suite(suite, order, (2,), budget=1)
@@ -260,34 +264,30 @@ def test_dry_pass_builds_nothing(monkeypatch, suite):
 
 @pytest.fixture
 def enumerated(monkeypatch):
-    # the steps of every enumeration charged in a live run, by an oracle or
-    # a scene count, and apart from them the totals checked up front
-    spent, totals, checking = [], [], [False]
-    charge, check = oracle.charge, suites._check_enumerations
+    # the steps of every oracle charge in a live pass, and the plans made,
+    # whose dry enumeration list the suite checks up front
+    spent, plans = [], []
+    charge = oracle.charge
+
+    class Recorded(suites._Plan):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            plans.append(self)
 
     def recorded(needed, what, budget):
-        if not checking[0] and " enumeration at q=" in what:
+        if any(plan.live for plan in plans):
             spent.append(needed)
         charge(needed, what, budget)
 
-    def up_front(enumerations, budget, what):
-        totals.append(sum(needed for needed, _ in enumerations))
-        checking[0] = True
-        try:
-            check(enumerations, budget, what)
-        finally:
-            checking[0] = False
-
     monkeypatch.setattr(oracle, "charge", recorded)
-    monkeypatch.setattr(suites, "charge", recorded)
-    monkeypatch.setattr(suites, "_check_enumerations", up_front)
-    return spent, totals
+    monkeypatch.setattr(suites, "_Plan", Recorded)
+    return spent, plans
 
 
 @pytest.mark.parametrize("fields", [(2, 3, 5), (7, 11)])
-@pytest.mark.parametrize("suite", ["example-p1", "squarefree", "ring-axioms"])
+@pytest.mark.parametrize("suite", ["example-p1", "squarefree", "ring-axioms", "eq3-finite"])
 def test_up_front_totals_cover_their_oracles(enumerated, suite, fields):
-    spent, totals = enumerated
+    spent, plans = enumerated
     assert run_suite(suite, 4, fields)["pass"]
-    (total,) = totals
+    (total,) = [sum(steps for steps, _ in plan.enumerations) for plan in plans if not plan.live]
     assert 0 < sum(spent) <= total, (sum(spent), total)
