@@ -7,9 +7,14 @@ is a Z-polynomial in L, so this ring is the computable target for all
 class computations.  Differences of classes are first-class citizens:
 coefficients may be negative.
 
-Representation: a sparse mapping degree -> coefficient holding no zero
-entries, so two values are equal exactly when their mappings are equal.
-All arithmetic is exact integer arithmetic.
+Representation: a sparse mapping degree -> coefficient in ascending
+degree holding no zero entries, so two values are equal exactly when
+their mappings are equal.  All arithmetic is exact integer arithmetic.
+Results built in this module are wrapped by `MotivicPolynomial._trusted`,
+which takes over a fresh dict that is already in that form (ascending,
+zero-free) and neither sorts, filters nor copies it: a dict loop that
+builds a result in scatter order passes it through `_terms` first, while
+an unpacked result, an Adams image or a negation is canonical as built.
 
 Evaluating a polynomial at an integer q >= 2 (substituting q for L) turns
 a class into a point count over the q-element field, which is what the
@@ -43,8 +48,8 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
-import sys
-from array import array
+import struct
+from itertools import compress
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -62,16 +67,20 @@ class MotivicPolynomial:
                 raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
             if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise ValueError(f"coefficient must be an integer, got {coeff!r}")
-        self._coeffs = {d: c for d, c in sorted(coeffs.items()) if c != 0}
+        self._coeffs = _terms(coeffs)
 
     @classmethod
     def _trusted(cls, coeffs: dict[int, int]) -> "MotivicPolynomial":
-        # For results built in this module (ring operations, Adams
-        # operations, ghost recurrences), whose degrees and coefficients are
-        # ints by construction: skips the per-term checks of __init__, but
-        # still sorts by degree and drops zeros, so results stay canonical.
+        """The polynomial whose terms are coeffs, taken over as they are.
+
+        For results built in this module (ring operations, Adams operations,
+        ghost recurrences), whose degrees and coefficients are ints by
+        construction.  coeffs must be canonical, in ascending degree with no
+        zero coefficient, and a fresh dict that no caller holds or changes
+        later: it is neither checked, sorted, filtered nor copied.
+        """
         poly = object.__new__(cls)
-        poly._coeffs = {d: c for d, c in sorted(coeffs.items()) if c}
+        poly._coeffs = coeffs
         return poly
 
     # -- constructors ----------------------------------------------------
@@ -122,7 +131,7 @@ class MotivicPolynomial:
         merged = dict(self._coeffs)
         for degree, coeff in other._coeffs.items():
             merged[degree] = merged.get(degree, 0) + coeff
-        return MotivicPolynomial._trusted(merged)
+        return MotivicPolynomial._trusted(_terms(merged))
 
     def __neg__(self) -> "MotivicPolynomial":
         return MotivicPolynomial._trusted({d: -c for d, c in self._coeffs.items()})
@@ -130,10 +139,7 @@ class MotivicPolynomial:
     def __sub__(self, other: "MotivicPolynomial") -> "MotivicPolynomial":
         if not isinstance(other, MotivicPolynomial):
             return NotImplemented
-        merged = dict(self._coeffs)
-        for degree, coeff in other._coeffs.items():
-            merged[degree] = merged.get(degree, 0) - coeff
-        return MotivicPolynomial._trusted(merged)
+        return self + -other
 
     def __mul__(self, other: "MotivicPolynomial") -> "MotivicPolynomial":
         if not isinstance(other, MotivicPolynomial):
@@ -183,6 +189,11 @@ class MotivicPolynomial:
         return {str(d): str(c) for d, c in self._coeffs.items()}
 
 
+def _terms(acc: Mapping[int, int]) -> dict[int, int]:
+    """The canonical terms of a degree -> coefficient mapping: ascending degree, zeros dropped, a fresh dict."""
+    return {d: c for d, c in sorted(acc.items()) if c}
+
+
 def projective_class(n: int) -> MotivicPolynomial:
     """Class of n-dimensional projective space: 1 + L + ... + L^n."""
     if n < 0:
@@ -193,7 +204,8 @@ def projective_class(n: int) -> MotivicPolynomial:
 def adams(m: MotivicPolynomial, r: int) -> MotivicPolynomial:
     """The Adams operation psi_r: L^k goes to L^(k*r), coefficients stay.
 
-    It is a ring homomorphism that only re-indexes degrees.
+    It is a ring homomorphism that only re-indexes degrees, and for r >= 1
+    it keeps their order, so the image is canonical as built.
     """
     if r < 1:
         raise ValueError(f"Adams operations are indexed from 1, got {r!r}")
@@ -225,8 +237,8 @@ def adams(m: MotivicPolynomial, r: int) -> MotivicPolynomial:
 
 _PACK_TERMS = 16
 _PACK_SPREAD = 4
-# array typecodes of unsigned machine words, by size in bytes
-_WORDS = {array(code).itemsize: code for code in "QLIHB"}
+# struct codes of signed little-endian machine words, by size in bytes
+_WORDS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _either_dense(f: MotivicPolynomial, g: MotivicPolynomial) -> bool:
@@ -237,21 +249,26 @@ def _either_dense(f: MotivicPolynomial, g: MotivicPolynomial) -> bool:
     return any(_PACK_SPREAD * len(c) > next(reversed(c), 0) for c in (f._coeffs, g._coeffs))
 
 
+def _top(coeffs: Mapping[int, int]) -> int:
+    """The largest |c|, 0 for no terms."""
+    return max(map(abs, coeffs.values()), default=0)
+
+
 def _bits(coeffs: Mapping[int, int]) -> int:
     """The least b with every |c| < 2^b."""
-    return max(map(abs, coeffs.values()), default=0).bit_length()
+    return _top(coeffs).bit_length()
 
 
 def _sum_of_products(pairs: Sequence[tuple[MotivicPolynomial, MotivicPolynomial]]) -> dict[int, int]:
-    """sum f*g over the (f, g) pairs as a degree -> coefficient dict; zero entries may stay."""
+    """sum f*g over the (f, g) pairs as a canonical degree -> coefficient dict (see _terms)."""
     for f, g in pairs:
         if len(f._coeffs) >= _PACK_TERMS <= len(g._coeffs) and _either_dense(f, g):
             return _packed_sum(pairs)
-    return _dict_sum(pairs)
+    return _terms(_dict_sum(pairs))
 
 
 def _dict_sum(pairs: Iterable[tuple[MotivicPolynomial, MotivicPolynomial]]) -> dict[int, int]:
-    """sum f*g one term product at a time; zero entries may stay."""
+    """sum f*g one term product at a time, in scatter order; zero entries may stay."""
     acc = {}
     get = acc.get
     for f, g in pairs:
@@ -264,7 +281,7 @@ def _dict_sum(pairs: Iterable[tuple[MotivicPolynomial, MotivicPolynomial]]) -> d
 
 
 def _packed_sum(pairs: Iterable[tuple[MotivicPolynomial, MotivicPolynomial]]) -> dict[int, int]:
-    """sum f*g as one sum of packed integer products, zeros omitted; some pair is nonzero."""
+    """sum f*g as one sum of packed integer products, canonical as unpacked; some pair is nonzero."""
     fs, gs = zip(*[(f._coeffs, g._coeffs) for f, g in pairs if f._coeffs and g._coeffs])
     width = _sum_width(map(_bits, fs), map(_bits, gs), map(len, fs), map(len, gs), len(fs))
     return _unpack(sum(_pack(f, width) * _pack(g, width) for f, g in zip(fs, gs)), width)
@@ -290,7 +307,7 @@ def _digit_width(bits: int) -> int:
     """The digit width the packing uses for a need of `bits` bits: at least that many.
 
     Up to 64 bits it is 8, 16, 32 or 64, so the digits convert to and from
-    bytes as one array of machine words; above, a multiple of 8.
+    bytes as one run of machine words; above, a multiple of 8.
     """
     if bits <= 64:
         return max(8, 1 << (bits - 1).bit_length())
@@ -300,24 +317,26 @@ def _digit_width(bits: int) -> int:
 def _pack(coeffs: dict[int, int], width: int) -> int:
     """The integer sum c_d 2^(width*d) for a degree -> coefficient mapping in ascending degree.
 
-    width is a multiple of 8 and every |c_d| < 2^(width-1).  Each digit is
-    written with the bias 2^(width-1) added, which makes it non-negative, so
-    the bytes of all digits are one non-negative integer; the bias of every
-    digit is then taken off in one subtraction.
+    width is a multiple of 8 and every |c_d| < 2^(width-1), so each digit
+    is one signed width-bit word: a dense mapping is read as its values, a
+    sparse one is scattered into zeroed digits, and up to 64 bits one
+    struct.pack writes them all.  Their two's-complement bytes read as one
+    unsigned integer U; XOR with the bias B, which has 2^(width-1) in every
+    digit, turns each digit into c_d + 2^(width-1), which is non-negative,
+    so (U ^ B) - B is the sum.
     """
-    size = width >> 3
-    half = 1 << (width - 1)
-    digits = [half] * (next(reversed(coeffs), -1) + 1)
-    for d, c in coeffs.items():
-        digits[d] += c
+    size, length = width >> 3, next(reversed(coeffs), -1) + 1
+    digits = coeffs.values()
+    if len(coeffs) < length:
+        digits = [0] * length
+        for d, c in coeffs.items():
+            digits[d] = c
     if size in _WORDS:
-        words = array(_WORDS[size], digits)
-        if sys.byteorder == "big":
-            words.byteswap()
-        raw = words.tobytes()
+        raw = struct.pack(f"<{length}{_WORDS[size]}", *digits)
     else:
-        raw = b"".join([x.to_bytes(size, "little") for x in digits])
-    return int.from_bytes(raw, "little") - int.from_bytes(half.to_bytes(size, "little") * len(digits), "little")
+        raw = b"".join([c.to_bytes(size, "little", signed=True) for c in digits])
+    bias = int.from_bytes((1 << (width - 1)).to_bytes(size, "little") * length, "little")
+    return (int.from_bytes(raw, "little") ^ bias) - bias
 
 
 def _unpack(value: int, width: int) -> dict[int, int]:
@@ -325,21 +344,20 @@ def _unpack(value: int, width: int) -> dict[int, int]:
 
     Every integer has them, each digit in -2^(width-1) <= c < 2^(width-1);
     one digit more than |value| has bits, counted in digits, holds them
-    all.  Adding the bias 2^(width-1) to every digit makes them all
-    non-negative, so they are plain bytes.
+    all.  With the bias B (2^(width-1) in every digit) added, each digit
+    is c + 2^(width-1), non-negative; XOR with B then leaves each digit's
+    two's-complement bits, so the bytes read as signed width-bit words
+    (up to 64 bits, in one struct.unpack).
     """
     size = width >> 3
-    half = 1 << (width - 1)
     length = abs(value).bit_length() // width + 2
-    value += int.from_bytes(half.to_bytes(size, "little") * length, "little")
-    raw = value.to_bytes(size * length, "little")
+    bias = int.from_bytes((1 << (width - 1)).to_bytes(size, "little") * length, "little")
+    raw = ((value + bias) ^ bias).to_bytes(size * length, "little")
     if size in _WORDS:
-        digits = array(_WORDS[size], raw)
-        if sys.byteorder == "big":
-            digits.byteswap()
+        digits = struct.unpack(f"<{length}{_WORDS[size]}", raw)
     else:
-        digits = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
-    return {d: x - half for d, x in enumerate(digits) if x != half}
+        digits = [int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, len(raw), size)]
+    return dict(compress(enumerate(digits), digits))
 
 
 def _widen(value: int, width: int, wider: int) -> int:
@@ -387,7 +405,7 @@ def ghost_log(coeffs: Sequence[MotivicPolynomial]) -> tuple[MotivicPolynomial, .
         acc = {d: n * c for d, c in coeffs[n]._coeffs.items()}
         for d, c in sums.items():
             acc[d] = acc.get(d, 0) - c
-        ghosts.append(MotivicPolynomial._trusted(acc))
+        ghosts.append(MotivicPolynomial._trusted(_terms(acc)))
     return tuple(ghosts[1:])
 
 
@@ -415,7 +433,7 @@ def ghost_exp(ghosts: Sequence[MotivicPolynomial]) -> tuple[MotivicPolynomial, .
             quot[d], rem = divmod(c, n)
             if rem:
                 raise _non_integral(acc, n)
-        coeffs.append(MotivicPolynomial._trusted(quot))
+        coeffs.append(MotivicPolynomial._trusted(_terms(quot)))
     return tuple(coeffs)
 
 
@@ -434,38 +452,45 @@ class _PackedRecurrence:
     seqs[not log] the one it makes, one more at each step.  ints, bits and
     terms hold, for both, each polynomial's packed form at the digit width,
     the bits of its largest coefficient and its term count, indexed by
-    t-degree, up to the step that ran last.  A step is one C-level sum of
-    big-integer products: it packs the polynomial it reads and unpacks the
-    one it makes, and widens the packed forms only when the width grows.
+    t-degree: ints up to the step that ran last, bits and terms of the whole
+    read sequence and of the made one up to that step.  A step is one
+    C-level sum of big-integer products: it packs the polynomial it reads
+    and unpacks the one it makes, and widens the packed forms only when the
+    width grows.
     """
 
     __slots__ = ("seqs", "log", "width", "ints", "bits", "terms")
 
     def __init__(self, seqs: tuple[Sequence, list], log: bool, n: int) -> None:
         self.seqs, self.log, self.ints = seqs, log, None
-        self.bits, self.terms = ([[size(p._coeffs) for p in seq[:n]] for seq in seqs] for size in (_bits, len))
-        # The L1 norm |p| = sum |c_d| bounds every coefficient of p, and
-        # |fg| <= |f| |g|, so the recurrence run on the norms (of the whole
-        # read sequence and of the n polynomials made so far) bounds every
-        # step left.  If that bound fits a machine word, the steps share its
-        # width and nothing is widened.  Above a word it runs wider than the
-        # steps' own bounds, and wider products cost more than widening, so
-        # the width starts at 0 and grows with the steps.
-        norm_g, norm_a = norms = [[sum(map(abs, p._coeffs.values())) for p in seq] for seq in seqs]
+        # The largest |c_d| of p, |p|_inf, and the L1 norm |p|_1 = sum |c_d|
+        # bound a product's coefficients: |fg|_inf <= min(|f|_inf |g|_1,
+        # |f|_1 |g|_inf) and |fg|_1 <= |f|_1 |g|_1.  So the recurrence run
+        # on both norms (of the whole read sequence and of the n polynomials
+        # made so far) bounds every coefficient of every step left.  If that
+        # bound fits a machine word, the steps share its width and nothing is
+        # widened.  Above a word it runs wider than the steps' own bounds,
+        # and wider products cost more than widening, so the width starts
+        # at 0 and grows with the steps.
+        top_g, top_a = tops = [[_top(p._coeffs) for p in seq] for seq in seqs]
+        one_g, one_a = ones = [[sum(map(abs, p._coeffs.values())) for p in seq] for seq in seqs]
+        self.bits = [[top.bit_length() for top in seq] for seq in tops]
+        self.terms = [[len(p._coeffs) for p in seq] for seq in seqs]
         bound = 0
-        for k in range(n, len(norms[log])):
-            top = sum(map(mul, norm_g[1:k], norm_a[k - 1 : 0 : -1])) + (k * norm_a[k] if log else norm_g[k])
-            norms[not log].append(top if log else top // k)
+        for k in range(n, len(ones[log])):  # step k makes k a_k - S_k or (g_k + S_k) / k
+            g, a = slice(1, k), slice(k - 1, 0, -1)
+            top = sum(map(min, map(mul, top_g[g], one_a[a]), map(mul, one_g[g], top_a[a])))
+            top += k * top_a[k] if log else top_g[k]
+            one = sum(map(mul, one_g[g], one_a[a])) + (k * one_a[k] if log else one_g[k])
+            tops[not log].append(top if log else top // k)
+            ones[not log].append(one if log else one // k)
             bound = max(bound, top)
         self.width = _digit_width(bound.bit_length() + 1) if bound.bit_length() < 8 * max(_WORDS) else 0
 
     def step(self, n: int) -> MotivicPolynomial:
         """The polynomial that step n makes."""
-        log, bits, terms = self.log, self.bits, self.terms
-        read = self.seqs[log][n]._coeffs
-        bits[log].append(_bits(read))
-        terms[log].append(len(read))
-        (bits_g, bits_a), (terms_g, terms_a) = bits, terms
+        log = self.log
+        (bits_g, bits_a), (terms_g, terms_a) = self.bits, self.terms
         own = bits_a[n] + n.bit_length() if log else bits_g[n]  # n a_n or g_n
         width = _sum_width(bits_g[1:n], bits_a[n - 1 : 0 : -1], terms_g[1:n], terms_a[n - 1 : 0 : -1], n - 1, own)
         width = max(self.width, width)
@@ -474,28 +499,27 @@ class _PackedRecurrence:
         else:
             if width != self.width:
                 self.ints = tuple([_widen(x, self.width, width) for x in ints] for ints in self.ints)
-            self.ints[log].append(_pack(read, width))
+            self.ints[log].append(_pack(self.seqs[log][n]._coeffs, width))
         self.width = width
         ints_g, ints_a = self.ints
         total = sum(map(mul, ints_g[1:n], ints_a[n - 1 : 0 : -1]))
         if log:
-            total = n * ints_a[n] - total
-            made = _unpack(total, width)
+            packed = n * ints_a[n] - total
         else:
-            # n a_n = total has digits below 2^(width-1) in absolute value.
-            # All are divisible by n exactly when n divides total and every
-            # balanced digit q of the quotient has |n q| < 2^(width-1), as
-            # balanced digits are unique.
             total += ints_g[n]
-            quot, rem = divmod(total, n)
-            made = _unpack(quot, width)
-            if rem or n * max(map(abs, made.values()), default=0) >> (width - 1):
-                raise _non_integral(_unpack(total, width), n)
-            total = quot
-        self.ints[not log].append(total)
-        bits[not log].append(_bits(made))
-        terms[not log].append(len(made))
-        return MotivicPolynomial._trusted(made)
+            packed, rem = divmod(total, n)
+        made = MotivicPolynomial._trusted(_unpack(packed, width))
+        top = _top(made._coeffs)
+        # In the exp step n a_n = total has digits below 2^(width-1) in
+        # absolute value.  All are divisible by n exactly when n divides total
+        # and every balanced digit q of the quotient has |n q| < 2^(width-1),
+        # as balanced digits are unique.
+        if not log and (rem or n * top >> (width - 1)):
+            raise _non_integral(_unpack(total, width), n)
+        self.ints[not log].append(packed)
+        self.bits[not log].append(top.bit_length())
+        self.terms[not log].append(len(made._coeffs))
+        return made
 
 
 # -- the lane memo ---------------------------------------------------------------------

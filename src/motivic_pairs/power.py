@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from .lefschetz import MotivicPolynomial, _lane_memoized, ghost_exp, ghost_log, zeta_series
+from .lefschetz import MotivicPolynomial, _lane_memoized, _terms, ghost_exp, ghost_log, zeta_series
 from .pairs import PairClass
 from .series import TruncatedSeries
 
@@ -107,7 +107,8 @@ def _lane_pow(coeffs: tuple[MotivicPolynomial, ...], m: MotivicPolynomial) -> tu
     # psi commutes with integer multiples; so c needs no division, and the
     # ghosts of A^m are sum_{i|n} psi_{n/i}(m*c_i).  The divisor sum runs on
     # degree -> coefficient dicts in place: c_i is final once every i' < i
-    # has taken psi_{i/i'}(c_i') off it.
+    # has taken psi_{i/i'}(c_i') off it.  Both fill their dicts in scatter
+    # order, so each polynomial made from one goes through _terms.
     c = [{}, *(dict(g.items()) for g in ghost_log(coeffs))]
     order = len(coeffs) - 1
     scaled: list[dict[int, int]] = [{} for _ in range(order + 1)]
@@ -116,12 +117,12 @@ def _lane_pow(coeffs: tuple[MotivicPolynomial, ...], m: MotivicPolynomial) -> tu
             r, target = n // i, c[n]
             for d, v in c[i].items():
                 target[d * r] = target.get(d * r, 0) - v
-        mc = (m * MotivicPolynomial._trusted(c[i])).items()
+        mc = (m * MotivicPolynomial._trusted(_terms(c[i]))).items()
         for n in range(i, order + 1, i):
             r, target = n // i, scaled[n]
             for d, v in mc:
                 target[d * r] = target.get(d * r, 0) + v
-    return ghost_exp([MotivicPolynomial._trusted(g) for g in scaled[1:]])
+    return ghost_exp([MotivicPolynomial._trusted(_terms(g)) for g in scaled[1:]])
 
 
 def power_pow(series: TruncatedSeries, exponent: Any, ring: Any = None) -> TruncatedSeries:

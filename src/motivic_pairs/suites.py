@@ -185,7 +185,7 @@ class _Plan:
 
     def __init__(self, order: int, live: bool, budget: int = DEFAULT_BUDGET) -> None:
         self.order, self.live, self.budget = order, live, budget
-        self.cost, self.enumerations = 0, []
+        self.cost, self.enumerations, self.powers = 0, [], {}
 
     # -- series
 
@@ -216,8 +216,15 @@ class _Plan:
     def pow(self, a: Any, m: Any) -> Any:
         if self.live:
             return power_pow(a, m)
-        self.cost += pow_cost([s for s, _ in a], m, self.order)  # a series raised here has the bounds (s, 1)
-        return tuple((s + d, 1) for (s, _), (d, _) in zip(a, _slopes(m)))  # see pow_cost
+        # priced once per distinct (bounds, exponent): a suite raises many bases to few exponents
+        if (a, m) not in self.powers:
+            self.powers[a, m] = (
+                pow_cost([s for s, _ in a], m, self.order),  # a series raised here has the bounds (s, 1)
+                tuple((s + d, 1) for (s, _), (d, _) in zip(a, _slopes(m))),  # see pow_cost
+            )
+        cost, bounds = self.powers[a, m]
+        self.cost += cost
+        return bounds
 
     def mul(self, a: Any, b: Any) -> Any:
         if self.live:

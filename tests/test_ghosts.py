@@ -357,16 +357,32 @@ def test_packed_product_at_the_digit_bound():
 
 
 def test_pack_and_unpack_are_inverse_at_the_digit_extremes():
+    # a mapping with a term in every degree up to its top one is read as it
+    # is, any other is scattered into zeroed digits: both, at every machine
+    # word size and above one, with digits at the extremes -2^(w-1) and
+    # 2^(w-1) - 1, gaps, and a lone top term
     rng = random.Random(22)
     for width in (8, 16, 24, 32, 64, 72, 128, 256):
         half = 1 << (width - 1)
         extremes = (-half, half - 1, -1, 0, 1, half // 2)
-        coeffs = {d: rng.choice(extremes) for d in range(40)}
-        expected = {d: c for d, c in coeffs.items() if c}
-        value = lefschetz._pack(coeffs, width)
-        assert value == sum(c << (width * d) for d, c in coeffs.items())
-        assert lefschetz._unpack(value, width) == expected
-        assert list(lefschetz._unpack(value, width)) == sorted(expected)
+        nonzero = (-half, half - 1, -1, 1, half // 2)
+        cases = [
+            {d: rng.choice(extremes) for d in range(40)},
+            {0: -half},
+            {},
+            {d: rng.choice(nonzero) for d in sorted(rng.sample(range(120), 30))},
+            {0: half - 1, 1: -half, 90: -half},
+            {57: -half},
+            {57: half - 1},
+        ]
+        dense = [len(coeffs) == next(reversed(coeffs), -1) + 1 for coeffs in cases]
+        assert any(dense) and not all(dense)
+        for coeffs in cases:
+            expected = {d: c for d, c in coeffs.items() if c}
+            value = lefschetz._pack(coeffs, width)
+            assert value == sum(c << (width * d) for d, c in coeffs.items())
+            assert lefschetz._unpack(value, width) == expected
+            assert list(lefschetz._unpack(value, width)) == sorted(expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -537,6 +553,54 @@ def test_late_non_integral_ghost_raises_as_in_the_dict_loop(packed_calls, monkey
 
 coefficients = st.one_of(st.integers(-4, 4), st.integers(-LARGE, LARGE))
 polynomials = st.dictionaries(st.integers(0, 3 * PACK), coefficients, max_size=3 * PACK).map(MotivicPolynomial)
+
+
+# -- every polynomial the engine builds is canonical ----------------------------------
+#
+# MotivicPolynomial._trusted takes its dict over as it is, so each route that
+# builds one must hand it over in ascending degree with no zero coefficient.
+# The two routes are forced: the dict loops only, or packing every sum with
+# a nonzero pair and every recurrence from its first nonzero ghost.
+
+ROUTES = {"dict": {"_PACK_TERMS": 10**9}, "packed": {"_PACK_TERMS": 1, "_PACK_SPREAD": 10**9}}
+
+
+def assert_canonical(p):
+    degrees = list(p._coeffs)
+    assert degrees == sorted(degrees), p
+    assert 0 not in p._coeffs.values(), p
+    rebuilt = MotivicPolynomial(dict(p.items()))
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 2 * PACK), coefficients, max_size=2 * PACK).map(MotivicPolynomial),
+    st.dictionaries(st.integers(0, 8), st.integers(-4, 4), max_size=6).map(MotivicPolynomial),
+    st.integers(1, 5),
+    st.integers(0, 4),
+)
+def test_every_built_polynomial_is_canonical(route, a, b, r, order):
+    packed = []
+    with pytest.MonkeyPatch.context() as forced:
+        for name, value in ROUTES[route].items():
+            forced.setattr(lefschetz, name, value)
+        unpack = lefschetz._unpack
+        forced.setattr(lefschetz, "_unpack", lambda *args: packed.append(args) or unpack(*args))
+        built = [a + b, a - b, b - b, a * b, b * a, -a, adams(a, r), adams(-b, r)]
+        built += [
+            MotivicPolynomial.sum_of_products(pairs)
+            for pairs in ([(a, b), (b, a), (a, -b)], [(a, b), (-a, b)], [(b, b)], [])
+        ]
+        coeffs = (MotivicPolynomial.one(), a, b, a * b, b)[: order + 1]
+        ghosts = ghost_log(coeffs)
+        built += [*ghosts, *ghost_exp(ghosts), *ghost_exp([adams(b, j) for j in range(1, order + 1)])]
+        built += [*zeta_series(a, order).coeffs, *config_series(b, order).coeffs]
+        built += power_pow(one_plus((a, b), order, MotivicPolynomial.one()), b).coeffs
+    for p in built:
+        assert_canonical(p)
+    assert bool(packed) == (route == "packed")
 
 
 @settings(max_examples=150, deadline=None)

@@ -86,6 +86,28 @@ def test_a_polynomials_terms_are_set_only_where_it_is_built():
     assert sorted(writes) == ["lefschetz.py: __init__", "lefschetz.py: _trusted"]
 
 
+def test_trusted_wraps_only_fresh_dicts():
+    # `_trusted` takes its dict over without a copy, and results are shared
+    # inside `lefschetz.lane_memo()`, so each argument is a dict made on the
+    # spot: a display or comprehension, or the return of a routine that
+    # builds a new one, never a name that code still holds and may change
+    def name(node):
+        return getattr(node.func, "attr", getattr(node.func, "id", None)) if isinstance(node, ast.Call) else None
+
+    fresh = {"_unpack", "_sum_of_products", "_terms"}
+    wraps, stale = 0, []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if name(node) != "_trusted":
+                continue
+            wraps += 1
+            args = node.args
+            built = len(args) == 1 and (isinstance(args[0], (ast.Dict, ast.DictComp)) or name(args[0]) in fresh)
+            if not built or node.keywords:
+                stale.append(f"{path.name}:{node.lineno}")
+    assert wraps and stale == []
+
+
 def test_indented_json_has_one_renderer():
     # cli._render writes json.dumps(obj, indent=2) byte for byte; the pure-Python indented encoder stays unused
     callers = []
