@@ -452,13 +452,13 @@ def test_crash_is_internal_error_exit_4(capsys, monkeypatch):
 def test_equal_lanes_run_one_recurrence_per_command(capsys, monkeypatch):
     # pn:3 is unmarked, so its ambient and complement lanes are equal
     calls = []
-    original = lefschetz.ghost_exp
+    original = lefschetz._zeta_product
 
-    def counting(ghosts):
-        calls.append(len(ghosts))
-        return original(ghosts)
+    def counting(m, order):
+        calls.append(order)
+        return original(m, order)
 
-    monkeypatch.setattr(lefschetz, "ghost_exp", counting)
+    monkeypatch.setattr(lefschetz, "_zeta_product", counting)
     assert main(["zeta", "--pair", "pn:3", "--order", "6"]) == 0
     assert calls == [6]
     # a library call memoizes nothing

@@ -596,11 +596,17 @@ def test_every_built_polynomial_is_canonical(route, a, b, r, order):
         coeffs = (MotivicPolynomial.one(), a, b, a * b, b)[: order + 1]
         ghosts = ghost_log(coeffs)
         built += [*ghosts, *ghost_exp(ghosts), *ghost_exp([adams(b, j) for j in range(1, order + 1)])]
-        built += [*zeta_series(a, order).coeffs, *config_series(b, order).coeffs]
         built += power_pow(one_plus((a, b), order, MotivicPolynomial.one()), b).coeffs
+        before = len(packed)
+        built += [*zeta_series(a, order).coeffs, *config_series(b, order).coeffs]
     for p in built:
         assert_canonical(p)
-    assert bool(packed) == (route == "packed")
+    if route == "packed":
+        assert packed
+    else:
+        # zeta_series takes its product route on a dense class of small
+        # coefficients whatever the forced route, and that route always unpacks
+        assert not packed[:before]
 
 
 @settings(max_examples=150, deadline=None)
@@ -618,6 +624,69 @@ def test_generated_ghosts_match_dict_loops(tail):
     assert ghosts == ref_ghost_log(coeffs)
     assert ghost_exp(ghosts) == coeffs
     assert ghost_exp(ghosts) == ref_ghost_exp(ghosts)
+
+
+def product_route(m, order):
+    # the rule zeta_series routes by, restated from its docstring
+    dense = lefschetz._PACK_SPREAD * len(m.items()) > max((d for d, _ in m.items()), default=0)
+    sizes = [abs(c) for _, c in m.items()]
+    return dense and max(sizes, default=0) <= order and sum(sizes) <= lefschetz._ZETA_PASSES * order
+
+
+@st.composite
+def classes_on_both_routes(draw):
+    # dense or sparse, few or many terms, coefficients within the order or far beyond it
+    terms = draw(st.integers(0, PACK + 2))
+    spread = draw(st.sampled_from([1, lefschetz._PACK_SPREAD, 4 * lefschetz._PACK_SPREAD]))
+    degrees = draw(st.lists(st.integers(0, max(spread * terms - 1, 0)), min_size=terms, max_size=terms, unique=True))
+    nonzero = st.one_of(st.integers(-4, 4), st.integers(-(10**30), 10**30)).filter(bool)
+    return MotivicPolynomial({d: draw(nonzero) for d in degrees})
+
+
+@settings(max_examples=100, deadline=None)
+@given(classes_on_both_routes(), st.integers(0, 12))
+@example(ZERO, 12)
+@example(MotivicPolynomial({0: -3, 1: -(10**30)}), 12)
+@example(MotivicPolynomial({0: 12, 1: -12, 2: 5}), 12)
+def test_zeta_series_matches_the_ghost_route_on_either_route(m, order):
+    ghost_calls = []
+    with pytest.MonkeyPatch.context() as spy:
+        spy.setattr(lefschetz, "ghost_exp", lambda ghosts: ghost_calls.append(ghosts) or ghost_exp(ghosts))
+        zeta = zeta_series(m, order)
+    assert bool(ghost_calls) != product_route(m, order)
+    if not ghost_calls:
+        assert zeta == TruncatedSeries(ghost_exp([adams(m, r) for r in range(1, order + 1)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 40), st.integers(-12, 12).filter(bool), max_size=24).map(MotivicPolynomial),
+    st.integers(0, 12),
+)
+def test_zeta_product_is_exact_on_any_class(m, order):
+    # the width bound holds whatever the class, sparse or with |m_k| above the order
+    assert lefschetz._zeta_product(m, order) == ghost_exp([adams(m, r) for r in range(1, order + 1)])
+
+
+def test_zeta_route_rule_on_each_side_of_each_threshold(monkeypatch):
+    spread, passes = lefschetz._PACK_SPREAD, lefschetz._ZETA_PASSES
+    routes = []
+    product = lefschetz._zeta_product
+    monkeypatch.setattr(lefschetz, "ghost_exp", lambda ghosts: routes.append("ghost") or ghost_exp(ghosts))
+    monkeypatch.setattr(lefschetz, "_zeta_product", lambda m, order: routes.append("product") or product(m, order))
+    cases = [
+        (MotivicPolynomial({0: 1, 2 * spread - 1: -5}), "product"),  # one term per spread degrees
+        (MotivicPolynomial({0: 1, 2 * spread: -5}), "ghost"),  # sparser
+        (MotivicPolynomial({0: 6, 1: -6}), "product"),  # every |m_k| <= order
+        (MotivicPolynomial({0: 6, 1: -7}), "ghost"),  # one above it
+        (projective_class(passes * 6 - 1), "product"),  # sum |m_k| = _ZETA_PASSES * order
+        (projective_class(passes * 6), "ghost"),  # one more
+        (projective_class(PACK + 4), "product"),  # _PACK_TERMS plays no part
+    ]
+    for m, route in cases:
+        routes.clear()
+        assert zeta_series(m, 6) == reference_zeta_series(m, 6)
+        assert routes == [route]
 
 
 def reference_lane_pow(coeffs, m):

@@ -1,8 +1,9 @@
-"""Every suite can fail: an oracle mutant that does not crash fails the named check.
+"""Every suite can fail: an oracle or engine mutant that does not crash fails the named checks.
 
 Each mutant is patched where the suites call it and run through the command
 line, so a pass here shows that a live plan calls the oracle and compares
-its counts, never a dry plan's stand-ins.
+its counts, never a dry plan's stand-ins, and that the identities and weil
+suites compare zeta's product route with a route that does not use it.
 """
 
 import itertools
@@ -10,8 +11,9 @@ import json
 
 import pytest
 
-from motivic_pairs import oracle, suites
+from motivic_pairs import lefschetz, oracle, suites
 from motivic_pairs.cli import main
+from motivic_pairs.lefschetz import MotivicPolynomial
 
 
 def one_more_on_the_union(n, scene, budget):
@@ -41,3 +43,20 @@ def test_an_oracle_mutant_fails_its_suite(monkeypatch, capsys, name, mutant, sui
     (report,) = json.loads(capsys.readouterr().out)["suites"]
     failed = {row.get("check", row.get("axiom")) for row in report["rows"] if not row["pass"]}
     assert failed == {check}
+
+
+@pytest.mark.parametrize(
+    "suite, checks",
+    [("identities", {"geometric-power-is-zeta", "binomial-power-is-config"}), ("weil", {"weil-kapranov"})],
+)
+def test_a_zeta_product_mutant_fails_its_suites(monkeypatch, capsys, suite, checks):
+    # zeta's product route runs one pass short on every factor of multiplicity 2 or more
+    product = lefschetz._zeta_product
+
+    def one_pass_short(m, order):
+        return product(MotivicPolynomial({k: c - 1 if c >= 2 else c for k, c in m.items()}), order)
+
+    monkeypatch.setattr(lefschetz, "_zeta_product", one_pass_short)
+    assert main(["verify", "--suite", suite]) == 1
+    (report,) = json.loads(capsys.readouterr().out)["suites"]
+    assert {row.get("check", row.get("axiom")) for row in report["rows"] if not row["pass"]} == checks
