@@ -30,12 +30,14 @@ series product, a step of a ghost recurrence.  A large sum runs packed
 (Kronecker substitution): a polynomial whose coefficients are below
 2^(w-1) in absolute value is the integer sum c_d 2^(w d), so the sum is
 one big-integer computation, unpacked once into balanced base-2^w digits.
-The digit width w comes from a proven bound on the result's coefficients,
-so packing is exact.  f*g and a series coefficient pack their polynomials
-for the one sum; a ghost recurrence, once it packs, keeps both of its
-sequences packed, so each step is one C-level sum of big-integer products
-that packs the polynomial it reads and unpacks the one it makes.  Small
-and sparse sums keep the dict loop, which is faster for them.
+The digit width w comes from one proven bound on the result's coefficients,
+_bound: |f g|_inf <= min(|f|_inf |g|_1, |f|_1 |g|_inf), summed over the
+pairs, so packing is exact.  f*g and a series coefficient pack their
+polynomials for the one sum.  The log and exp recurrences are one routine,
+_recurrence; once it packs, it keeps both of its sequences packed, so each
+step is one C-level sum of big-integer products that packs the polynomial
+it reads and unpacks the one it makes.  Small and sparse sums keep the
+dict loop, which is faster for them.
 
 A zeta series has two routes.  The ghost route is one exp recurrence over
 the psi_r images of the class.  The product route multiplies the factors
@@ -45,7 +47,7 @@ the class is dense, no |m_k| exceeds N and sum |m_k| <= _ZETA_PASSES * N,
 the classes on which it was timed no slower (see _ZETA_PASSES).  Its width
 is exact for the same reason as above: packing is evaluation at L = 2^w,
 a ring homomorphism, and with M = sum |m_k| no coefficient of the result
-exceeds C(N+M, N).
+exceeds C(N+M, N), the L1 bound of _bound in closed form.
 
 Inside `lane_memo()`, which the command line opens once per command,
 zeta_series, power.config_series and power._lane_pow compute each lane
@@ -61,7 +63,7 @@ import functools
 import struct
 from itertools import compress
 from math import comb
-from operator import add, mul
+from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .series import TruncatedSeries
@@ -250,6 +252,12 @@ def adams(m: MotivicPolynomial, r: int) -> MotivicPolynomial:
 # product ran faster packed, while a product of two psi_r images of 16 to 32
 # terms (one term in r degrees) ran about 2x slower packed at r = 8 and 50x
 # slower at r = 128.
+#
+# Every packed width is _digit_width of one bound, _bound, on the norms
+# |p|_inf (largest |c|) and |p|_1 (sum of |c|) of the factors: a packed
+# sum reads them off its pairs, a packed recurrence predicts them for its
+# start width and reads them off each step's terms after.  Only zeta's
+# product route (_zeta_product) uses the same L1 bound in closed form.
 
 _PACK_TERMS = 16
 _PACK_SPREAD = 4
@@ -270,9 +278,20 @@ def _top(coeffs: Mapping[int, int]) -> int:
     return max(map(abs, coeffs.values()), default=0)
 
 
-def _bits(coeffs: Mapping[int, int]) -> int:
-    """The least b with every |c| < 2^b."""
-    return _top(coeffs).bit_length()
+def _norms(polys: Sequence[Mapping[int, int]]) -> tuple[list[int], list[int]]:
+    """|p|_inf and |p|_1 of each degree -> coefficient mapping p: its largest |c| and its sum of |c|."""
+    return [_top(p) for p in polys], [sum(map(abs, p.values())) for p in polys]
+
+
+def _bound(tops_f: Iterable, ones_f: Iterable, tops_g: Iterable, ones_g: Iterable) -> int:
+    """A bound on every |c| of sum f*g, from the norms of the pairs' factors.
+
+    A coefficient of f*g takes each coefficient of g at most once, times a
+    coefficient of f, so |fg|_inf <= |f|_inf |g|_1, and likewise
+    |fg|_inf <= |f|_1 |g|_inf; the sum is bounded by the sum of the lesser
+    of the two over the pairs.
+    """
+    return sum(map(min, map(mul, tops_f, ones_g), map(mul, ones_f, tops_g)))
 
 
 def _sum_of_products(pairs: Sequence[tuple[MotivicPolynomial, MotivicPolynomial]]) -> dict[int, int]:
@@ -297,34 +316,24 @@ def _dict_sum(pairs: Iterable[tuple[MotivicPolynomial, MotivicPolynomial]]) -> d
 
 
 def _packed_sum(pairs: Iterable[tuple[MotivicPolynomial, MotivicPolynomial]]) -> dict[int, int]:
-    """sum f*g as one sum of packed integer products, canonical as unpacked; some pair is nonzero."""
+    """sum f*g as one sum of packed integer products, canonical as unpacked; some pair is nonzero.
+
+    Only the pairs of two nonzero factors are packed, and then |f|_inf <=
+    |f|_inf |g|_inf is at most the pair's term of _bound, so the width
+    holds the factors too.
+    """
     fs, gs = zip(*[(f._coeffs, g._coeffs) for f, g in pairs if f._coeffs and g._coeffs])
-    width = _sum_width(map(_bits, fs), map(_bits, gs), map(len, fs), map(len, gs), len(fs))
+    width = _digit_width(_bound(*_norms(fs), *_norms(gs)))
     return _unpack(sum(_pack(f, width) * _pack(g, width) for f, g in zip(fs, gs)), width)
 
 
-def _sum_width(
-    bits_f: Iterable, bits_g: Iterable, terms_f: Iterable, terms_g: Iterable, count: int, own: int = 0
-) -> int:
-    """The digit width proven for a sum of `count` products f*g, and one polynomial of `own` bits besides.
-
-    A coefficient of f*g is a sum of at most min(terms) products below
-    2^(bits f + bits g), so a coefficient of the sum is below
-    2^(top + bitlen(count * terms)) in absolute value, over the pairs; with
-    a sign bit and a spare bit for the polynomial besides, it lies inside
-    the digits' range |c| < 2^(width-1).
-    """
-    top = max(map(add, bits_f, bits_g), default=0)
-    most = max(map(min, terms_f, terms_g), default=0)
-    return _digit_width(max(top + (count * most).bit_length(), own) + 2)
-
-
-def _digit_width(bits: int) -> int:
-    """The digit width the packing uses for a need of `bits` bits: at least that many.
+def _digit_width(bound: int) -> int:
+    """The digit width w the packing uses for coefficients |c| <= bound: bound < 2^(w-1).
 
     Up to 64 bits it is 8, 16, 32 or 64, so the digits convert to and from
     bytes as one run of machine words; above, a multiple of 8.
     """
+    bits = bound.bit_length() + 1
     if bits <= 64:
         return max(8, 1 << (bits - 1).bit_length())
     return -(-bits // 8) * 8
@@ -409,20 +418,7 @@ def ghost_log(coeffs: Sequence[MotivicPolynomial]) -> tuple[MotivicPolynomial, .
     g_n = n a_n - S_n, where S_n = sum_{k<n} g_k a_{n-k}; no division is
     needed.  The constant term coeffs[0] is taken to be 1 and is not read.
     """
-    ghosts = [MotivicPolynomial._trusted({})]
-    packed = None
-    for n in range(1, len(coeffs)):
-        if packed is None and len(ghosts[n - 1]._coeffs) >= _PACK_TERMS and _either_dense(ghosts[n - 1], coeffs[n - 1]):
-            packed = _PackedRecurrence((ghosts, coeffs), True, n)
-        if packed is not None:
-            ghosts.append(packed.step(n))
-            continue
-        sums = _dict_sum(zip(ghosts[1:], coeffs[n - 1 : 0 : -1]))
-        acc = {d: n * c for d, c in coeffs[n]._coeffs.items()}
-        for d, c in sums.items():
-            acc[d] = acc.get(d, 0) - c
-        ghosts.append(MotivicPolynomial._trusted(_terms(acc)))
-    return tuple(ghosts[1:])
+    return tuple(_recurrence(coeffs, True)[1:])
 
 
 def ghost_exp(ghosts: Sequence[MotivicPolynomial]) -> tuple[MotivicPolynomial, ...]:
@@ -433,24 +429,45 @@ def ghost_exp(ghosts: Sequence[MotivicPolynomial]) -> tuple[MotivicPolynomial, .
     remainder means the ghosts belong to no such series and raises
     ArithmeticError, naming the lowest L-degree that n does not divide.
     """
-    coeffs = [MotivicPolynomial._trusted({0: 1})]
+    return tuple(_recurrence(ghosts, False))
+
+
+def _recurrence(read: Sequence[MotivicPolynomial], log: bool) -> list[MotivicPolynomial]:
+    """The sequence the log (log true) or exp recurrence makes from `read`, from its 0th term on.
+
+    The log recurrence reads coefficients a_0, a_1, ... and makes ghosts,
+    the exp recurrence reads ghosts g_1, g_2, ... and makes coefficients.
+    At step n the newest ghost is g_(n-1) for log and g_n for exp, the
+    newest coefficient a_(n-1) for both.
+    """
+    zero = MotivicPolynomial._trusted({})
+    ghosts, coeffs = seqs = ([zero], read) if log else ([zero, *read], [MotivicPolynomial._trusted({0: 1})])
+    made = seqs[not log]
     packed = None
-    for n in range(1, len(ghosts) + 1):
-        if packed is None and len(ghosts[n - 1]._coeffs) >= _PACK_TERMS and _either_dense(ghosts[n - 1], coeffs[n - 1]):
-            packed = _PackedRecurrence(([MotivicPolynomial._trusted({}), *ghosts], coeffs), False, n)
+    for n in range(1, len(seqs[log])):
+        newest = ghosts[n - log]
+        if packed is None and len(newest._coeffs) >= _PACK_TERMS and _either_dense(newest, coeffs[n - 1]):
+            packed = _PackedRecurrence(seqs, log, n)
         if packed is not None:
-            coeffs.append(packed.step(n))
+            made.append(packed.step(n))
             continue
-        acc = _dict_sum(zip(ghosts, coeffs[n - 1 : 0 : -1]))
-        for d, c in ghosts[n - 1]._coeffs.items():
-            acc[d] = acc.get(d, 0) + c
-        quot = {}
-        for d, c in acc.items():
-            quot[d], rem = divmod(c, n)
-            if rem:
-                raise _non_integral(acc, n)
-        coeffs.append(MotivicPolynomial._trusted(_terms(quot)))
-    return tuple(coeffs)
+        sums = _dict_sum(zip(ghosts[1:n], coeffs[n - 1 : 0 : -1]))
+        if log:
+            acc = {d: n * c for d, c in coeffs[n]._coeffs.items()}
+            for d, c in sums.items():
+                acc[d] = acc.get(d, 0) - c
+        else:
+            acc = sums
+            for d, c in ghosts[n]._coeffs.items():
+                acc[d] = acc.get(d, 0) + c
+            quot = {}
+            for d, c in acc.items():
+                quot[d], rem = divmod(c, n)
+                if rem:
+                    raise _non_integral(acc, n)
+            acc = quot
+        made.append(MotivicPolynomial._trusted(_terms(acc)))
+    return made
 
 
 def _non_integral(acc: dict[int, int], n: int) -> ArithmeticError:
@@ -465,51 +482,50 @@ class _PackedRecurrence:
 
     seqs are its ghosts g_0 = 0, g_1, ... and coefficients a_0 = 1, a_1, ...;
     seqs[log] is the sequence it reads, whole from the start, and
-    seqs[not log] the one it makes, one more at each step.  ints, bits and
-    terms hold, for both, each polynomial's packed form at the digit width,
-    the bits of its largest coefficient and its term count, indexed by
-    t-degree: ints up to the step that ran last, bits and terms of the whole
-    read sequence and of the made one up to that step.  A step is one
-    C-level sum of big-integer products: it packs the polynomial it reads
-    and unpacks the one it makes, and widens the packed forms only when the
-    width grows.
+    seqs[not log] the one it makes, one more at each step.  ints holds, for
+    both, each polynomial's packed form at the digit width up to the step
+    that ran last, and norms the lists |p|_inf and |p|_1 (see _norms) of
+    the whole read sequence and of the made one up to that step.  A step is
+    one C-level sum of big-integer products: it packs the polynomial it
+    reads and unpacks the one it makes, and widens the packed forms only
+    when _bound on the norms of its terms outgrows the width.
     """
 
-    __slots__ = ("seqs", "log", "width", "ints", "bits", "terms")
+    __slots__ = ("seqs", "log", "width", "ints", "norms")
 
-    def __init__(self, seqs: tuple[Sequence, list], log: bool, n: int) -> None:
+    def __init__(self, seqs: tuple[list, Sequence], log: bool, n: int) -> None:
         self.seqs, self.log, self.ints = seqs, log, None
-        # The largest |c_d| of p, |p|_inf, and the L1 norm |p|_1 = sum |c_d|
-        # bound a product's coefficients: |fg|_inf <= min(|f|_inf |g|_1,
-        # |f|_1 |g|_inf) and |fg|_1 <= |f|_1 |g|_1.  So the recurrence run
-        # on both norms (of the whole read sequence and of the n polynomials
-        # made so far) bounds every coefficient of every step left.  If that
-        # bound fits a machine word, the steps share its width and nothing is
+        self.norms = (top_g, one_g), (top_a, one_a) = [_norms([p._coeffs for p in seq]) for seq in seqs]
+        # |fg|_1 <= |f|_1 |g|_1 besides _bound, so the recurrence run on both
+        # norms (of the whole read sequence and of the n polynomials made so
+        # far) bounds every coefficient of every step left.  If that bound
+        # fits a machine word, the steps share its width and nothing is
         # widened.  Above a word it runs wider than the steps' own bounds,
-        # and wider products cost more than widening, so the width starts
-        # at 0 and grows with the steps.
-        top_g, top_a = tops = [[_top(p._coeffs) for p in seq] for seq in seqs]
-        one_g, one_a = ones = [[sum(map(abs, p._coeffs.values())) for p in seq] for seq in seqs]
-        self.bits = [[top.bit_length() for top in seq] for seq in tops]
-        self.terms = [[len(p._coeffs) for p in seq] for seq in seqs]
+        # and wider products cost more than widening, so the width grows
+        # with the steps.  Either way it starts at the largest |c| of the
+        # polynomials the first step packs: one whose partners in S_n are
+        # all zero adds nothing to a bound.
+        tops, ones = self.norms[not log]
         bound = 0
-        for k in range(n, len(ones[log])):  # step k makes k a_k - S_k or (g_k + S_k) / k
+        for k in range(n, len(seqs[log])):  # step k makes k a_k - S_k or (g_k + S_k) / k
             g, a = slice(1, k), slice(k - 1, 0, -1)
-            top = sum(map(min, map(mul, top_g[g], one_a[a]), map(mul, one_g[g], top_a[a])))
-            top += k * top_a[k] if log else top_g[k]
+            top = _bound(top_g[g], one_g[g], top_a[a], one_a[a]) + (k * top_a[k] if log else top_g[k])
             one = sum(map(mul, one_g[g], one_a[a])) + (k * one_a[k] if log else one_g[k])
-            tops[not log].append(top if log else top // k)
-            ones[not log].append(one if log else one // k)
+            tops.append(top if log else top // k)
+            ones.append(one if log else one // k)
             bound = max(bound, top)
-        self.width = _digit_width(bound.bit_length() + 1) if bound.bit_length() < 8 * max(_WORDS) else 0
+        del tops[n:], ones[n:]
+        if bound.bit_length() >= 8 * max(_WORDS):
+            bound = 0
+        self.width = _digit_width(max(bound, *top_g[: n + 1], *top_a[: n + 1]))
 
     def step(self, n: int) -> MotivicPolynomial:
         """The polynomial that step n makes."""
         log = self.log
-        (bits_g, bits_a), (terms_g, terms_a) = self.bits, self.terms
-        own = bits_a[n] + n.bit_length() if log else bits_g[n]  # n a_n or g_n
-        width = _sum_width(bits_g[1:n], bits_a[n - 1 : 0 : -1], terms_g[1:n], terms_a[n - 1 : 0 : -1], n - 1, own)
-        width = max(self.width, width)
+        (top_g, one_g), (top_a, one_a) = self.norms
+        g, a = slice(1, n), slice(n - 1, 0, -1)
+        bound = _bound(top_g[g], one_g[g], top_a[a], one_a[a]) + (n * top_a[n] if log else top_g[n])
+        width = max(self.width, _digit_width(bound))
         if self.ints is None:
             self.ints = tuple([_pack(p._coeffs, width) for p in seq[: n + 1]] for seq in self.seqs)
         else:
@@ -533,8 +549,9 @@ class _PackedRecurrence:
         if not log and (rem or n * top >> (width - 1)):
             raise _non_integral(_unpack(total, width), n)
         self.ints[not log].append(packed)
-        self.bits[not log].append(top.bit_length())
-        self.terms[not log].append(len(made._coeffs))
+        tops, ones = self.norms[not log]
+        tops.append(top)
+        ones.append(sum(map(abs, made._coeffs.values())))
         return made
 
 
@@ -625,7 +642,7 @@ def _zeta_product(m: MotivicPolynomial, order: int) -> tuple[MotivicPolynomial, 
     coefficients C(n+M-1, n) grow with n, so C(N+M-1, N) <= C(N+M, N)
     bounds them all.
     """
-    width = _digit_width(comb(order + sum(map(abs, m._coeffs.values())), order).bit_length() + 1)
+    width = _digit_width(comb(order + sum(map(abs, m._coeffs.values())), order))
     a = [1] + [0] * order
     for k, c in m._coeffs.items():
         shift = k * width

@@ -23,6 +23,7 @@ text, for the command line and the suites alike.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -165,24 +166,27 @@ def catalog(name: str, *params: int) -> PairClass:
 # Deepest accepted nesting of sum/prod/neg; the recursive descent stays far
 # inside the interpreter's stack.
 MAX_SPEC_DEPTH = 64
+# A catalog parameter, inside a combinator or not: a run of ASCII digits,
+# spaces around it allowed (int() alone would also take +1, 1_0 and other
+# scripts' digits).
+_PARAM = re.compile(r"\s*[0-9]+\s*")
 
 
 def split_atom(spec: str) -> tuple[str, tuple[int, ...]]:
     """Name and integer parameters of a catalog atom such as finite:3,1."""
     name, _, arg = spec.strip().partition(":")
-    try:
-        params = tuple(int(x) for x in arg.split(",")) if arg else ()
-    except ValueError:
-        raise ValueError(f"bad parameters in pair spec {spec!r}") from None
-    return name.strip(), params
+    params = arg.split(",") if arg else []
+    if not all(map(_PARAM.fullmatch, params)):
+        raise ValueError(f"bad parameters in pair spec {spec!r}")
+    return name.strip(), tuple(map(int, params))
 
 
 def _split_top(text: str) -> list[str]:
-    """Split on commas outside parentheses; glue numeric parameters back on.
+    """Split on commas outside parentheses; glue parameters back on.
 
-    A purely numeric fragment cannot start a spec (catalog names start
-    with a letter), so it must be a parameter of the preceding atom, as
-    in sum(finite:3,1,pn:2).
+    A fragment that is a parameter (_PARAM) cannot start a spec (catalog
+    names start with a letter), so it belongs to the preceding atom, as in
+    sum(finite:3,1,pn:2).
     """
     parts: list[str] = []
     depth = 0
@@ -207,7 +211,7 @@ def _split_top(text: str) -> list[str]:
         part = part.strip()
         if not part:
             raise ValueError("empty item in spec list")
-        if part.isdigit() and merged:
+        if _PARAM.fullmatch(part) and merged:
             merged[-1] += "," + part
         else:
             merged.append(part)

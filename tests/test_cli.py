@@ -42,6 +42,8 @@ def test_parse_sum_with_numeric_parameters():
     # a numeric fragment after a comma belongs to the previous atom
     combined = parse_pair_spec("sum(finite:3,1,pn:2)")
     assert combined == catalog("finite", 3, 1) + catalog("pn", 2)
+    # spaces around a parameter are allowed, inside a combinator as outside
+    assert parse_pair_spec("sum(finite:3, 1)") == parse_pair_spec("finite: 3 , 1 ") == catalog("finite", 3, 1)
 
 
 def test_parse_nested_combinators():
@@ -535,6 +537,17 @@ def test_one_parser_carries_nothing_between_commands(capsys):
 def test_bad_pair_spec_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["zeta", "--pair", "bogus:1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "param", ["+1", "1_0", "\u0663", "-1", ""], ids=["plus", "underscore", "arabic-indic", "minus", "empty"]
+)
+@pytest.mark.parametrize("spec", ["finite:30,{}", "sum(finite:30,{})", "sum(pn:{})"], ids=["bare", "in-sum", "first"])
+def test_a_parameter_is_ascii_digits_inside_and_outside_a_combinator(spec, param):
+    # one rule for both: int() would read each of these, and did outside sum(...)
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "--pair", spec.format(param)])
     assert exc.value.code == 2
 
 

@@ -344,9 +344,16 @@ def test_packed_product_matches_dict_loop(packed_calls):
     assert packed_calls  # the packed path ran, not only the dict loop
 
 
+def bound_of(pairs):
+    # lefschetz._bound on the norms of the pairs' factors
+    fs, gs = ([p._coeffs for p in side] for side in zip(*pairs))
+    return lefschetz._bound(*lefschetz._norms(fs), *lefschetz._norms(gs))
+
+
 def test_packed_product_at_the_digit_bound():
-    # f * f with every coefficient +-(2^b - 1) puts T (2^b - 1)^2 in the middle
-    # coefficient, the most the width bound allows for, at every digit size
+    # f * f with T coefficients +-(2^b - 1) puts +-T (2^b - 1)^2 in the middle
+    # coefficient, which meets _bound exactly: |f|_inf |f|_1 = T (2^b - 1)^2.
+    # So does a sum of such squares of T terms each, at every digit size.
     for terms in (PACK, PACK + 1, 31, 32, 63, 64, 100):
         for bits in (*range(1, 80, 3), 28, 29, 30, 31, 32, 33, 250):
             top = 2**bits - 1
@@ -354,6 +361,17 @@ def test_packed_product_at_the_digit_bound():
             mixed = MotivicPolynomial({d: top * (-1) ** d for d in range(terms)})
             for a, b in ((same, same), (same, -same), (mixed, mixed), (mixed, same)):
                 assert a * b == ref_mul(a, b), (terms, bits)
+            assert abs((same * same).coefficient(terms - 1)) == bound_of([(same, same)])
+            # with one term in g the lesser product |f|_inf |g|_1 is met, not |f|_1 |g|_inf
+            lone = MotivicPolynomial({terms: top})
+            assert (same * lone).coefficient(terms) == top * top == bound_of([(same, lone)])
+        widths = (5, 31, 33, 64, 90)
+        squares = [MotivicPolynomial({d: 2**bits - 1 for d in range(terms)}) for bits in widths]
+        pairs = [(f, f) for f in squares[:3]] + [(-f, -f) for f in squares[3:]] + [(ZERO, squares[-1])]
+        total = MotivicPolynomial.sum_of_products(pairs)
+        assert total == sum((ref_mul(f, g) for f, g in pairs), ZERO), terms
+        middle = sum(terms * (2**bits - 1) ** 2 for bits in widths)
+        assert total.coefficient(terms - 1) == middle == bound_of(pairs)
 
 
 def test_pack_and_unpack_are_inverse_at_the_digit_extremes():
@@ -553,6 +571,31 @@ def test_late_non_integral_ghost_raises_as_in_the_dict_loop(packed_calls, monkey
 
 coefficients = st.one_of(st.integers(-4, 4), st.integers(-LARGE, LARGE))
 polynomials = st.dictionaries(st.integers(0, 3 * PACK), coefficients, max_size=3 * PACK).map(MotivicPolynomial)
+
+# factors of a sum of products: zero, dense or sparse (psi_r images for
+# r > 1), with coefficients small or up to 2^200 in absolute value
+factors = st.one_of(
+    st.just(ZERO),
+    st.builds(
+        adams,
+        st.dictionaries(
+            st.integers(0, 3 * PACK), st.one_of(st.integers(-4, 4), st.integers(-(2**200), 2**200)), max_size=3 * PACK
+        ).map(MotivicPolynomial),
+        st.integers(1, 8),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(factors, factors), min_size=1, max_size=5), factors)
+def test_bound_holds_every_coefficient_of_a_sum_of_products(pairs, wide):
+    expected = lefschetz._terms(lefschetz._dict_sum(pairs))
+    assert lefschetz._top(expected) <= bound_of(pairs)
+    # a factor whose partner is zero adds nothing to the bound, and is left
+    # out of the packed sum, however wide it is
+    pairs += [(wide, ZERO), (ZERO, wide)]
+    if any(f.items() and g.items() for f, g in pairs):
+        assert lefschetz._packed_sum(pairs) == expected
 
 
 # -- every polynomial the engine builds is canonical ----------------------------------

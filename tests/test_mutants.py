@@ -29,6 +29,12 @@ def one_complement_lost(scene, top, budget):
     return [(ambient, complement - 1), *rest]
 
 
+def failed_checks(capsys):
+    # the names of the failing rows of the one suite a verify run reported
+    (report,) = json.loads(capsys.readouterr().out)["suites"]
+    return {row.get("check", row.get("axiom")) for row in report["rows"] if not row["pass"]}
+
+
 MUTANTS = [
     ("count_marked_union", one_more_on_the_union, "example-p1", "hyperplane-union-count"),
     ("_points", one_point_dropped, "ring-axioms", "catalog-count"),
@@ -40,9 +46,7 @@ MUTANTS = [
 def test_an_oracle_mutant_fails_its_suite(monkeypatch, capsys, name, mutant, suite, check):
     monkeypatch.setattr(suites, name, mutant)
     assert main(["verify", "--suite", suite]) == 1
-    (report,) = json.loads(capsys.readouterr().out)["suites"]
-    failed = {row.get("check", row.get("axiom")) for row in report["rows"] if not row["pass"]}
-    assert failed == {check}
+    assert failed_checks(capsys) == {check}
 
 
 @pytest.mark.parametrize(
@@ -58,5 +62,37 @@ def test_a_zeta_product_mutant_fails_its_suites(monkeypatch, capsys, suite, chec
 
     monkeypatch.setattr(lefschetz, "_zeta_product", one_pass_short)
     assert main(["verify", "--suite", suite]) == 1
-    (report,) = json.loads(capsys.readouterr().out)["suites"]
-    assert {row.get("check", row.get("axiom")) for row in report["rows"] if not row["pass"]} == checks
+    assert failed_checks(capsys) == checks
+
+
+# At the default order no suite packs: the first packed sums come at order 12
+# (statement1, ring-axioms), the first packed ghost steps at power-axioms
+# order 16.  So the packed route's mutants run their suite at those orders.
+
+
+def test_a_packed_sum_mutant_fails_statement1(monkeypatch, capsys):
+    # a sum that runs packed gains 1 on its top coefficient
+    packed_sum = lefschetz._packed_sum
+
+    def one_more_on_top(pairs):
+        acc = packed_sum(pairs)
+        top = next(reversed(acc))
+        return {**acc, top: acc[top] + 1}
+
+    monkeypatch.setattr(lefschetz, "_packed_sum", one_more_on_top)
+    assert main(["verify", "--suite", "statement1", "--order", "12"]) == 1
+    assert failed_checks(capsys) == {"zeta-multiplicative"}
+
+
+def test_a_packed_step_mutant_fails_power_axioms(monkeypatch, capsys):
+    # a packed exp step returns its coefficient with 1 more on top; the steps
+    # after it read the packed form, so only that coefficient is off
+    step = lefschetz._PackedRecurrence.step
+
+    def one_more_on_top(recurrence, n):
+        made = step(recurrence, n)
+        return made if recurrence.log else made + MotivicPolynomial({made.degree: 1})
+
+    monkeypatch.setattr(lefschetz._PackedRecurrence, "step", one_more_on_top)
+    assert main(["verify", "--suite", "power-axioms", "--order", "16"]) == 1
+    assert failed_checks(capsys) == {"base-multiplicative"}

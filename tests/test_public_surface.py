@@ -146,3 +146,39 @@ def test_suites_charge_and_count_only_through_their_plan():
         ("count_squarefree_monic", "_Plan"),
         ("enumerate_projective", "_Plan"),
     ]
+
+
+def test_every_packed_width_comes_from_one_bound():
+    # each _digit_width call in lefschetz.py sizes its digits by _bound, called
+    # in its argument or through names the same function assigns from it, or
+    # by the binomial bound of zeta's product route
+    path = SOURCE / "lefschetz.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def reads(node):
+        # the names node reads, the functions it calls by name among them
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+    rules = []
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        assigns = [
+            ({t.id for t in node.targets if isinstance(t, ast.Name)}, reads(node.value))
+            for node in ast.walk(function)
+            if isinstance(node, ast.Assign)
+        ]
+        bounded = {"_bound"}
+        while any(names - bounded and read & bounded for names, read in assigns):
+            bounded |= set().union(*[names for names, read in assigns if read & bounded])
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_digit_width":
+                (arg,) = node.args
+                read = reads(arg)
+                rules.append((function.name, "_bound" if read & bounded else "comb" if "comb" in read else None))
+    assert sorted(rules) == [
+        ("__init__", "_bound"),
+        ("_packed_sum", "_bound"),
+        ("_zeta_product", "comb"),
+        ("step", "_bound"),
+    ]
