@@ -36,7 +36,7 @@ from .field import is_prime
 from .geometry import MarkedP1Scene, hyperplane_union_class, sym_pair_p1_direct, sym_pair_p1_lambda
 from .lefschetz import lane_memo
 from .oracle import DEFAULT_BUDGET, BudgetExceededError, charge, charge_each, count_marked_union, marked_union_steps
-from .pairs import PairClass, parse_pair_spec, projective_line_marked
+from .pairs import _PARAM, PairClass, parse_pair_spec, projective_line_marked
 from .power import geometric_series, kapranov_zeta, one_plus, pow_cost, power_pow, tail_slopes, zeta_cost
 from .series import TruncatedSeries
 from .suites import SUITES, run_suite
@@ -243,15 +243,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_fields(text: str) -> tuple[int, ...]:
-    try:
-        fields = tuple(int(x) for x in text.split(",") if x.strip())
-    except ValueError:
-        raise ValueError(f"bad field size list {text!r}") from None
-    if not fields:
+    """The field sizes of --q: comma-separated parameters as in a pair spec (pairs._PARAM), each prime, each once."""
+    if not text.strip():
         raise ValueError("at least one field size is required")
-    for q in fields:
+    items = text.split(",")
+    if not all(map(_PARAM.fullmatch, items)):
+        raise ValueError(f"bad field size list {text!r}")
+    fields = tuple(map(int, items))
+    for i, q in enumerate(fields):
         if not is_prime(q):
             raise ValueError(f"field sizes must be prime, got {q}")
+        if q in fields[:i]:
+            raise ValueError(f"field size {q} is given more than once")
     return fields
 
 

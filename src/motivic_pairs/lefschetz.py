@@ -36,8 +36,11 @@ pairs, so packing is exact.  f*g and a series coefficient pack their
 polynomials for the one sum.  The log and exp recurrences are one routine,
 _recurrence; once it packs, it keeps both of its sequences packed, so each
 step is one C-level sum of big-integer products that packs the polynomial
-it reads and unpacks the one it makes.  Small and sparse sums keep the
-dict loop, which is faster for them.
+it reads and unpacks the one it makes.  Its digit width is decided once,
+by _bound run over the recurrence on norms, when that bound fits a machine
+word; a larger one is re-taken at each step and the packed forms widen as
+it grows, which measured faster there (see _PackedRecurrence).  Small and
+sparse sums keep the dict loop, which is faster for them.
 
 A zeta series has two routes.  The ghost route is one exp recurrence over
 the psi_r images of the class.  The product route multiplies the factors
@@ -255,9 +258,10 @@ def adams(m: MotivicPolynomial, r: int) -> MotivicPolynomial:
 #
 # Every packed width is _digit_width of one bound, _bound, on the norms
 # |p|_inf (largest |c|) and |p|_1 (sum of |c|) of the factors: a packed
-# sum reads them off its pairs, a packed recurrence predicts them for its
-# start width and reads them off each step's terms after.  Only zeta's
-# product route (_zeta_product) uses the same L1 bound in closed form.
+# sum reads them off its pairs; a packed recurrence predicts them for all
+# of its steps at once, and keeps that width when it fits a machine word,
+# or else reads them off each step's terms.  Only zeta's product route
+# (_zeta_product) uses the same L1 bound in closed form.
 
 _PACK_TERMS = 16
 _PACK_SPREAD = 4
@@ -283,15 +287,48 @@ def _norms(polys: Sequence[Mapping[int, int]]) -> tuple[list[int], list[int]]:
     return [_top(p) for p in polys], [sum(map(abs, p.values())) for p in polys]
 
 
-def _bound(tops_f: Iterable, ones_f: Iterable, tops_g: Iterable, ones_g: Iterable) -> int:
+def _bound(tops_f: Sequence, ones_f: Sequence, tops_g: Sequence, ones_g: Sequence, log: bool | None = None) -> int:
     """A bound on every |c| of sum f*g, from the norms of the pairs' factors.
 
     A coefficient of f*g takes each coefficient of g at most once, times a
     coefficient of f, so |fg|_inf <= |f|_inf |g|_1, and likewise
     |fg|_inf <= |f|_1 |g|_inf; the sum is bounded by the sum of the lesser
     of the two over the pairs.
+
+    With log given, the lists are instead the norms of the ghosts g_0, g_1,
+    ... (f) and coefficients a_0, a_1, ... (g) of the log (log true) or exp
+    recurrence: those of the sequence it reads whole, those of the one it
+    makes up to the step that runs next.  The result bounds every
+    coefficient of every step left (of k a_k - S_k, of g_k + S_k), the
+    recurrence run on norms: the same bound on each step's pairs, and
+    |fg|_1 <= |f|_1 |g|_1 for the norms of what the step makes.  It is
+    one loop over the lists, which for the short sums of a recurrence
+    costs less than a slice and a map per sum.
     """
-    return sum(map(min, map(mul, tops_f, ones_g), map(mul, ones_f, tops_g)))
+    if log is None:
+        return sum(map(min, map(mul, tops_f, ones_g), map(mul, ones_f, tops_g)))
+    norms = [list(tops_f), list(ones_f)], [list(tops_g), list(ones_g)]
+    (g_top, g_one), (a_top, a_one) = norms  # of the ghosts and of the coefficients
+    tops, ones = norms[not log]
+    bound = 0
+    for k in range(len(tops), len(norms[log][0])):
+        top = one = 0
+        for j in range(1, k):
+            g1, a1 = g_one[j], a_one[k - j]  # |g_j|_1, |a_(k-j)|_1
+            x, y = g_top[j] * a1, g1 * a_top[k - j]
+            top += x if x < y else y
+            one += g1 * a1
+        if log:
+            top += k * a_top[k]
+            tops.append(top)
+            ones.append(one + k * a_one[k])
+        else:
+            top += g_top[k]
+            tops.append(top // k)
+            ones.append((one + g_one[k]) // k)
+        if top > bound:
+            bound = top
+    return bound
 
 
 def _sum_of_products(pairs: Sequence[tuple[MotivicPolynomial, MotivicPolynomial]]) -> dict[int, int]:
@@ -409,6 +446,10 @@ def _widen(value: int, width: int, wider: int) -> int:
 # g_n = n a_n - S_n, the exp step reads g_n and makes a_n = (g_n + S_n) / n.
 # A recurrence runs the dict loop until its newest ghost has _PACK_TERMS
 # terms and it or the newest coefficient is dense, and packed from there on.
+# When it starts packing, _bound runs it on norms to bound every step left.
+# A bound within a machine word fixes the digit width for every step, so a
+# step only packs, multiplies and unpacks; a larger bound is re-taken at each
+# step and the packed forms widen as it grows (see _PackedRecurrence).
 
 
 def ghost_log(coeffs: Sequence[MotivicPolynomial]) -> tuple[MotivicPolynomial, ...]:
@@ -484,48 +525,45 @@ class _PackedRecurrence:
     seqs[log] is the sequence it reads, whole from the start, and
     seqs[not log] the one it makes, one more at each step.  ints holds, for
     both, each polynomial's packed form at the digit width up to the step
-    that ran last, and norms the lists |p|_inf and |p|_1 (see _norms) of
-    the whole read sequence and of the made one up to that step.  A step is
-    one C-level sum of big-integer products: it packs the polynomial it
-    reads and unpacks the one it makes, and widens the packed forms only
-    when _bound on the norms of its terms outgrows the width.
+    that ran last.  A step is one C-level sum of big-integer products: it
+    packs the polynomial it reads and unpacks the one it makes.
+
+    The width is decided once, by _bound's run of the recurrence on norms,
+    when that bound fits a machine word: then it holds every step left,
+    norms is None, and a step does nothing more.  On series-deep's
+    power_pow 75 of 76 packed recurrences are such, and the per-step bound
+    and norms they drop were about a fifth of a step's time.  Above a
+    word, norms holds the lists |p|_inf and |p|_1 (see _norms) of the whole
+    read sequence and of the made one up to the step that ran last, and
+    each step takes _bound of its own terms and widens the packed forms
+    when that outgrows the width.  There the prediction runs wider than the
+    steps' own bounds, and the wider products cost more than widening: on
+    series-deep-shaped power_pow, a width fixed by the prediction measured
+    0.92x to 0.98x the time of widening steps at N = 24 and 32, but 1.09x
+    to 1.19x at N = 48 and 64 (min of repeats, two runs).
     """
 
     __slots__ = ("seqs", "log", "width", "ints", "norms")
 
     def __init__(self, seqs: tuple[list, Sequence], log: bool, n: int) -> None:
         self.seqs, self.log, self.ints = seqs, log, None
-        self.norms = (top_g, one_g), (top_a, one_a) = [_norms([p._coeffs for p in seq]) for seq in seqs]
-        # |fg|_1 <= |f|_1 |g|_1 besides _bound, so the recurrence run on both
-        # norms (of the whole read sequence and of the n polynomials made so
-        # far) bounds every coefficient of every step left.  If that bound
-        # fits a machine word, the steps share its width and nothing is
-        # widened.  Above a word it runs wider than the steps' own bounds,
-        # and wider products cost more than widening, so the width grows
-        # with the steps.  Either way it starts at the largest |c| of the
-        # polynomials the first step packs: one whose partners in S_n are
-        # all zero adds nothing to a bound.
-        tops, ones = self.norms[not log]
-        bound = 0
-        for k in range(n, len(seqs[log])):  # step k makes k a_k - S_k or (g_k + S_k) / k
-            g, a = slice(1, k), slice(k - 1, 0, -1)
-            top = _bound(top_g[g], one_g[g], top_a[a], one_a[a]) + (k * top_a[k] if log else top_g[k])
-            one = sum(map(mul, one_g[g], one_a[a])) + (k * one_a[k] if log else one_g[k])
-            tops.append(top if log else top // k)
-            ones.append(one if log else one // k)
-            bound = max(bound, top)
-        del tops[n:], ones[n:]
-        if bound.bit_length() >= 8 * max(_WORDS):
-            bound = 0
-        self.width = _digit_width(max(bound, *top_g[: n + 1], *top_a[: n + 1]))
+        norms = (top_g, _), (top_a, _) = [_norms([p._coeffs for p in seq]) for seq in seqs]
+        bound = _bound(*norms[0], *norms[1], log)
+        fixed = bound.bit_length() < 8 * max(_WORDS)
+        self.norms = None if fixed else norms
+        # Either way the width is at least the largest |c| of the polynomials
+        # the first step packs: one whose partners in S_n are all zero adds
+        # nothing to a bound.
+        self.width = _digit_width(max(bound if fixed else 0, *top_g[: n + 1], *top_a[: n + 1]))
 
     def step(self, n: int) -> MotivicPolynomial:
-        """The polynomial that step n makes."""
-        log = self.log
-        (top_g, one_g), (top_a, one_a) = self.norms
-        g, a = slice(1, n), slice(n - 1, 0, -1)
-        bound = _bound(top_g[g], one_g[g], top_a[a], one_a[a]) + (n * top_a[n] if log else top_g[n])
-        width = max(self.width, _digit_width(bound))
+        """The polynomial that step n makes: at the fixed width, or at one that holds _bound of its own terms."""
+        log, norms, width = self.log, self.norms, self.width
+        if norms is not None:
+            (top_g, one_g), (top_a, one_a) = norms
+            g, a = slice(1, n), slice(n - 1, 0, -1)
+            bound = _bound(top_g[g], one_g[g], top_a[a], one_a[a]) + (n * top_a[n] if log else top_g[n])
+            width = max(width, _digit_width(bound))
         if self.ints is None:
             self.ints = tuple([_pack(p._coeffs, width) for p in seq[: n + 1]] for seq in self.seqs)
         else:
@@ -541,17 +579,17 @@ class _PackedRecurrence:
             total += ints_g[n]
             packed, rem = divmod(total, n)
         made = MotivicPolynomial._trusted(_unpack(packed, width))
-        top = _top(made._coeffs)
         # In the exp step n a_n = total has digits below 2^(width-1) in
         # absolute value.  All are divisible by n exactly when n divides total
         # and every balanced digit q of the quotient has |n q| < 2^(width-1),
         # as balanced digits are unique.
-        if not log and (rem or n * top >> (width - 1)):
+        if not log and (rem or n * _top(made._coeffs) >> (width - 1)):
             raise _non_integral(_unpack(total, width), n)
         self.ints[not log].append(packed)
-        tops, ones = self.norms[not log]
-        tops.append(top)
-        ones.append(sum(map(abs, made._coeffs.values())))
+        if norms is not None:
+            tops, ones = norms[not log]
+            tops.append(_top(made._coeffs))
+            ones.append(sum(map(abs, made._coeffs.values())))
         return made
 
 

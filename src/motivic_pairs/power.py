@@ -109,7 +109,7 @@ def _lane_pow(coeffs: tuple[MotivicPolynomial, ...], m: MotivicPolynomial) -> tu
     # degree -> coefficient dicts in place: c_i is final once every i' < i
     # has taken psi_{i/i'}(c_i') off it.  Both fill their dicts in scatter
     # order, so each polynomial made from one goes through _terms.
-    c = [{}, *(dict(g.items()) for g in ghost_log(coeffs))]
+    c = [{}, *(dict(g._coeffs) for g in ghost_log(coeffs))]
     order = len(coeffs) - 1
     scaled: list[dict[int, int]] = [{} for _ in range(order + 1)]
     for i in range(1, order + 1):

@@ -566,6 +566,42 @@ def test_composite_field_is_usage_error():
     assert exc.value.code == 2
 
 
+FIELD_COMMANDS = pytest.mark.parametrize(
+    "command", [["verify", "--suite", "weil"], ["example", "--n", "1", "--s", "1"]], ids=["verify", "example"]
+)
+
+
+@FIELD_COMMANDS
+@pytest.mark.parametrize(
+    "fields",
+    ["1_1", "+3", "\u0663", "-3", "2,,3", "3,"],
+    ids=["underscore", "plus", "arabic-indic", "minus", "hole", "trailing"],
+)
+def test_a_field_size_is_ascii_digits_as_in_a_pair_spec(capsys, command, fields):
+    # int() reads 1_1 as 11 and +3 and the Arabic-Indic digit as 3
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--q", fields])
+    assert exc.value.code == 2
+    assert f"bad field size list {fields!r}" in capsys.readouterr().err
+
+
+@FIELD_COMMANDS
+@pytest.mark.parametrize("fields, size", [("2,2", 2), ("3,2, 3", 3)])
+def test_a_repeated_field_size_is_usage_error_naming_it(capsys, command, fields, size):
+    # it would run the same rows twice: weil --q 2,2 made 16 rows, --q 2 makes 12
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--q", fields])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"field size {size} is given more than once")
+
+
+def test_spaces_around_a_field_size_are_allowed(capsys):
+    assert main(["verify", "--suite", "weil", "--q", " 2, 3 "]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["verify", "--suite", "weil", "--q", "2,3"]) == 0
+    assert capsys.readouterr().out == spaced
+
+
 def test_negative_order_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["zeta", "--pair", "point", "--order", "-2"])

@@ -540,6 +540,27 @@ def test_packed_widths_cross_every_word_size(packed_widths):
     assert any(len(widths) <= 2 for widths in runs)  # packing began at a late step
 
 
+def width_mode(recurrence):
+    # a packed recurrence whose predicted bound fits a machine word keeps that
+    # width for every step and drops its norms; a larger one re-bounds and
+    # widens step by step
+    return "fixed" if recurrence.norms is None else "widening"
+
+
+@pytest.fixture
+def packed_modes(monkeypatch):
+    # (n, width mode) of each packed step
+    steps = []
+    step = lefschetz._PackedRecurrence.step
+
+    def spy(recurrence, n):
+        steps.append((n, width_mode(recurrence)))
+        return step(recurrence, n)
+
+    monkeypatch.setattr(lefschetz._PackedRecurrence, "step", spy)
+    return steps
+
+
 @pytest.mark.parametrize(
     "n, error",
     # n a_n gains L^d: n does not divide the packed sum; or it gains
@@ -548,23 +569,64 @@ def test_packed_widths_cross_every_word_size(packed_widths):
     [(19, {7: 1}), (17, {7: -1, 8: 1})],
     ids=["remainder", "digits"],
 )
-def test_late_non_integral_ghost_raises_as_in_the_dict_loop(packed_calls, monkeypatch, n, error):
-    coeffs = ramped_series(random.Random(27), 20, 2, 2)
-    ghosts = list(ghost_log(coeffs))
-    ghosts[n - 1] = ghosts[n - 1] + MotivicPolynomial(error)
-    c = n * coeffs[n].coefficient(7) + error[7]
-    expected = f"L^7 t^{n} would have coefficient {c}/{n}: no series over Z[L] has these ghosts"
-    packed_calls.clear()
-    with pytest.raises(ArithmeticError) as packed:
-        ghost_exp(ghosts)
-    assert packed_calls[-1] == n - 1  # raised in a packed step
-    with monkeypatch.context() as dict_only:
-        dict_only.setattr(lefschetz, "_PACK_TERMS", 10**9)
-        packed_calls.clear()
-        with pytest.raises(ArithmeticError) as unpacked:
+def test_late_non_integral_ghost_raises_as_in_the_dict_loop(packed_modes, monkeypatch, n, error):
+    # coefficients that gain no bits a step keep the exp recurrence's bound
+    # within a word, two bits a step take it past one
+    for mode, ramp in (("fixed", 0), ("widening", 2)):
+        coeffs = ramped_series(random.Random(27), 20, 2, ramp)
+        ghosts = list(ghost_log(coeffs))
+        ghosts[n - 1] = ghosts[n - 1] + MotivicPolynomial(error)
+        c = n * coeffs[n].coefficient(7) + error[7]
+        expected = f"L^7 t^{n} would have coefficient {c}/{n}: no series over Z[L] has these ghosts"
+        packed_modes.clear()
+        with pytest.raises(ArithmeticError) as packed:
             ghost_exp(ghosts)
-        assert not packed_calls
-    assert str(packed.value) == str(unpacked.value) == expected
+        assert packed_modes[-1] == (n, mode)  # raised in a packed step of that mode
+        with monkeypatch.context() as dict_only:
+            dict_only.setattr(lefschetz, "_PACK_TERMS", 10**9)
+            packed_modes.clear()
+            with pytest.raises(ArithmeticError) as unpacked:
+                ghost_exp(ghosts)
+            assert not packed_modes
+        assert str(packed.value) == str(unpacked.value) == expected, mode
+
+
+# Series-deep's power_pow draws, as a strategy: 1 + c_1 t + ... + c_N t^N
+# with N <= 16 and each c_j of L-degree at most 3 with coefficients in +-4,
+# raised to a class of L-degree 1.  Their packed recurrences start from
+# about step 6 and almost all predict a bound within a machine word.
+
+deep_coefficients = st.integers(-4, 4)
+deep_polys = st.lists(deep_coefficients, min_size=1, max_size=4).map(lambda cs: MotivicPolynomial(dict(enumerate(cs))))
+deep_bases = st.integers(1, 16).flatmap(lambda order: st.lists(deep_polys, min_size=order, max_size=order)).map(
+    lambda tail: (MotivicPolynomial.one(), *tail)
+)
+deep_exponents = st.tuples(deep_coefficients, deep_coefficients.filter(bool)).map(
+    lambda cs: MotivicPolynomial(dict(enumerate(cs)))
+)
+# a base of series-deep's own shape, every coefficient of L-degree 3 and none 0, whose
+# power_pow runs both of its recurrences at a fixed width
+SERIES_DEEP_BASE = (
+    MotivicPolynomial.one(),
+    *(MotivicPolynomial({d: (-1) ** (j + d) * (1 + (j * d) % 4) for d in range(4)}) for j in range(1, 11)),
+)
+
+
+def test_fixed_width_steps_match_dict_loops_on_series_deep_shapes(packed_widths):
+    @settings(max_examples=40, deadline=None)
+    @given(deep_bases, deep_exponents)
+    @example(SERIES_DEEP_BASE, MotivicPolynomial({0: 2, 1: -3}))
+    def check(coeffs, m):
+        ghosts = ghost_log(coeffs)
+        assert ghosts == ref_ghost_log(coeffs)
+        assert ghost_exp(ghosts) == ref_ghost_exp(ghosts) == coeffs
+        expected = reference_lane_pow(coeffs, m, ref_ghost_log, ref_ghost_exp, ref_mul)
+        assert power_pow(TruncatedSeries(coeffs), m) == TruncatedSeries(expected)
+
+    check()
+    runs = [(width_mode(recurrence), widths) for recurrence, *widths in packed_widths.values()]
+    assert any(mode == "fixed" for mode, _ in runs)  # the fixed width ran
+    assert all(len(set(widths)) == 1 for mode, widths in runs if mode == "fixed")  # and never changed
 
 
 # -- the same, with generated inputs ------------------------------------------------
@@ -596,6 +658,43 @@ def test_bound_holds_every_coefficient_of_a_sum_of_products(pairs, wide):
     pairs += [(wide, ZERO), (ZERO, wide)]
     if any(f.items() and g.items() for f, g in pairs):
         assert lefschetz._packed_sum(pairs) == expected
+
+
+def norms_of(polys):
+    return lefschetz._norms([p._coeffs for p in polys])
+
+
+def step_bounds(ghost_norms, coeff_norms, log):
+    # _bound's recurrence form the slow way: the recurrence run on norms one
+    # sum at a time, each step's pairs sliced out and bounded by the sum form
+    norms = [list(ghost_norms[0]), list(ghost_norms[1])], [list(coeff_norms[0]), list(coeff_norms[1])]
+    (top_g, one_g), (top_a, one_a) = norms
+    tops, ones = norms[not log]
+    bounds = []
+    for k in range(len(tops), len(norms[log][0])):
+        g, a = slice(1, k), slice(k - 1, 0, -1)
+        top = lefschetz._bound(top_g[g], one_g[g], top_a[a], one_a[a]) + (k * top_a[k] if log else top_g[k])
+        one = sum(x * y for x, y in zip(one_g[g], one_a[a])) + (k * one_a[k] if log else one_g[k])
+        tops.append(top if log else top // k)
+        ones.append(one if log else one // k)
+        bounds.append(top)
+    return bounds
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(polynomials, min_size=1, max_size=8), st.data())
+def test_predicted_bound_holds_every_step_left(tail, data):
+    # from any step n on, _bound's recurrence form is the largest step bound
+    # of the slow way, and at least every |c| that a step left makes: of g_k
+    # in the log recurrence, of k a_k in the exp one
+    coeffs = (MotivicPolynomial.one(), *tail)
+    ghosts = (ZERO, *ref_ghost_log(coeffs))
+    n = data.draw(st.integers(1, len(tail)), label="n")
+    for log, made in ((True, ghosts), (False, coeffs)):
+        norms = (norms_of(ghosts[:n]), norms_of(coeffs)) if log else (norms_of(ghosts), norms_of(coeffs[:n]))
+        predicted = lefschetz._bound(*norms[0], *norms[1], log)
+        assert predicted == max(step_bounds(*norms, log))
+        assert all((1 if log else k) * lefschetz._top(made[k]._coeffs) <= predicted for k in range(n, len(coeffs)))
 
 
 # -- every polynomial the engine builds is canonical ----------------------------------
@@ -732,17 +831,19 @@ def test_zeta_route_rule_on_each_side_of_each_threshold(monkeypatch):
         assert routes == [route]
 
 
-def reference_lane_pow(coeffs, m):
-    # the divisor sum as chains of polynomial operations, each step a new polynomial
-    c = [ZERO, *ghost_log(coeffs)]
+def reference_lane_pow(coeffs, m, log=ghost_log, exp=ghost_exp, times=MotivicPolynomial.__mul__):
+    # the divisor sum as chains of polynomial operations, each step a new
+    # polynomial; the ghost recurrences and the product m * c_i are the
+    # engine's unless given
+    c = [ZERO, *log(coeffs)]
     order = len(coeffs) - 1
     scaled = [ZERO] * (order + 1)
     for i in range(1, order + 1):
         for n in range(2 * i, order + 1, i):
             c[n] = c[n] - adams(c[i], n // i)
         for n in range(i, order + 1, i):
-            scaled[n] = scaled[n] + adams(m * c[i], n // i)
-    return ghost_exp(scaled[1:])
+            scaled[n] = scaled[n] + adams(times(m, c[i]), n // i)
+    return exp(scaled[1:])
 
 
 lane_coefficients = st.one_of(st.integers(-4, 4), st.integers(-(2**70), 2**70))

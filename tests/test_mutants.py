@@ -6,14 +6,15 @@ its counts, never a dry plan's stand-ins, and that the identities and weil
 suites compare zeta's product route with a route that does not use it.
 """
 
+import inspect
 import itertools
 import json
 
 import pytest
 
-from motivic_pairs import lefschetz, oracle, suites
+from motivic_pairs import TruncatedSeries, lefschetz, oracle, power, suites
 from motivic_pairs.cli import main
-from motivic_pairs.lefschetz import MotivicPolynomial
+from motivic_pairs.lefschetz import MotivicPolynomial, zeta_series
 
 
 def one_more_on_the_union(n, scene, budget):
@@ -49,10 +50,13 @@ def test_an_oracle_mutant_fails_its_suite(monkeypatch, capsys, name, mutant, sui
     assert failed_checks(capsys) == {check}
 
 
-@pytest.mark.parametrize(
-    "suite, checks",
-    [("identities", {"geometric-power-is-zeta", "binomial-power-is-config"}), ("weil", {"weil-kapranov"})],
-)
+ZETA_PRODUCT_KILLS = [
+    ("identities", {"geometric-power-is-zeta", "binomial-power-is-config"}),
+    ("weil", {"weil-kapranov"}),
+]
+
+
+@pytest.mark.parametrize("suite, checks", ZETA_PRODUCT_KILLS)
 def test_a_zeta_product_mutant_fails_its_suites(monkeypatch, capsys, suite, checks):
     # zeta's product route runs one pass short on every factor of multiplicity 2 or more
     product = lefschetz._zeta_product
@@ -65,9 +69,38 @@ def test_a_zeta_product_mutant_fails_its_suites(monkeypatch, capsys, suite, chec
     assert failed_checks(capsys) == checks
 
 
+CONFIG_KILLS = [
+    ("statement2", {"config-multiplicative", "config-of-unit-is-one-plus-t"}),
+    ("squarefree", {"squarefree-config"}),
+    ("identities", {"binomial-power-is-config"}),
+]
+
+
+@pytest.mark.parametrize("suite, checks", CONFIG_KILLS, ids=[k[0] for k in CONFIG_KILLS])
+def test_a_config_mutant_fails_its_suites(monkeypatch, capsys, suite, checks):
+    # the factor zeta_-m(t^2) of config_m(t) = zeta_m(t) zeta_-m(t^2) gains 1
+    # at t^4, which adds t^4 zeta_m(t) to the product
+    config = power.config_series
+
+    def one_more_at_t4_of_the_square_factor(m, order):
+        coeffs = config(m, order).coeffs
+        zeta = zeta_series(m, order).coeffs
+        return TruncatedSeries(coeffs[:4] + tuple(c + z for c, z in zip(coeffs[4:], zeta)))
+
+    # config_series_pair reads it from power, the squarefree suite from suites
+    monkeypatch.setattr(power, "config_series", one_more_at_t4_of_the_square_factor)
+    monkeypatch.setattr(suites, "config_series", one_more_at_t4_of_the_square_factor)
+    assert main(["verify", "--suite", suite]) == 1
+    assert failed_checks(capsys) == checks
+
+
 # At the default order no suite packs: the first packed sums come at order 12
 # (statement1, ring-axioms), the first packed ghost steps at power-axioms
 # order 16.  So the packed route's mutants run their suite at those orders.
+
+
+PACKED_SUM_KILLS = ("statement1", {"zeta-multiplicative"})
+PACKED_STEP_KILLS = ("power-axioms", {"base-multiplicative"})
 
 
 def test_a_packed_sum_mutant_fails_statement1(monkeypatch, capsys):
@@ -80,8 +113,9 @@ def test_a_packed_sum_mutant_fails_statement1(monkeypatch, capsys):
         return {**acc, top: acc[top] + 1}
 
     monkeypatch.setattr(lefschetz, "_packed_sum", one_more_on_top)
-    assert main(["verify", "--suite", "statement1", "--order", "12"]) == 1
-    assert failed_checks(capsys) == {"zeta-multiplicative"}
+    suite, checks = PACKED_SUM_KILLS
+    assert main(["verify", "--suite", suite, "--order", "12"]) == 1
+    assert failed_checks(capsys) == checks
 
 
 def test_a_packed_step_mutant_fails_power_axioms(monkeypatch, capsys):
@@ -94,5 +128,32 @@ def test_a_packed_step_mutant_fails_power_axioms(monkeypatch, capsys):
         return made if recurrence.log else made + MotivicPolynomial({made.degree: 1})
 
     monkeypatch.setattr(lefschetz._PackedRecurrence, "step", one_more_on_top)
-    assert main(["verify", "--suite", "power-axioms", "--order", "16"]) == 1
-    assert failed_checks(capsys) == {"base-multiplicative"}
+    suite, checks = PACKED_STEP_KILLS
+    assert main(["verify", "--suite", suite, "--order", "16"]) == 1
+    assert failed_checks(capsys) == checks
+
+
+def test_a_divisor_sum_mutant_crashes_verify_all(monkeypatch, capsys):
+    # _lane_pow's scaled divisor sum adds m*c_i at its own degrees instead of
+    # psi_r's (target[d] for target[d * r]).  The scaled ghosts then belong to
+    # no series over Z[L], so the exp recurrence raises on a non-integral
+    # coefficient: verify ends in an internal error (exit 4), not in a failed
+    # row.  Pinned so that a change making this mutant pass silently shows.
+    source = inspect.getsource(power._lane_pow)
+    psi_r = "target[d * r] = target.get(d * r, 0) + v"
+    assert source.count(psi_r) == 1
+    namespace = dict(vars(power))
+    exec(source.replace(psi_r, "target[d] = target.get(d, 0) + v"), namespace)
+    monkeypatch.setattr(power, "_lane_pow", namespace["_lane_pow"])
+    assert main(["verify", "--suite", "all"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ArithmeticError: L^")
+    assert "no series over Z[L] has these ghosts" in captured.err
+
+
+def test_every_suite_has_a_mutant_that_fails_it():
+    # a new suite cannot land without a mutant row above, and no row names a suite that is gone
+    killed = [suite for _, _, suite, _ in MUTANTS]
+    killed += [suite for suite, _ in ZETA_PRODUCT_KILLS + CONFIG_KILLS + [PACKED_SUM_KILLS, PACKED_STEP_KILLS]]
+    assert set(suites.SUITES) == set(killed)
