@@ -37,10 +37,9 @@ polynomials for the one sum.  The log and exp recurrences are one routine,
 _recurrence; once it packs, it keeps both of its sequences packed, so each
 step is one C-level sum of big-integer products that packs the polynomial
 it reads and unpacks the one it makes.  Its digit width is decided once,
-by _bound run over the recurrence on norms, when that bound fits a machine
-word; a larger one is re-taken at each step and the packed forms widen as
-it grows, which measured faster there (see _PackedRecurrence).  Small and
-sparse sums keep the dict loop, which is faster for them.
+by _bound run over the recurrence on norms, and holds every step left
+(see _PackedRecurrence).  Small and sparse sums keep the dict loop, which
+is faster for them.
 
 A zeta series has two routes.  The ghost route is one exp recurrence over
 the psi_r images of the class.  The product route multiplies the factors
@@ -90,8 +89,8 @@ class MotivicPolynomial:
         """The polynomial whose terms are coeffs, taken over as they are.
 
         For results built in this module (ring operations, Adams operations,
-        ghost recurrences), whose degrees and coefficients are ints by
-        construction.  coeffs must be canonical, in ascending degree with no
+        ghost recurrences, projective classes), whose degrees and
+        coefficients are ints by construction.  coeffs must be canonical, in ascending degree with no
         zero coefficient, and a fresh dict that no caller holds or changes
         later: it is neither checked, sorted, filtered nor copied.
         """
@@ -219,7 +218,7 @@ def projective_class(n: int) -> MotivicPolynomial:
     """Class of n-dimensional projective space: 1 + L + ... + L^n."""
     if n < 0:
         raise ValueError("projective space dimension must be non-negative")
-    return MotivicPolynomial({d: 1 for d in range(n + 1)})
+    return MotivicPolynomial._trusted({d: 1 for d in range(n + 1)})
 
 
 def adams(m: MotivicPolynomial, r: int) -> MotivicPolynomial:
@@ -259,8 +258,7 @@ def adams(m: MotivicPolynomial, r: int) -> MotivicPolynomial:
 # Every packed width is _digit_width of one bound, _bound, on the norms
 # |p|_inf (largest |c|) and |p|_1 (sum of |c|) of the factors: a packed
 # sum reads them off its pairs; a packed recurrence predicts them for all
-# of its steps at once, and keeps that width when it fits a machine word,
-# or else reads them off each step's terms.  Only zeta's product route
+# of its steps at once and keeps that one width.  Only zeta's product route
 # (_zeta_product) uses the same L1 bound in closed form.
 
 _PACK_TERMS = 16
@@ -284,7 +282,8 @@ def _top(coeffs: Mapping[int, int]) -> int:
 
 def _norms(polys: Sequence[Mapping[int, int]]) -> tuple[list[int], list[int]]:
     """|p|_inf and |p|_1 of each degree -> coefficient mapping p: its largest |c| and its sum of |c|."""
-    return [_top(p) for p in polys], [sum(map(abs, p.values())) for p in polys]
+    sizes = [list(map(abs, p.values())) for p in polys]
+    return [max(s, default=0) for s in sizes], list(map(sum, sizes))
 
 
 def _bound(tops_f: Sequence, ones_f: Sequence, tops_g: Sequence, ones_g: Sequence, log: bool | None = None) -> int:
@@ -422,23 +421,6 @@ def _unpack(value: int, width: int) -> dict[int, int]:
     return dict(compress(enumerate(digits), digits))
 
 
-def _widen(value: int, width: int, wider: int) -> int:
-    """The packing at digit width `wider` of the polynomial that value packs at `width`.
-
-    With the bias 2^(width-1) added, the digits are unsigned, so each
-    widens by zero bytes; the old bias then comes off at the new width.
-    One slice copy per byte of a digit does the work, not one per digit.
-    """
-    size, step = width >> 3, wider >> 3
-    length = abs(value).bit_length() // width + 2
-    half = (1 << (width - 1)).to_bytes(size, "little")
-    raw = (value + int.from_bytes(half * length, "little")).to_bytes(size * length, "little")
-    wide = bytearray(step * length)
-    for i in range(size):
-        wide[i::step] = raw[i::size]
-    return int.from_bytes(wide, "little") - int.from_bytes(half.ljust(step, b"\0") * length, "little")
-
-
 # -- ghost recurrences ------------------------------------------------------------------
 #
 # Both recurrences run over g_0 = 0, g_1, g_2, ... and a_0 = 1, a_1, a_2, ...:
@@ -446,10 +428,9 @@ def _widen(value: int, width: int, wider: int) -> int:
 # g_n = n a_n - S_n, the exp step reads g_n and makes a_n = (g_n + S_n) / n.
 # A recurrence runs the dict loop until its newest ghost has _PACK_TERMS
 # terms and it or the newest coefficient is dense, and packed from there on.
-# When it starts packing, _bound runs it on norms to bound every step left.
-# A bound within a machine word fixes the digit width for every step, so a
-# step only packs, multiplies and unpacks; a larger bound is re-taken at each
-# step and the packed forms widen as it grows (see _PackedRecurrence).
+# When it starts packing, _bound runs it on norms to bound every step left,
+# which fixes the digit width for every step, so a step only packs,
+# multiplies and unpacks (see _PackedRecurrence).
 
 
 def ghost_log(coeffs: Sequence[MotivicPolynomial]) -> tuple[MotivicPolynomial, ...]:
@@ -524,54 +505,37 @@ class _PackedRecurrence:
     seqs are its ghosts g_0 = 0, g_1, ... and coefficients a_0 = 1, a_1, ...;
     seqs[log] is the sequence it reads, whole from the start, and
     seqs[not log] the one it makes, one more at each step.  ints holds, for
-    both, each polynomial's packed form at the digit width up to the step
-    that ran last.  A step is one C-level sum of big-integer products: it
-    packs the polynomial it reads and unpacks the one it makes.
+    both, each polynomial's packed form up to the step that ran last.  A
+    step is one C-level sum of big-integer products: it packs the
+    polynomial it reads and unpacks the one it makes.
 
-    The width is decided once, by _bound's run of the recurrence on norms,
-    when that bound fits a machine word: then it holds every step left,
-    norms is None, and a step does nothing more.  On series-deep's
-    power_pow 75 of 76 packed recurrences are such, and the per-step bound
-    and norms they drop were about a fifth of a step's time.  Above a
-    word, norms holds the lists |p|_inf and |p|_1 (see _norms) of the whole
-    read sequence and of the made one up to the step that ran last, and
-    each step takes _bound of its own terms and widens the packed forms
-    when that outgrows the width.  There the prediction runs wider than the
-    steps' own bounds, and the wider products cost more than widening: on
-    series-deep-shaped power_pow, a width fixed by the prediction measured
-    0.92x to 0.98x the time of widening steps at N = 24 and 32, but 1.09x
-    to 1.19x at N = 48 and 64 (min of repeats, two runs).
+    The digit width is taken once, from _bound's run of the recurrence on
+    norms, which bounds every step left, and never changes, inside a
+    machine word or above one.  Above a word the prediction runs wider
+    than the steps' own bounds, so long recurrences pay for wider
+    products: on series-deep-shaped power_pow this width measured 1.14x
+    to 1.28x the time of re-bounding each step and widening the packed
+    forms as they grew at N = 48 and 64, against 0.82x to 1.05x at
+    N = 16 to 32 (min of repeats, three runs).  No workload runs a
+    recurrence past N = 20.
     """
 
-    __slots__ = ("seqs", "log", "width", "ints", "norms")
+    __slots__ = ("seqs", "log", "width", "ints")
 
     def __init__(self, seqs: tuple[list, Sequence], log: bool, n: int) -> None:
-        self.seqs, self.log, self.ints = seqs, log, None
+        self.seqs, self.log = seqs, log
         norms = (top_g, _), (top_a, _) = [_norms([p._coeffs for p in seq]) for seq in seqs]
-        bound = _bound(*norms[0], *norms[1], log)
-        fixed = bound.bit_length() < 8 * max(_WORDS)
-        self.norms = None if fixed else norms
-        # Either way the width is at least the largest |c| of the polynomials
-        # the first step packs: one whose partners in S_n are all zero adds
-        # nothing to a bound.
-        self.width = _digit_width(max(bound if fixed else 0, *top_g[: n + 1], *top_a[: n + 1]))
+        # The width is at least the largest |c| of the polynomials the first
+        # step packs: one whose partners in S_n are all zero adds nothing to
+        # a bound.
+        width = _digit_width(max(_bound(*norms[0], *norms[1], log), *top_g[: n + 1], *top_a[: n + 1]))
+        self.width, self.ints = width, tuple([_pack(p._coeffs, width) for p in seq[:n]] for seq in seqs)
 
     def step(self, n: int) -> MotivicPolynomial:
-        """The polynomial that step n makes: at the fixed width, or at one that holds _bound of its own terms."""
-        log, norms, width = self.log, self.norms, self.width
-        if norms is not None:
-            (top_g, one_g), (top_a, one_a) = norms
-            g, a = slice(1, n), slice(n - 1, 0, -1)
-            bound = _bound(top_g[g], one_g[g], top_a[a], one_a[a]) + (n * top_a[n] if log else top_g[n])
-            width = max(width, _digit_width(bound))
-        if self.ints is None:
-            self.ints = tuple([_pack(p._coeffs, width) for p in seq[: n + 1]] for seq in self.seqs)
-        else:
-            if width != self.width:
-                self.ints = tuple([_widen(x, self.width, width) for x in ints] for ints in self.ints)
-            self.ints[log].append(_pack(self.seqs[log][n]._coeffs, width))
-        self.width = width
-        ints_g, ints_a = self.ints
+        """The polynomial that step n makes, at the recurrence's one width."""
+        log, width, ints = self.log, self.width, self.ints
+        ints[log].append(_pack(self.seqs[log][n]._coeffs, width))
+        ints_g, ints_a = ints
         total = sum(map(mul, ints_g[1:n], ints_a[n - 1 : 0 : -1]))
         if log:
             packed = n * ints_a[n] - total
@@ -585,11 +549,7 @@ class _PackedRecurrence:
         # as balanced digits are unique.
         if not log and (rem or n * _top(made._coeffs) >> (width - 1)):
             raise _non_integral(_unpack(total, width), n)
-        self.ints[not log].append(packed)
-        if norms is not None:
-            tops, ones = norms[not log]
-            tops.append(_top(made._coeffs))
-            ones.append(sum(map(abs, made._coeffs.values())))
+        ints[not log].append(packed)
         return made
 
 

@@ -222,8 +222,19 @@ def parse_pair_spec(spec: str) -> PairClass:
     """Evaluate a pair spec: catalog atoms plus sum/prod/neg combinators.
 
     The outermost combinator scans its whole argument, so nesting deeper
-    than MAX_SPEC_DEPTH is rejected before any recursion.
+    than MAX_SPEC_DEPTH is rejected before any recursion.  Before each sum
+    or product step the work of the whole spec so far is charged against
+    the default budget: the terms of every atom, per lane 2 (T_f + T_g)
+    terms for every sum, which reads both operands and writes at most as
+    many terms, and per lane T_f T_g term products for every product.
     """
+    return _evaluate(spec, [0])
+
+
+def _evaluate(spec: str, work: list[int]) -> PairClass:
+    # work[0] is the work of the whole spec so far (see parse_pair_spec)
+    from .oracle import DEFAULT_BUDGET, charge  # deferred, as in catalog
+
     spec = spec.strip()
     for head in ("sum", "prod", "neg"):
         if spec.startswith(head + "(") and spec.endswith(")"):
@@ -231,11 +242,17 @@ def parse_pair_spec(spec: str) -> PairClass:
             if head == "neg":
                 if len(parts) != 1:
                     raise ValueError("neg(...) takes exactly one argument")
-                return -parse_pair_spec(parts[0])
-            values = [parse_pair_spec(p) for p in parts]
+                return -_evaluate(parts[0], work)
             total = PairClass.zero() if head == "sum" else PairClass.one()
-            for value in values:
+            for part in parts:
+                value = _evaluate(part, work)
+                for f, g in ((total.amb, value.amb), (total.comp, value.comp)):
+                    t, u = len(f._coeffs), len(g._coeffs)
+                    work[0] += 2 * (t + u) if head == "sum" else t * u
+                charge(work[0], "pair spec terms and term products", DEFAULT_BUDGET)
                 total = total + value if head == "sum" else total * value
             return total
     name, params = split_atom(spec)
-    return catalog(name, *params)
+    value = catalog(name, *params)
+    work[0] += len(value.amb._coeffs) + len(value.comp._coeffs)
+    return value

@@ -190,12 +190,22 @@ def test_algebra_over_budget_exits_3(capsys, argv, what):
         # each field fits the budget, but not both
         (["example", "--n", "3", "--s", "1", "--q", "199,197"], 3,
          "budget exhausted: example enumerations needs ~15604780 steps, budget is 10000000"),
+        # a pair spec is charged its work so far before each sum or product
+        # step: 5001 x 5001 term products per lane at the second factor, and
+        # about 90000 terms per summand of 9001 terms
+        (["zeta", "--pair", "prod(" + ",".join(["pn:5000"] * 16) + ")", "--order", "0"], 3,
+         "budget exhausted: pair spec terms and term products needs ~50050008 steps"),
+        (["zeta", "--pair", "prod(" + ",".join(["pn:5000"] * 24) + ")", "--order", "0"], 3,
+         "budget exhausted: pair spec terms and term products needs ~50050008 steps"),
+        (["zeta", "--pair", "sum(" + ",".join(["pn:9000"] * 1000) + ")", "--order", "0"], 3,
+         "budget exhausted: pair spec terms and term products needs ~10045116 steps"),
     ],
     ids=[
         "verify-q-2^61-1", "affine-marked-q", "q-past-primality-bound", "example-deep-zeta",
         "squarefree-huge-q", "example-p1-huge-q", "example-p1-q3121", "squarefree-total",
         "example-p1-total", "example-p1-q211", "ring-axioms-q211", "ring-axioms-total",
         "example-many-marks", "example-millions-of-marks", "example-total",
+        "spec-prod-of-16", "spec-prod-of-24", "spec-sum-of-1000",
     ],
 )
 def test_huge_inputs_end_at_once(capsys, argv, code, message):

@@ -416,9 +416,6 @@ def test_unpack_gives_the_balanced_digits_of_any_integer(value, width):
     assert all(-half <= c < half for c in digits.values())
     assert sum(c << (width * d) for d, c in digits.items()) == value
     assert list(digits) == sorted(digits)
-    wider = width + 8 * (1 + value % 5)
-    if all(abs(c) < half for c in digits.values()):
-        assert lefschetz._widen(value, width, wider) == lefschetz._pack(digits, wider)
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["small", "wide"])
@@ -482,12 +479,12 @@ def test_packed_exp_of_non_integral_ghosts_raises(packed_calls):
 
 # -- packed recurrences across digit widths ------------------------------------------
 #
-# A packed recurrence keeps both sequences packed at one digit width and
-# widens them when a step's bound outgrows it.  The inputs below hold the
+# A packed recurrence keeps both sequences packed at the one digit width
+# its first step predicts for every step left.  The inputs below hold the
 # recurrence in the dict loop up to a chosen step (constant coefficients,
 # so every ghost before it has one term), then turn dense with coefficients
-# that gain `ramp` bits a step, so the width crosses 8, 16, 32, 64 and more
-# partway through.
+# that gain `ramp` bits a step, so the predicted widths run from 8 bits to
+# past a machine word.
 
 
 def ramped_series(rng, order, start, ramp):
@@ -526,35 +523,29 @@ def test_packed_recurrences_match_dict_loops_across_widths(order, data):
 
 
 def test_packed_widths_cross_every_word_size(packed_widths):
-    # the same inputs as above, showing what they exercise: recurrences that
-    # start packing late and widen from 8 bits up past a machine word, and
-    # ones whose L1 bound fits a word and keep one width throughout
-    for order, start, ramp in ((24, 1, 0), (24, 12, 1), (20, 5, 6), (6, 2, 0), (24, 23, 0)):
+    # the same inputs as above, showing what they exercise: recurrences at
+    # every machine word width and above one, some that start packing late,
+    # each at one width from its first step to its last
+    for order, start, ramp in ((24, 1, 0), (24, 12, 1), (20, 5, 6), (6, 2, 0), (24, 23, 0), (3, 2, 0)):
         coeffs = ramped_series(random.Random(26), order, start, ramp)
         ghosts = ghost_log(coeffs)
         assert ghosts == ref_ghost_log(coeffs)
         assert ghost_exp(ghosts) == ref_ghost_exp(ghosts) == tuple(coeffs)
     runs = [widths for _, *widths in packed_widths.values()]
-    assert any({8, 16, 32, 64} <= set(widths) and widths[-1] > 64 for widths in runs)
-    assert any(len(set(widths)) == 1 for widths in runs)
+    assert all(len(set(widths)) == 1 for widths in runs)
+    assert {8, 16, 32, 64} <= {widths[0] for widths in runs}
+    assert any(widths[0] > 64 for widths in runs)
     assert any(len(widths) <= 2 for widths in runs)  # packing began at a late step
 
 
-def width_mode(recurrence):
-    # a packed recurrence whose predicted bound fits a machine word keeps that
-    # width for every step and drops its norms; a larger one re-bounds and
-    # widens step by step
-    return "fixed" if recurrence.norms is None else "widening"
-
-
 @pytest.fixture
-def packed_modes(monkeypatch):
-    # (n, width mode) of each packed step
+def packed_steps(monkeypatch):
+    # (n, digit width) of each packed step
     steps = []
     step = lefschetz._PackedRecurrence.step
 
     def spy(recurrence, n):
-        steps.append((n, width_mode(recurrence)))
+        steps.append((n, recurrence.width))
         return step(recurrence, n)
 
     monkeypatch.setattr(lefschetz._PackedRecurrence, "step", spy)
@@ -569,26 +560,28 @@ def packed_modes(monkeypatch):
     [(19, {7: 1}), (17, {7: -1, 8: 1})],
     ids=["remainder", "digits"],
 )
-def test_late_non_integral_ghost_raises_as_in_the_dict_loop(packed_modes, monkeypatch, n, error):
+def test_late_non_integral_ghost_raises_as_in_the_dict_loop(packed_steps, monkeypatch, n, error):
     # coefficients that gain no bits a step keep the exp recurrence's bound
-    # within a word, two bits a step take it past one
-    for mode, ramp in (("fixed", 0), ("widening", 2)):
+    # within a word, two bits a step take it past one: the exactness check
+    # runs on both of _pack's paths, struct words and bytes
+    for words, ramp in ((True, 0), (False, 2)):
         coeffs = ramped_series(random.Random(27), 20, 2, ramp)
         ghosts = list(ghost_log(coeffs))
         ghosts[n - 1] = ghosts[n - 1] + MotivicPolynomial(error)
         c = n * coeffs[n].coefficient(7) + error[7]
         expected = f"L^7 t^{n} would have coefficient {c}/{n}: no series over Z[L] has these ghosts"
-        packed_modes.clear()
+        packed_steps.clear()
         with pytest.raises(ArithmeticError) as packed:
             ghost_exp(ghosts)
-        assert packed_modes[-1] == (n, mode)  # raised in a packed step of that mode
+        raised, width = packed_steps[-1]
+        assert raised == n and (width in (8, 16, 32, 64)) == words  # raised in a packed step of that width
         with monkeypatch.context() as dict_only:
             dict_only.setattr(lefschetz, "_PACK_TERMS", 10**9)
-            packed_modes.clear()
+            packed_steps.clear()
             with pytest.raises(ArithmeticError) as unpacked:
                 ghost_exp(ghosts)
-            assert not packed_modes
-        assert str(packed.value) == str(unpacked.value) == expected, mode
+            assert not packed_steps
+        assert str(packed.value) == str(unpacked.value) == expected, ramp
 
 
 # Series-deep's power_pow draws, as a strategy: 1 + c_1 t + ... + c_N t^N
@@ -624,9 +617,9 @@ def test_fixed_width_steps_match_dict_loops_on_series_deep_shapes(packed_widths)
         assert power_pow(TruncatedSeries(coeffs), m) == TruncatedSeries(expected)
 
     check()
-    runs = [(width_mode(recurrence), widths) for recurrence, *widths in packed_widths.values()]
-    assert any(mode == "fixed" for mode, _ in runs)  # the fixed width ran
-    assert all(len(set(widths)) == 1 for mode, widths in runs if mode == "fixed")  # and never changed
+    runs = [widths for _, *widths in packed_widths.values()]
+    assert any(widths[0] <= 64 for widths in runs)  # a machine word width ran
+    assert all(len(set(widths)) == 1 for widths in runs)  # and no width changed
 
 
 # -- the same, with generated inputs ------------------------------------------------

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from motivic_pairs import MotivicPolynomial, PairClass, catalog
+from motivic_pairs import MotivicPolynomial, PairClass, catalog, oracle
 from motivic_pairs.oracle import DEFAULT_BUDGET, BudgetExceededError
 from motivic_pairs.pairs import parse_pair_spec
 
@@ -124,3 +124,28 @@ def test_catalog_refuses_classes_over_the_default_budget():
         parse_pair_spec("sum(point,pn-hyp:3162,5000)")
     assert refused.value.needed == 3163 * 3163
     assert catalog("pn-hyp", 3161, 2).amb == catalog("pn", 3161).amb
+
+
+@pytest.mark.parametrize(
+    "spec, work",
+    [
+        # atoms 2*4, then 1*4 per lane, atom 2*5, then 4*5 per lane
+        ("prod(pn:3,pn:4)", 8 + 8 + 10 + 40),
+        # atoms 2*4, then 2(0+4) per lane, atom 2*1, then 2(4+1) per lane
+        ("sum(pn:3,finite:2,1)", 8 + 16 + 2 + 20),
+        # an inner combinator's work counts toward the outer one's charges:
+        # the product's 66, then 2(0+8) per lane, atom 2*1, then 2(8+1) per lane
+        ("neg(sum(prod(pn:3,pn:4),point))", 66 + 32 + 2 + 36),
+    ],
+)
+def test_pair_specs_are_charged_their_work_so_far(monkeypatch, spec, work):
+    # terms for atoms, terms read and written for sums, term products per
+    # lane for products, charged before each sum or product step against
+    # the default budget
+    value = parse_pair_spec(spec)
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", work - 1)
+    with pytest.raises(BudgetExceededError) as refused:
+        parse_pair_spec(spec)
+    assert refused.value.needed == work
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", work)
+    assert parse_pair_spec(spec) == value

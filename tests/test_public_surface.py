@@ -180,5 +180,4 @@ def test_every_packed_width_comes_from_one_bound():
         ("__init__", "_bound"),
         ("_packed_sum", "_bound"),
         ("_zeta_product", "comb"),
-        ("step", "_bound"),
     ]
