@@ -46,10 +46,14 @@ the psi_r images of the class.  The product route multiplies the factors
 (1 - L^k t)^(-m_k) into packed coefficients by shift-adds, |m_k| passes
 of N shift-adds per term at order N.  Zeta takes the product route when
 the class is dense, no |m_k| exceeds N and sum |m_k| <= _ZETA_PASSES * N,
-the classes on which it was timed no slower (see _ZETA_PASSES).  Its width
-is exact for the same reason as above: packing is evaluation at L = 2^w,
-a ring homomorphism, and with M = sum |m_k| no coefficient of the result
-exceeds C(N+M, N), the L1 bound of _bound in closed form.
+the classes on which it was timed no slower (see _ZETA_PASSES).  The
+product route's width is exact for the same reason as above: packing is
+evaluation at L = 2^w, a ring homomorphism, and with M = sum |m_k| no
+coefficient of the result exceeds C(N+M, N), the L1 bound of _bound in
+closed form.  The route rule is one predicate, _product_route, and
+power.config_series routes each lane by it too: on the ghost route the
+configuration series is one exp recurrence over the summed ghosts of its
+two zeta factors, so it makes no second zeta and no series multiply.
 
 Inside `lane_memo()`, which the command line opens once per command,
 zeta_series, power.config_series and power._lane_pow compute each lane
@@ -151,6 +155,9 @@ class MotivicPolynomial:
         merged = dict(self._coeffs)
         for degree, coeff in other._coeffs.items():
             merged[degree] = merged.get(degree, 0) + coeff
+        if len(merged) == len(self._coeffs):
+            # other brought no new degree, so merged keeps self's ascending order
+            return MotivicPolynomial._trusted({d: c for d, c in merged.items() if c})
         return MotivicPolynomial._trusted(_terms(merged))
 
     def __neg__(self) -> "MotivicPolynomial":
@@ -610,19 +617,30 @@ def zeta_series(m: MotivicPolynomial, order: int) -> TruncatedSeries:
 
     The constant term is 1, the t^1 coefficient is m, and the series is
     multiplicative in m: zeta_m(t) = prod_k (1 - L^k t)^(-m_k).  A dense
-    class with every |m_k| <= N and sum |m_k| <= _ZETA_PASSES * N takes
-    that product on packed integers (_zeta_product).  Every other class
-    takes the ghost route: zeta_m(t) = exp(sum_r psi_r(m) t^r / r), so its
-    ghost coordinates are the Adams operations psi_1(m), ..., psi_N(m) and
-    one exp recurrence builds it.
+    class with every |m_k| <= N and sum |m_k| <= _ZETA_PASSES * N
+    (_product_route) takes that product on packed integers (_zeta_product).
+    Every other class takes the ghost route:
+    zeta_m(t) = exp(sum_r psi_r(m) t^r / r), so its ghost coordinates are
+    the Adams operations psi_1(m), ..., psi_N(m) and one exp recurrence
+    builds it.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    # each term adds at least 1 to sum |m_k|, so the term count rejects large classes without a scan
-    passes, sizes = _ZETA_PASSES * order, m._coeffs.values()
-    if _either_dense(m) and len(sizes) <= passes and _top(m._coeffs) <= order and sum(map(abs, sizes)) <= passes:
+    if _product_route(m, order):
         return TruncatedSeries(_zeta_product(m, order))
     return TruncatedSeries(ghost_exp([adams(m, r) for r in range(1, order + 1)]))
+
+
+def _product_route(m: MotivicPolynomial, order: int) -> bool:
+    """Whether zeta_series(m, order) takes the product route, the one rule for zeta and config.
+
+    It does when m is dense, no |m_k| exceeds the order and
+    sum |m_k| <= _ZETA_PASSES * order.  The zero class is not dense, and
+    at order 0 no other class passes, so both take the ghost route.
+    """
+    # each term adds at least 1 to sum |m_k|, so the term count rejects large classes without a scan
+    passes, sizes = _ZETA_PASSES * order, m._coeffs.values()
+    return _either_dense(m) and len(sizes) <= passes and _top(m._coeffs) <= order and sum(map(abs, sizes)) <= passes
 
 
 def _zeta_product(m: MotivicPolynomial, order: int) -> tuple[MotivicPolynomial, ...]:

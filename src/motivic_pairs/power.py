@@ -13,7 +13,11 @@ unordered tuples correspond to squarefree divisor patterns, which the
 quotient zeta_m(t) / zeta_m(t^2) = zeta_m(t) * zeta_{-m}(t^2) counts; the
 brute-force oracles validate it independently (squarefree polynomial
 counts, finite-scene enumeration), and the series exponential below
-reproduces it as (1 + t)^class.
+reproduces it as (1 + t)^class.  A lane follows zeta's route rule
+(lefschetz._product_route): on the product route it multiplies the two
+zeta series; on the ghost route the ghosts of the two factors add, so one
+exp recurrence over psi_n(m) - 2 psi_{n/2}(m) (the second term for even n
+only) builds it, with no second zeta and no series multiply.
 
 Series exponential ("power structure"): raises any series with constant
 term 1 to a ring-element power.  A series factors uniquely as a product
@@ -46,7 +50,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from .lefschetz import MotivicPolynomial, _lane_memoized, _terms, ghost_exp, ghost_log, zeta_series
+from .lefschetz import (
+    MotivicPolynomial,
+    _lane_memoized,
+    _product_route,
+    _terms,
+    adams,
+    ghost_exp,
+    ghost_log,
+    zeta_series,
+)
 from .pairs import PairClass
 from .series import TruncatedSeries
 
@@ -76,10 +89,21 @@ def kapranov_zeta(p: PairClass, order: int) -> TruncatedSeries:
 
 @_lane_memoized
 def config_series(m: MotivicPolynomial, order: int) -> TruncatedSeries:
-    """Generating series of configuration-space classes of one lane: zeta_m(t) * zeta_{-m}(t^2)."""
-    squares = [MotivicPolynomial.zero()] * (order + 1)
-    squares[::2] = zeta_series(-m, order // 2).coeffs
-    return zeta_series(m, order) * TruncatedSeries(tuple(squares))
+    """Generating series of configuration-space classes of one lane: zeta_m(t) * zeta_{-m}(t^2).
+
+    A class on zeta's product route takes that product of two zeta series.
+    Every other class takes one exp recurrence: the ghosts of a product
+    add, zeta_m(t) has the ghost psi_n(m) at t^n, and zeta_{-m}(t^2) has
+    -2 psi_r(m) at t^(2r), so the ghosts are G_n = psi_n(m) for odd n and
+    G_(2r) = psi_r(psi_2(m) - 2m).
+    """
+    if _product_route(m, order):
+        squares = [MotivicPolynomial.zero()] * (order + 1)
+        squares[::2] = zeta_series(-m, order // 2).coeffs
+        return zeta_series(m, order) * TruncatedSeries(tuple(squares))
+    even = adams(m, 2) - (m + m)
+    ghosts = [adams(even, n // 2) if n % 2 == 0 else adams(m, n) for n in range(1, order + 1)]
+    return TruncatedSeries(ghost_exp(ghosts))
 
 
 def config_series_pair(p: PairClass, order: int) -> TruncatedSeries:
@@ -214,10 +238,21 @@ def mul_cost(order: int, a: tuple[int, int], b: tuple[int, int]) -> int:
 def config_cost(p: PairClass, order: int) -> int:
     """Upper bound on the term products of config_series_pair(p, order).
 
-    The two zeta factors, and their series multiply: per lane of L-degree D
-    both factors have L-degree at most D*j at t^j, so at most D*j + 1 terms.
-    The factor zeta_{-p}(t^2) costs what zeta_p costs to order N // 2, as
-    -p has the terms and L-degrees of p.
+    A lane on zeta's product route makes the two zeta factors and their
+    series multiply: per lane of L-degree D both factors have L-degree at
+    most D*j at t^j, so at most D*j + 1 terms.  The factor zeta_{-p}(t^2)
+    costs what zeta_p costs to order N // 2, as -p has the terms and
+    L-degrees of p.
+
+    A lane on the ghost route makes one exp recurrence, and the bound
+    holds it too.  Its coefficient at t^j has L-degree at most D*j, and
+    step n multiplies each ghost G_k into a_(n-k), of at most D(n-k) + 1
+    terms.  For odd k, G_k = psi_k(m) has the T terms of m: those are
+    zeta's products.  For even k = 2j, G_k has at most 2T terms, and the T
+    more products are at most (D + 1)(D(n-2j) + 1), as T <= D + 1; each
+    such (n, j) is bounded by its own term (Dj + 1)(D(n-2j) + 1) of the
+    series multiply's bound, at coefficient n - j.  So the lane costs at
+    most zeta_cost plus mul_cost.
     """
     degrees = (max(p.amb.degree, 0), max(p.comp.degree, 0))
     return zeta_cost(p, order) + zeta_cost(p, order // 2) + sum(mul_cost(order, (d, 1), (d, 1)) for d in degrees)

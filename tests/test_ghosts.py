@@ -27,7 +27,7 @@ from motivic_pairs import (
     one_plus,
     power_pow,
 )
-from motivic_pairs import lefschetz
+from motivic_pairs import lefschetz, power
 from motivic_pairs.lefschetz import adams, ghost_exp, ghost_log, lane_memo, projective_class, zeta_series
 from motivic_pairs.power import _lane_pow, pow_cost, tail_slopes, zeta_cost
 from motivic_pairs.suites import _divide
@@ -584,6 +584,20 @@ def test_late_non_integral_ghost_raises_as_in_the_dict_loop(packed_steps, monkey
         assert str(packed.value) == str(unpacked.value) == expected, ramp
 
 
+def test_a_packed_polynomial_with_only_zero_partners_fits_the_width(packed_steps):
+    # The exp recurrence first packs at its last step, n = 3, where g_3 has
+    # PACK dense terms: S_3 = g_1 a_2 + g_2 a_1 with g_1 = a_1 = 0, so
+    # g_2 = 1000 and a_2 = 500 have only zero partners and add nothing to
+    # _bound, which reads 3 (from g_3) and would give 8-bit digits.  Both
+    # are packed all the same, and 1000 needs 16 bits: the width's floor,
+    # the largest |c| the first step packs, is what makes them fit.
+    g3 = MotivicPolynomial({d: 3 for d in range(PACK)})
+    ghosts = (ZERO, MotivicPolynomial.constant(1000), g3)
+    expected = (MotivicPolynomial.one(), ZERO, MotivicPolynomial.constant(500), projective_class(PACK - 1))
+    assert ghost_exp(ghosts) == ref_ghost_exp(ghosts) == expected
+    assert packed_steps == [(3, 16)]
+
+
 # Series-deep's power_pow draws, as a strategy: 1 + c_1 t + ... + c_N t^N
 # with N <= 16 and each c_j of L-degree at most 3 with coefficients in +-4,
 # raised to a class of L-degree 1.  Their packed recurrences start from
@@ -716,6 +730,10 @@ def assert_canonical(p):
     st.integers(1, 5),
     st.integers(0, 4),
 )
+@example(ZERO, ZERO, 1, 0)
+@example(ZERO, ZERO, 1, 4)
+@example(MotivicPolynomial.one(), ZERO, 1, 0)
+@example(MotivicPolynomial.one(), ZERO, 1, 1)
 def test_every_built_polynomial_is_canonical(route, a, b, r, order):
     packed = []
     with pytest.MonkeyPatch.context() as forced:
@@ -737,7 +755,10 @@ def test_every_built_polynomial_is_canonical(route, a, b, r, order):
     for p in built:
         assert_canonical(p)
     if route == "packed":
-        assert packed
+        # every sum with a nonzero pair packs.  With b = 0 the only such sums
+        # are the recurrences that read a, from order 1 on: config of the
+        # zero class takes zeta's ghost route and multiplies no 1 * 1
+        assert bool(packed) != (b == ZERO and (a == ZERO or order == 0))
     else:
         # zeta_series takes its product route on a dense class of small
         # coefficients whatever the forced route, and that route always unpacks
@@ -804,11 +825,13 @@ def test_zeta_product_is_exact_on_any_class(m, order):
 
 
 def test_zeta_route_rule_on_each_side_of_each_threshold(monkeypatch):
+    # config_series follows the same rule: it multiplies exactly when zeta takes the product route
     spread, passes = lefschetz._PACK_SPREAD, lefschetz._ZETA_PASSES
-    routes = []
-    product = lefschetz._zeta_product
+    routes, products = [], []
+    product, mul = lefschetz._zeta_product, TruncatedSeries.__mul__
     monkeypatch.setattr(lefschetz, "ghost_exp", lambda ghosts: routes.append("ghost") or ghost_exp(ghosts))
     monkeypatch.setattr(lefschetz, "_zeta_product", lambda m, order: routes.append("product") or product(m, order))
+    monkeypatch.setattr(TruncatedSeries, "__mul__", lambda a, b: products.append(a.order) or mul(a, b))
     cases = [
         (MotivicPolynomial({0: 1, 2 * spread - 1: -5}), "product"),  # one term per spread degrees
         (MotivicPolynomial({0: 1, 2 * spread: -5}), "ghost"),  # sparser
@@ -822,6 +845,36 @@ def test_zeta_route_rule_on_each_side_of_each_threshold(monkeypatch):
         routes.clear()
         assert zeta_series(m, 6) == reference_zeta_series(m, 6)
         assert routes == [route]
+        products.clear()
+        config = config_series(m, 6)
+        assert products == ([6] if route == "product" else [])
+        assert config == reference_config_series(LANE, m, 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(classes_on_both_routes(), st.integers(0, 12))
+@example(ZERO, 0)
+@example(ZERO, 12)
+@example(MotivicPolynomial.one(), 0)
+@example(MotivicPolynomial.one(), 1)  # the lowest order with a product route
+@example(MotivicPolynomial({0: -3, 1: -(10**30)}), 12)
+@example(MotivicPolynomial({0: 12, 1: -12, 2: 5}), 12)  # product route, -m takes the ghost route at order 6
+def test_config_series_takes_zetas_route(m, order):
+    # a class on zeta's ghost route makes its config series in one exp
+    # recurrence and no series multiply; one on the product route keeps
+    # zeta_m(t) * zeta_-m(t^2), whatever route zeta_-m takes to order N // 2
+    ghost_calls, products = [], []
+    mul = TruncatedSeries.__mul__
+    with pytest.MonkeyPatch.context() as spy:
+        for module in (lefschetz, power):
+            spy.setattr(module, "ghost_exp", lambda ghosts: ghost_calls.append(ghosts) or ghost_exp(ghosts))
+        spy.setattr(TruncatedSeries, "__mul__", lambda a, b: products.append(a.order) or mul(a, b))
+        config = config_series(m, order)
+    if product_route(m, order):
+        assert products == [order]
+    else:
+        assert len(ghost_calls) == 1 and products == []
+    assert config == reference_config_series(LANE, m, order)
 
 
 def reference_lane_pow(coeffs, m, log=ghost_log, exp=ghost_exp, times=MotivicPolynomial.__mul__):

@@ -4,9 +4,11 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from motivic_pairs import MotivicPolynomial, one_plus
-from motivic_pairs.lefschetz import projective_class, zeta_series
+from motivic_pairs.lefschetz import _terms, projective_class, zeta_series
 
 L = MotivicPolynomial.lefschetz()
 ONE = MotivicPolynomial.one()
@@ -107,6 +109,38 @@ def test_ring_results_are_canonical():
         reachable = {d1 + d2 for d1, _ in a.items() for d2, _ in b.items()}
         cancelled_products += len((a * b).items()) < len(reachable)
     assert cancelled_products > 5  # products that lose terms are exercised
+
+
+@st.composite
+def summands(draw):
+    # a, and b on a's support, on part of it, off it, anywhere, or b = -a
+    values = st.integers(-5, 5).filter(bool)
+    a = draw(st.dictionaries(st.integers(0, 40), values, max_size=12))
+    support = draw(st.sampled_from(["same", "part", "disjoint", "any", "negated"]))
+    if support == "negated":
+        return a, {d: -c for d, c in a.items()}
+    if support == "same":
+        degrees = list(a)
+    elif support == "part":
+        degrees = draw(st.lists(st.sampled_from(sorted(a)), unique=True)) if a else []
+    else:
+        free = st.integers(0, 40).filter(lambda d: d not in a) if support == "disjoint" else st.integers(0, 40)
+        degrees = draw(st.lists(free, unique=True, max_size=12))
+    return a, {d: draw(values) for d in degrees}
+
+
+@settings(max_examples=300, deadline=None)
+@given(summands())
+@example(({0: 1, 3: 2}, {0: -1, 3: -2}))  # cancels to zero
+@example(({0: 1, 3: 2}, {3: -2}))  # cancels a term on part of the support
+@example(({0: 1, 3: 2}, {1: 4, 5: -1}))  # disjoint supports
+def test_a_sum_is_the_canonical_terms_of_the_merged_dict(pair):
+    # a sum that brings no new degree skips the sort: it must still come out
+    # ascending and zero-free, like one that does
+    a, b = pair
+    merged = {d: a.get(d, 0) + b.get(d, 0) for d in {**a, **b}}
+    total = MotivicPolynomial(a) + MotivicPolynomial(b)
+    assert list(total._coeffs.items()) == list(_terms(merged).items())
 
 
 def test_evaluate_matches_integer_substitution():

@@ -181,3 +181,22 @@ def test_every_packed_width_comes_from_one_bound():
         ("_packed_sum", "_bound"),
         ("_zeta_product", "comb"),
     ]
+
+
+def test_zeta_route_rule_lives_in_one_function():
+    # zeta_series and config_series route a lane by calling one predicate,
+    # so the two cannot take different routes for one class, and no other
+    # code compares a class against the _ZETA_PASSES threshold
+    readers, callers = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Name) and node.id == "_ZETA_PASSES":
+                    readers.append(f"{path.name}: {function.name}")
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_product_route":
+                    callers.append(f"{path.name}: {function.name}")
+    assert readers == ["lefschetz.py: _product_route"]
+    assert sorted(callers) == ["lefschetz.py: zeta_series", "power.py: config_series"]

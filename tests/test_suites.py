@@ -179,7 +179,11 @@ def test_suite_budgets_cover_their_term_products(term_products, suite):
         term_products[0] = 0
         report = run_suite(suite, order, (2,))
         assert report["pass"]
-        assert 0 < term_products[0] <= refused.value.needed, (order, term_products[0], refused.value.needed)
+        assert term_products[0] <= refused.value.needed, (order, term_products[0], refused.value.needed)
+        # At order 0, identities' only products were the 1 * 1 of its config
+        # series' multiply, and its classes take zeta's ghost route there,
+        # which makes no product; every other run makes some
+        assert term_products[0] > 0 or (suite, order) == ("identities", 0), order
 
 
 
