@@ -10,10 +10,16 @@ Pair specs name catalog entries with colon-separated parameters
 (`point`, `finite:3,1`, `p1-marked:2`, `pn-hyp:2,2`) and combine with
 `sum(...)`, `prod(...)` and `neg(...)`; the grammar lives in `pairs`.
 
+`zeta`, `pow` and `example` run on the plan the suites run on
+(`suites._planned`): a dry pass prices every series and enumeration
+they make, and over the budget they refuse before building any, under
+their own names.  So this module holds no price: it parses arguments,
+renders results and maps outcomes to exit codes.
+
 Exit codes: 0 success, 1 verification or equality failure, 2 usage
 error, 3 budget exhausted (an enumeration, or the term products that
-`zeta`, `pow` or an algebra suite would need, over the step budget),
-4 internal error (any other exception, reported in one stderr line
+`zeta`, `pow`, `example` or an algebra suite would need, over the step
+budget), 4 internal error (any other exception, reported in one stderr line
 without a traceback).  A reader that closes stdout early does not change
 the exit code and prints nothing to stderr.  Identical invocations print
 byte-identical output: suites run sequentially in a fixed order and all
@@ -30,16 +36,15 @@ import io
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .field import is_prime
-from .geometry import MarkedP1Scene, hyperplane_union_class, sym_pair_p1_direct, sym_pair_p1_lambda
+from .geometry import hyperplane_union_class, sym_pair_p1_direct
 from .lefschetz import lane_memo
-from .oracle import DEFAULT_BUDGET, BudgetExceededError, charge, charge_each, count_marked_union, marked_union_steps
+from .oracle import DEFAULT_BUDGET, BudgetExceededError
 from .pairs import _PARAM, PairClass, parse_pair_spec, projective_line_marked
-from .power import geometric_series, kapranov_zeta, one_plus, pow_cost, power_pow, tail_slopes, zeta_cost
 from .series import TruncatedSeries
-from .suites import SUITES, run_suite
+from .suites import SUITES, _planned, run_suite
 
 
 # -- rendering -------------------------------------------------------------------
@@ -79,45 +84,46 @@ def _render(obj: object, pad: str = "\n") -> str:
     return json.dumps(obj)
 
 
-def _print_pair_series(series: TruncatedSeries, fmt: str) -> None:
+def _print_planned(what: str, order: int, make: Callable[[Any], Any], fmt: str) -> int:
+    # the pair series `make` makes on a plan, refused under `what` when its
+    # price is over the budget (it lists no enumeration)
+    [(series,)] = _planned((what, what), order, DEFAULT_BUDGET, lambda plan: [make(plan)])
     if fmt == "json":
         print(_render(series.to_json(lambda c: c.to_json())))
-        return
+        return 0
     rows = [
         (f"t^{n}", str(c.amb), str(c.comp), str(c.subvariety))
         for n, c in enumerate(series.coeffs)
     ]
     print(_table(("deg", "ambient", "complement", "subvariety"), rows))
+    return 0
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
 def cmd_zeta(pair: PairClass, order: int, fmt: str) -> int:
-    # zeta_cost charges a zero lane nothing, but its recurrence still runs
-    # N(N+1)/2 loop steps: charge it like a one-term lane
-    idle = order * (order + 1) // 2 * sum(not m.items() for m in (pair.amb, pair.comp))
-    charge(zeta_cost(pair, order) + idle, f"zeta series to order {order}", DEFAULT_BUDGET)
-    _print_pair_series(kapranov_zeta(pair, order), fmt)
-    return 0
+    return _print_planned(f"zeta series to order {order}", order, lambda plan: plan.zeta(pair), fmt)
 
 
 def cmd_pow(kind: str, tail: Sequence[PairClass], exponent: PairClass, order: int, fmt: str) -> int:
-    # geometric comes with an empty tail: 1/(1-t) has its slopes, (0, 0)
-    charge(pow_cost(tail_slopes(tail), exponent, order), f"series exponential to order {order}", DEFAULT_BUDGET)
-    one = PairClass.one()
-    base = geometric_series(order, one) if kind == "geometric" else one_plus(tail, order, one)
-    _print_pair_series(power_pow(base, exponent), fmt)
-    return 0
+    def power(plan: Any) -> Any:
+        return plan.pow(plan.geometric() if kind == "geometric" else plan.one_plus(*tail), exponent)
+
+    return _print_planned(f"series exponential to order {order}", order, power, fmt)
 
 
 def cmd_example(n: int, s: int, fields: tuple[int, ...], fmt: str) -> int:
-    charge(zeta_cost(projective_line_marked(s), n), f"zeta series of p1-marked:{s} to order {n}", DEFAULT_BUDGET)
-    # every scene, then all of them, is charged before any is built: building millions of marks is slow by itself
-    prices = [marked_union_steps(n, q, s) for q in fields if n >= 1 and s <= q + 1]
-    charge_each(prices, "example enumerations", DEFAULT_BUDGET)
+    # every scene, then all of them, is priced before any is built: building millions of marks is slow by itself
+    [(zeta,), unions] = _planned(
+        (f"zeta series of p1-marked:{s} to order {n}", "example enumerations"),
+        n,
+        DEFAULT_BUDGET,
+        lambda plan: [plan.zeta(projective_line_marked(s))],
+        lambda plan: {q: plan.marked_union(n, q, s) for q in fields if n >= 1 and s <= q + 1},
+    )
     direct = sym_pair_p1_direct(n, s)
-    lam = sym_pair_p1_lambda(n, s)
+    lam = zeta.coefficient(n)
     equal = direct == lam
     counts: list[dict] = []
     for q in fields:
@@ -127,7 +133,7 @@ def cmd_example(n: int, s: int, fields: tuple[int, ...], fmt: str) -> int:
         if n < 1:
             counts.append({"q": q, "skipped": "enumeration needs n >= 1"})
             continue
-        enumerated = count_marked_union(n, MarkedP1Scene.standard(s, q))
+        enumerated = unions[q]
         from_class = hyperplane_union_class(n, s).evaluate(q)
         counts.append(
             {

@@ -31,9 +31,12 @@ builds A^m from the scaled ghosts: O(N^2) Z[L] products at order N.
 Multiplicativity of zeta in its subscript then forces all the usual
 exponent laws, which the `power-axioms` suite checks coefficientwise.
 
-Closed-form bounds on the Z[L] term products of zeta, config, pow and a
-series multiply close the module, so that a caller can refuse a
-computation before it starts.
+Closed-form bounds on the Z[L] term products of zeta (of a pair or of
+one lane), config, pow and a series multiply close the module, so that a
+caller can refuse a computation before it starts.  Their one caller is
+`suites._Plan`, which prices the suites and the `zeta`, `pow` and
+`example` commands alike.  A lane with no terms makes no product but
+still runs its loop, so zeta charges it like a one-term lane.
 
 The pair ring is Z[L] x Z[L] and zeta acts on each factor, so every
 series routine here is a function of one Z[L] lane, and each pair routine
@@ -184,15 +187,29 @@ def _power_sums(order: int) -> tuple[int, int, int]:
     return s1, s1 * (2 * order + 1) // 3, s1 * s1
 
 
-def zeta_cost(p: PairClass, order: int) -> int:
-    """Upper bound on the term products of kapranov_zeta(p, order).
+def _lanes(c: Any) -> tuple[MotivicPolynomial, ...]:
+    # the Z[L] lanes of a pair, ambient then complement, or one lane by itself
+    return (c.amb, c.comp) if isinstance(c, PairClass) else (c,)
 
-    Per lane m with T terms and L-degree D, the exp step for t^n multiplies
-    the T-term ghosts psi_k(m) into a_{n-k}, which has at most D(n-k) + 1
-    terms: T * sum_n (D n(n-1)/2 + n) products in all.
+
+def _slopes(c: Any) -> tuple[tuple[int, int], ...]:
+    # per lane of c, the bound (D, 1) of zeta(c) and config(c) in mul_cost's
+    # sense: L-degree at most D*j at t^j, D the lane's L-degree
+    return tuple((max(m.degree, 0), 1) for m in _lanes(c))
+
+
+def zeta_cost(p: Any, order: int) -> int:
+    """Upper bound on the term products of the zeta series of p to the order.
+
+    p is a pair (kapranov_zeta) or one Z[L] lane (zeta_series).  Per lane m
+    with T terms and L-degree D, the exp step for t^n multiplies the T-term
+    ghosts psi_k(m) into a_{n-k}, which has at most D(n-k) + 1 terms:
+    T * sum_n (D n(n-1)/2 + n) products in all.  A lane with no terms makes
+    no product, but its recurrence still runs those N(N+1)/2 loop steps, so
+    it is charged like a one-term lane.
     """
     s1, s2, _ = _power_sums(order)
-    return sum(len(m.items()) * (max(m.degree, 0) * (s2 - s1) // 2 + s1) for m in (p.amb, p.comp))
+    return sum(max(len(m.items()), 1) * (max(m.degree, 0) * (s2 - s1) // 2 + s1) for m in _lanes(p))
 
 
 def tail_slopes(tail: Sequence[PairClass]) -> tuple[int, int]:
@@ -254,5 +271,4 @@ def config_cost(p: PairClass, order: int) -> int:
     series multiply's bound, at coefficient n - j.  So the lane costs at
     most zeta_cost plus mul_cost.
     """
-    degrees = (max(p.amb.degree, 0), max(p.comp.degree, 0))
-    return zeta_cost(p, order) + zeta_cost(p, order // 2) + sum(mul_cost(order, (d, 1), (d, 1)) for d in degrees)
+    return zeta_cost(p, order) + zeta_cost(p, order // 2) + sum(mul_cost(order, b, b) for b in _slopes(p))

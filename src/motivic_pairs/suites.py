@@ -18,9 +18,12 @@ calls: run dry, the plan sums the term-product bound of each series call
 and lists the steps of each enumeration, building, drawing and counting
 nothing, and over the budget the suite refuses; run live, it makes the
 series and calls the oracles.  So the bound and the work are the same
-code.  Only series of a fixed small size are made outside a plan: those
-of weil, the coherence rows of example-p1 and the configuration series
-of squarefree.
+code.  The `zeta`, `pow` and `example` commands run on the same plan
+through `_planned`, under their own refusal names, so `_planned` holds
+every up-front charge outside the oracles and the pair-spec grammar.
+Only series of a fixed small size are made outside a plan: those of
+weil, the coherence rows of example-p1 and the configuration series of
+squarefree.
 
 Suites whose content is an exhaustive grid (the worked example, the
 finite-scene enumeration, the counting oracles) fix their own ranges; the
@@ -65,6 +68,7 @@ from .oracle import (
 )
 from .pairs import PairClass, catalog, parse_pair_spec, split_atom
 from .power import (
+    _slopes,
     config_cost,
     config_series,
     config_series_pair,
@@ -139,7 +143,11 @@ def first_mismatch(a: TruncatedSeries, b: TruncatedSeries) -> int | None:
 
 def axiom_row(axiom: str, sample: str, order: int, lhs: TruncatedSeries, rhs: TruncatedSeries) -> dict:
     """Report row for one coefficientwise series comparison."""
-    mismatch = first_mismatch(lhs, rhs)
+    return _identity_row(axiom, sample, order, first_mismatch(lhs, rhs))
+
+
+def _identity_row(axiom: str, sample: str, order: int, mismatch: int | None) -> dict:
+    # an identity row, which passes when no degree mismatches
     return {
         "axiom": axiom,
         "sample": sample,
@@ -153,7 +161,7 @@ def _axiom_rows(comparisons: Iterable[tuple], order: int) -> list[dict]:
     return [axiom_row(axiom, sample, order, lhs, rhs) for axiom, sample, lhs, rhs in comparisons]
 
 
-# -- the plan of a suite ----------------------------------------------------------
+# -- the plan of a suite or a command ---------------------------------------------
 #
 # The term-product bounds are zeta_cost, config_cost, pow_cost and mul_cost,
 # and the enumeration prices those of the oracle module.  A lane bound (s, t)
@@ -161,18 +169,11 @@ def _axiom_rows(comparisons: Iterable[tuple], order: int) -> list[dict]:
 # terms, which is how mul_cost reads it.
 
 
-def _slopes(c: Any) -> tuple[tuple[int, int], ...]:
-    # the bounds of zeta(c) and config(c), L-degree at most deg * j at t^j, in
-    # each Z[L] lane: both of a pair, or a polynomial itself
-    lanes = (c.amb, c.comp) if isinstance(c, PairClass) else (c,)
-    return tuple((max(m.degree, 0), 1) for m in lanes)
-
-
 _ONE = PairClass.one()
 
 
 class _Plan:
-    """The engine and oracle calls of a suite, made live or priced dry.
+    """The engine and oracle calls of a suite or a command, made live or priced dry.
 
     A live plan makes every series and calls every oracle.  A dry plan does
     neither: each series call adds its term-product bound to `cost` and
@@ -190,11 +191,10 @@ class _Plan:
     # -- series
 
     def zeta(self, p: Any) -> Any:
-        # of a pair, or of one Z[L] lane, priced as a pair whose other lane is 0 and costs nothing
-        lane = not isinstance(p, PairClass)
+        # of a pair, or of one Z[L] lane
         if self.live:
-            return zeta_series(p, self.order) if lane else kapranov_zeta(p, self.order)
-        self.cost += zeta_cost(PairClass(p, MotivicPolynomial.zero()) if lane else p, self.order)
+            return kapranov_zeta(p, self.order) if isinstance(p, PairClass) else zeta_series(p, self.order)
+        self.cost += zeta_cost(p, self.order)
         return _slopes(p)
 
     def config(self, p: PairClass) -> Any:
@@ -305,17 +305,22 @@ class _Plan:
         self.enumerations.append(power_config_steps(size, sum(full for full, _ in labels)))
 
 
-def _planned(suite: str, order: int, budget: int, *parts: Callable[[_Plan], Iterable]) -> list[Iterable]:
-    # Every part runs on a dry plan, and over the budget the suite refuses:
-    # on its term products, then on its enumerations (see charge_each).  Then
-    # each part on a live plan is returned unstarted, so that a caller making
-    # rows as it goes holds only the series of the current row.
+def _planned(
+    what: str | tuple[str, str], order: int, budget: int, *parts: Callable[[_Plan], Iterable]
+) -> list[Iterable]:
+    # Every part runs on a dry plan, and over the budget the plan refuses: on
+    # its term products, then on its enumerations (see charge_each), each
+    # under its name in `what`, a command's pair of names or the name of a
+    # suite, which names both.  Then each part on a live plan is returned
+    # unstarted, so that a caller making rows as it goes holds only the
+    # series of the current row.
     dry = _Plan(order, live=False)
     for part in parts:
         for _ in part(dry):
             pass
-    charge(dry.cost, f"{suite} suite at order {order}", budget)
-    charge_each(dry.enumerations, f"{suite} suite enumerations", budget)
+    priced, listed = (f"{what} suite at order {order}", f"{what} suite enumerations") if isinstance(what, str) else what
+    charge(dry.cost, priced, budget)
+    charge_each(dry.enumerations, listed, budget)
     live = _Plan(order, live=True, budget=budget)
     return [part(live) for part in parts]
 
@@ -627,16 +632,8 @@ def suite_power_axioms(order: int, fields: tuple[int, ...], budget: int) -> list
     rows = _axiom_rows(comparisons, order)
     for name, powered in powered_combos:
         for q in fields:
-            bad = [n for n, c in enumerate(powered.coeffs) if not 0 <= c.comp.evaluate(q) <= c.amb.evaluate(q)]
-            rows.append(
-                {
-                    "axiom": "effective",
-                    "sample": f"{name} at q={q}",
-                    "order": order,
-                    "pass": not bad,
-                    "first_mismatch_degree": bad[0] if bad else None,
-                }
-            )
+            bad = (n for n, c in enumerate(powered.coeffs) if not 0 <= c.comp.evaluate(q) <= c.amb.evaluate(q))
+            rows.append(_identity_row("effective", f"{name} at q={q}", order, next(bad, None)))
     return rows
 
 

@@ -150,6 +150,30 @@ def test_algebra_over_budget_exits_3(capsys, argv, what):
 
 
 @pytest.mark.parametrize(
+    "argv, price",
+    [
+        (["zeta", "--pair", "pn:2", "--order", "3000"], "zeta series to order 3000 needs ~54027003000"),
+        (["zeta", "--pair", "pn:100000", "--order", "3"], "zeta series to order 3 needs ~80002000012"),
+        (["pow", "--base", "geometric", "--pair", "point", "--order", "5000"],
+         "series exponential to order 5000 needs ~50010000"),
+        (["pow", "--base", "coeffs", "--coeff", "pn:40", "--pair", "pn:40", "--order", "30"],
+         "series exponential to order 30 needs ~579121460"),
+        (["example", "--n", "3000", "--s", "1", "--q", "2"],
+         "zeta series of p1-marked:1 to order 3000 needs ~13513503000"),
+        # each of its two zero lanes is priced at the N(N+1)/2 steps of its loop
+        (["zeta", "--pair", "empty", "--order", "100000"], "zeta series to order 100000 needs ~10000100000"),
+    ],
+    ids=["zeta-deep", "zeta-wide", "pow-deep", "pow-wide", "example-deep-zeta", "zeta-zero-lanes"],
+)
+def test_command_prices_are_pinned(capsys, argv, price):
+    # the exact closed-form price each command refuses with; any change to a cost bound shows here
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"budget exhausted: {price} steps, budget is 10000000\n"
+
+
+@pytest.mark.parametrize(
     "argv, code, message",
     [
         # a prime field size near 2^61 is decided at once, and the
@@ -515,8 +539,10 @@ def test_memo_is_dropped_on_every_exit_code(capsys, monkeypatch):
         seen.append(lefschetz._MEMO.get())
         raise RuntimeError("zeta broke")
 
-    monkeypatch.setattr(cli, "kapranov_zeta", broken)
-    check(["zeta", "--pair", "pn:3", "--order", "4"], 4)
+    # the binding the command's plan calls, which the identities suite calls too
+    with monkeypatch.context() as patched:
+        patched.setattr(suites, "kapranov_zeta", broken)
+        check(["zeta", "--pair", "pn:3", "--order", "4"], 4)
     assert seen == [{}]  # the table was open while the command ran
     corrupt_lane_pow(monkeypatch)
     check(["verify", "--suite", "identities"], 1)

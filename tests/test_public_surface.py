@@ -148,6 +148,39 @@ def test_suites_charge_and_count_only_through_their_plan():
     ]
 
 
+def test_commands_price_only_through_a_plan():
+    # zeta, pow and example run on a suite's plan, dry then live, so cli.py
+    # reads no price and calls no engine routine that one prices; the only
+    # charges outside the guard's module and the spec grammar are _planned's
+    priced = {
+        "charge", "charge_each", "marked_union_steps", "count_marked_union", "zeta_cost", "pow_cost",
+        "tail_slopes", "kapranov_zeta", "power_pow", "sym_pair_p1_lambda",
+    }
+    path = SOURCE / "cli.py"
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            read.add(getattr(node, "id", getattr(node, "attr", None)))
+    assert sorted(read & priced) == []
+    charges = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name in ("oracle.py", "pairs.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None)) if isinstance(node, ast.Call) else None
+            if name not in ("charge", "charge_each"):
+                continue
+            scope = parents[node]
+            while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                scope = parents[scope]
+            charges.append(f"{path.name}: {getattr(scope, 'name', '<module>')}: {name}")
+    assert charges == ["suites.py: _planned: charge", "suites.py: _planned: charge_each"]
+
+
 def test_every_packed_width_comes_from_one_bound():
     # each _digit_width call in lefschetz.py sizes its digits by _bound, called
     # in its argument or through names the same function assigns from it, or
