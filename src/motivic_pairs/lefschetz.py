@@ -33,13 +33,16 @@ one big-integer computation, unpacked once into balanced base-2^w digits.
 The digit width w comes from one proven bound on the result's coefficients,
 _bound: |f g|_inf <= min(|f|_inf |g|_1, |f|_1 |g|_inf), summed over the
 pairs, so packing is exact.  f*g and a series coefficient pack their
-polynomials for the one sum.  The log and exp recurrences are one routine,
-_recurrence; once it packs, it keeps both of its sequences packed, so each
-step is one C-level sum of big-integer products that packs the polynomial
-it reads and unpacks the one it makes.  Its digit width is decided once,
-by _bound run over the recurrence on norms, and holds every step left
-(see _PackedRecurrence).  Small and sparse sums keep the dict loop, which
-is faster for them.
+polynomials for the one sum; small and sparse sums keep the dict loop,
+which is faster for them.  The log and exp recurrences are one routine,
+_recurrence.  It starts packing at the first step where a running cost
+estimate, one predicate (_packs) on sums of term counts and degrees that
+it keeps in O(1) a step and on the size of its newest coefficients, finds
+the dict step dearer than a packed one; from there on it keeps both of its
+sequences packed, so each step is one C-level sum of big-integer products
+that packs the polynomial it reads and unpacks the one it makes.  Its digit width is decided once, by _bound
+run over the recurrence on norms, and holds every step left (see
+_PackedRecurrence).
 
 A zeta series has two routes.  The ghost route is one exp recurrence over
 the psi_r images of the class.  The product route multiplies the factors
@@ -68,7 +71,7 @@ import contextvars
 import functools
 import struct
 from itertools import compress
-from math import comb
+from math import comb, inf
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -252,15 +255,12 @@ def adams(m: MotivicPolynomial, r: int) -> MotivicPolynomial:
 # few terms, or when both factors are sparse, as psi_r images are for large r.
 # So f*g and a series coefficient pack when some pair has _PACK_TERMS terms
 # in both factors and one factor has a term in at least one degree out of
-# _PACK_SPREAD (_either_dense).  A ghost recurrence packs from the first step
-# whose newest ghost has _PACK_TERMS terms and it or the newest coefficient is
-# dense (the rule for f*g ran series-deep power_pow slower); from there on it
-# keeps both sequences packed (_PackedRecurrence), so a step packs only the
-# polynomial it reads and unpacks only the one it makes.  Both constants come
-# from timing the two routes on random polynomials: from 16 dense terms a
-# product ran faster packed, while a product of two psi_r images of 16 to 32
-# terms (one term in r degrees) ran about 2x slower packed at r = 8 and 50x
-# slower at r = 128.
+# _PACK_SPREAD (_either_dense).  Both constants come from timing the two
+# routes on random polynomials: from 16 dense terms a product ran faster
+# packed, while a product of two psi_r images of 16 to 32 terms (one term in
+# r degrees) ran about 2x slower packed at r = 8 and 50x slower at r = 128.
+# A ghost recurrence does not use this rule: it weighs term counts against
+# degrees and digit widths of all the pairs a step sums (_packs, below).
 #
 # Every packed width is _digit_width of one bound, _bound, on the norms
 # |p|_inf (largest |c|) and |p|_1 (sum of |c|) of the factors: a packed
@@ -433,11 +433,14 @@ def _unpack(value: int, width: int) -> dict[int, int]:
 # Both recurrences run over g_0 = 0, g_1, g_2, ... and a_0 = 1, a_1, a_2, ...:
 # step n forms S_n = sum_{0<k<n} g_k a_{n-k}; the log step reads a_n and makes
 # g_n = n a_n - S_n, the exp step reads g_n and makes a_n = (g_n + S_n) / n.
-# A recurrence runs the dict loop until its newest ghost has _PACK_TERMS
-# terms and it or the newest coefficient is dense, and packed from there on.
-# When it starts packing, _bound runs it on norms to bound every step left,
-# which fixes the digit width for every step, so a step only packs,
-# multiplies and unpacks (see _PackedRecurrence).
+# Step 1 sums nothing and divides by 1, so a_1 = g_1.  From step 2 on, a
+# recurrence runs the dict loop until _packs, reading running sums of the
+# term counts and packed lengths of both sequences and the largest |c| of
+# the newest polynomial made, finds a packed step cheaper, and packed from
+# there on; a recurrence that reads few terms in all never packs and keeps
+# no sums.  When it starts packing, _bound runs it on norms to bound every
+# step left, which fixes the digit width for every step, so a step only
+# packs, multiplies and unpacks (see _PackedRecurrence).
 
 
 def ghost_log(coeffs: Sequence[MotivicPolynomial]) -> tuple[MotivicPolynomial, ...]:
@@ -466,20 +469,30 @@ def _recurrence(read: Sequence[MotivicPolynomial], log: bool) -> list[MotivicPol
 
     The log recurrence reads coefficients a_0, a_1, ... and makes ghosts,
     the exp recurrence reads ghosts g_1, g_2, ... and makes coefficients.
-    At step n the newest ghost is g_(n-1) for log and g_n for exp, the
-    newest coefficient a_(n-1) for both.
+    From step 2 on, as long as _packs may still say to pack, it keeps what
+    the rule reads at step n: the running sums over g_1..g_(n-1) and over
+    a_1..a_(n-1), and the largest |c| of the newest polynomial made.
     """
     zero = MotivicPolynomial._trusted({})
     ghosts, coeffs = seqs = ([zero], read) if log else ([zero, *read], [MotivicPolynomial._trusted({0: 1})])
-    made = seqs[not log]
-    packed = None
-    for n in range(1, len(seqs[log])):
-        newest = ghosts[n - log]
-        if packed is None and len(newest._coeffs) >= _PACK_TERMS and _either_dense(newest, coeffs[n - 1]):
-            packed = _PackedRecurrence(seqs, log, n)
-        if packed is not None:
-            made.append(packed.step(n))
-            continue
+    made, read = seqs[not log], seqs[log]
+    made += read[1:2]  # step 1 sums no product and divides by 1: a_1 = g_1
+    read_terms = sum([len(p._coeffs) for p in read])
+    asking = _packs(read_terms, 0, inf, 0, 0)
+    # the term counts and packed lengths (degree + 1) of g_1..g_(n-1) and of a_1..a_(n-1)
+    terms_g = terms_a = size_g = size_a = 0
+    for n in range(2, len(read)):
+        if asking:
+            g, a = ghosts[n - 1]._coeffs, coeffs[n - 1]._coeffs
+            terms_g += len(g)
+            terms_a += len(a)
+            size_g += next(reversed(g), -1) + 1
+            size_a += next(reversed(a), -1) + 1
+            if _packs(read_terms, n - 1, terms_g * terms_a, size_g * size_a, _top(made[n - 1]._coeffs)):
+                packed = _PackedRecurrence(seqs, log, n)
+                for k in range(n, len(read)):
+                    made.append(packed.step(k))
+                return made
         sums = _dict_sum(zip(ghosts[1:n], coeffs[n - 1 : 0 : -1]))
         if log:
             acc = {d: n * c for d, c in coeffs[n]._coeffs.items()}
@@ -499,6 +512,41 @@ def _recurrence(read: Sequence[MotivicPolynomial], log: bool) -> list[MotivicPol
     return made
 
 
+# The rule's constants were fitted by timing recurrences packed from each
+# of their steps, and on the dict loop throughout, on a random grid of
+# 269 recurrences at N = 3 to 20 (log, exp, zeta's psi_r images and
+# power_pow's, 1 to 32 terms, dense or sparse, coefficients of 1 to 40
+# bits), and confirmed on 289 more drawn from other seeds (BENCH_25.json):
+# on those, 0.77 s of recurrences under the 16-term rule ran in 0.52 s,
+# against 0.43 s had each taken its best step.  The width guess reads the
+# largest |c| of the newest polynomial, not its top-degree one: on a class
+# of 18 terms near 10^30 with 3 on top, the top one guessed narrow digits,
+# and zeta at N = 12 packed and took 6.1 s against 0.31 s.
+
+_PACK_READ = 24
+_PACK_FIXED = 16
+_PACK_AREA = 0.03
+
+
+def _packs(read_terms: int, pairs: int, work: float, area: int, top: int) -> bool:
+    """Whether a ghost recurrence packs from step n = pairs + 1 on, from sizes it keeps as it goes.
+
+    Step n sums the n - 1 products g_k a_(n-k).  work and area multiply
+    the sums, over g_1..g_(n-1) and over a_1..a_(n-1), of the term counts
+    and of the packed lengths (degree + 1): so work / pairs estimates the
+    term products of a dict step, area / pairs the digit pairs that a
+    packed step multiplies.  Those digits are about w = 6 + the bit length
+    of top wide, top being the largest |c| of the newest polynomial the
+    recurrence made, as coefficients grow from step to step.  It packs
+    once work / pairs >= _PACK_FIXED + _PACK_AREA (w / 16)^2 area / pairs.
+    A recurrence whose read sequence holds fewer than _PACK_READ terms in
+    all never packs; asked with no pairs and unbounded work, the rule
+    says whether any step may, so such a recurrence keeps no sums.
+    """
+    width = top.bit_length() + 6
+    return read_terms >= _PACK_READ and work >= _PACK_FIXED * pairs + _PACK_AREA * area * (width / 16) ** 2
+
+
 def _non_integral(acc: dict[int, int], n: int) -> ArithmeticError:
     # the error of an exp step whose n a_n = acc has a coefficient that n
     # does not divide, at the lowest such L-degree
@@ -507,7 +555,7 @@ def _non_integral(acc: dict[int, int], n: int) -> ArithmeticError:
 
 
 class _PackedRecurrence:
-    """A ghost recurrence from the step that first packs on.
+    """A ghost recurrence from the step _packs chose on.
 
     seqs are its ghosts g_0 = 0, g_1, ... and coefficients a_0 = 1, a_1, ...;
     seqs[log] is the sequence it reads, whole from the start, and

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import signal
 import subprocess
 import sys
 import time
@@ -26,6 +27,22 @@ def cells(line):
 
 def nested_negations(depth):
     return "neg(" * depth + "point" + ")" * depth
+
+
+@pytest.fixture
+def within_two_seconds():
+    # A refusal is timed after main returns, so one that stops refusing would
+    # run its whole computation before failing: the alarm fails it at 2 s.
+    def expired(signum, frame):
+        pytest.fail("still running after 2 s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- pair-spec grammar -------------------------------------------------------------
@@ -127,6 +144,7 @@ def test_pow_explicit_coefficients(capsys):
     assert cells(lines[2]) == ["t^1", "4", "2", "2"]
 
 
+@pytest.mark.usefixtures("within_two_seconds")
 @pytest.mark.parametrize(
     "argv, what",
     [
@@ -149,6 +167,7 @@ def test_algebra_over_budget_exits_3(capsys, argv, what):
     assert captured.err.endswith("steps, budget is 10000000\n")
 
 
+@pytest.mark.usefixtures("within_two_seconds")
 @pytest.mark.parametrize(
     "argv, price",
     [
@@ -173,6 +192,7 @@ def test_command_prices_are_pinned(capsys, argv, price):
     assert captured.err == f"budget exhausted: {price} steps, budget is 10000000\n"
 
 
+@pytest.mark.usefixtures("within_two_seconds")
 @pytest.mark.parametrize(
     "argv, code, message",
     [
@@ -249,6 +269,7 @@ def test_huge_inputs_end_at_once(capsys, argv, code, message):
         assert len(err) == 1
 
 
+@pytest.mark.usefixtures("within_two_seconds")
 def test_prime_field_near_2_61_runs(capsys):
     start = time.perf_counter()
     assert main(["verify", "--suite", "weil", "--q", "2305843009213693951"]) == 0
@@ -650,6 +671,7 @@ def test_missing_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.usefixtures("within_two_seconds")
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -481,10 +481,10 @@ def test_packed_exp_of_non_integral_ghosts_raises(packed_calls):
 #
 # A packed recurrence keeps both sequences packed at the one digit width
 # its first step predicts for every step left.  The inputs below hold the
-# recurrence in the dict loop up to a chosen step (constant coefficients,
-# so every ghost before it has one term), then turn dense with coefficients
-# that gain `ramp` bits a step, so the predicted widths run from 8 bits to
-# past a machine word.
+# recurrence in the dict loop until just after a chosen step (constant
+# coefficients, so every ghost before it has one term; a run of 17 of them
+# packs by itself), then turn dense with coefficients that gain `ramp` bits
+# a step, so the predicted widths run from 8 bits to past a machine word.
 
 
 def ramped_series(rng, order, start, ramp):
@@ -576,7 +576,7 @@ def test_late_non_integral_ghost_raises_as_in_the_dict_loop(packed_steps, monkey
         raised, width = packed_steps[-1]
         assert raised == n and (width in (8, 16, 32, 64)) == words  # raised in a packed step of that width
         with monkeypatch.context() as dict_only:
-            dict_only.setattr(lefschetz, "_PACK_TERMS", 10**9)
+            dict_only.setattr(lefschetz, "_packs", lambda *sizes: False)
             packed_steps.clear()
             with pytest.raises(ArithmeticError) as unpacked:
                 ghost_exp(ghosts)
@@ -584,13 +584,15 @@ def test_late_non_integral_ghost_raises_as_in_the_dict_loop(packed_steps, monkey
         assert str(packed.value) == str(unpacked.value) == expected, ramp
 
 
-def test_a_packed_polynomial_with_only_zero_partners_fits_the_width(packed_steps):
-    # The exp recurrence first packs at its last step, n = 3, where g_3 has
-    # PACK dense terms: S_3 = g_1 a_2 + g_2 a_1 with g_1 = a_1 = 0, so
+def test_a_packed_polynomial_with_only_zero_partners_fits_the_width(packed_steps, monkeypatch):
+    # The exp recurrence is made to pack from its last step, n = 3 (the rule
+    # is asked first with no pairs, then at step n with n - 1), where g_3
+    # has PACK dense terms: S_3 = g_1 a_2 + g_2 a_1 with g_1 = a_1 = 0, so
     # g_2 = 1000 and a_2 = 500 have only zero partners and add nothing to
     # _bound, which reads 3 (from g_3) and would give 8-bit digits.  Both
     # are packed all the same, and 1000 needs 16 bits: the width's floor,
     # the largest |c| the first step packs, is what makes them fit.
+    monkeypatch.setattr(lefschetz, "_packs", lambda read_terms, pairs, *sizes: pairs != 1)
     g3 = MotivicPolynomial({d: 3 for d in range(PACK)})
     ghosts = (ZERO, MotivicPolynomial.constant(1000), g3)
     expected = (MotivicPolynomial.one(), ZERO, MotivicPolynomial.constant(500), projective_class(PACK - 1))
@@ -601,7 +603,7 @@ def test_a_packed_polynomial_with_only_zero_partners_fits_the_width(packed_steps
 # Series-deep's power_pow draws, as a strategy: 1 + c_1 t + ... + c_N t^N
 # with N <= 16 and each c_j of L-degree at most 3 with coefficients in +-4,
 # raised to a class of L-degree 1.  Their packed recurrences start from
-# about step 6 and almost all predict a bound within a machine word.
+# about step 3 and almost all predict a bound within a machine word.
 
 deep_coefficients = st.integers(-4, 4)
 deep_polys = st.lists(deep_coefficients, min_size=1, max_size=4).map(lambda cs: MotivicPolynomial(dict(enumerate(cs))))
@@ -634,6 +636,64 @@ def test_fixed_width_steps_match_dict_loops_on_series_deep_shapes(packed_widths)
     runs = [widths for _, *widths in packed_widths.values()]
     assert any(widths[0] <= 64 for widths in runs)  # a machine word width ran
     assert all(len(set(widths)) == 1 for widths in runs)  # and no width changed
+
+
+# -- where a recurrence starts packing ------------------------------------------------
+#
+# _packs decides, from running sums of the term counts and packed lengths of
+# both sequences, the step from which a recurrence packs.  Cases on each side
+# of it, told apart by the step each packed recurrence starts at.
+
+# 18 terms on degrees 0 to 287 with coefficients near 10^30: its psi_r images
+# are sparse and the coefficients they make wide, so zeta's ghost route must
+# keep the dict loop; packed from step 2 it took 88 times as long (8.5 s)
+SPARSE_CLASS = MotivicPolynomial({d: (-1) ** d * (10**30 - 7 * d) for d in (0, *range(17, 273, 17), 287)})
+# 18 terms on degrees 0, 8, ..., 136, near 10^30 but 3 on top: the rule must
+# guess digit widths from the largest |c| made, not the top-degree one, or it
+# packs zeta's ghost route from step 2 and takes 38 times as long
+NARROW_TOP_CLASS = MotivicPolynomial({**{d: (-1) ** d * (10**30 - 7 * d) for d in range(0, 136, 8)}, 136: 3})
+NINE_L4 = MotivicPolynomial({4: 9})  # one term, 9 > N: zeta's ghost route at N = 8
+TWELVE = MotivicPolynomial.constant(12)
+
+
+def psi_images(m, order):
+    return [adams(m, r) for r in range(1, order + 1)]
+
+
+@pytest.fixture
+def packing_starts(monkeypatch):
+    # (log, n) of each recurrence that starts packing, at step n
+    starts = []
+    init = lefschetz._PackedRecurrence.__init__
+
+    def spy(recurrence, seqs, log, n):
+        starts.append((log, n))
+        init(recurrence, seqs, log, n)
+
+    monkeypatch.setattr(lefschetz._PackedRecurrence, "__init__", spy)
+    return starts
+
+
+@pytest.mark.parametrize(
+    "run, starts",
+    [
+        (lambda: zeta_series(SPARSE_CLASS, 12), []),
+        (lambda: zeta_series(NARROW_TOP_CLASS, 12), []),
+        # dense psi_r images pack from the first step the rule is asked at
+        (lambda: ghost_exp(psi_images(projective_class(20), 8)), [(False, 2)]),
+        (lambda: ghost_exp(psi_images(projective_class(60), 8)), [(False, 2)]),
+        (lambda: ghost_exp(psi_images(projective_class(8), 16)), [(False, 2)]),
+        # 4-term coefficients of degree 3: the log recurrence packs by step 3
+        (lambda: ghost_log(SERIES_DEEP_BASE), [(True, 3)]),
+        # reads of fewer than _PACK_READ terms in all are never weighed
+        (lambda: zeta_series(NINE_L4, 8), []),
+        (lambda: zeta_series(TWELVE, 8), []),
+    ],
+    ids=["sparse-wide-class", "narrow-top-class", "psi-P20", "psi-P60", "psi-P8-N16", "four-term-log", "one-term-lane", "constant-lane"],
+)
+def test_a_recurrence_packs_on_its_side_of_the_rule(packing_starts, run, starts):
+    run()
+    assert packing_starts == starts
 
 
 # -- the same, with generated inputs ------------------------------------------------
@@ -709,9 +769,13 @@ def test_predicted_bound_holds_every_step_left(tail, data):
 # MotivicPolynomial._trusted takes its dict over as it is, so each route that
 # builds one must hand it over in ascending degree with no zero coefficient.
 # The two routes are forced: the dict loops only, or packing every sum with
-# a nonzero pair and every recurrence from its first nonzero ghost.
+# a nonzero pair and every recurrence from the first step its rule is asked
+# at, its second.
 
-ROUTES = {"dict": {"_PACK_TERMS": 10**9}, "packed": {"_PACK_TERMS": 1, "_PACK_SPREAD": 10**9}}
+ROUTES = {
+    "dict": {"_PACK_TERMS": 10**9, "_packs": lambda *sizes: False},
+    "packed": {"_PACK_TERMS": 1, "_PACK_SPREAD": 10**9, "_packs": lambda *sizes: True},
+}
 
 
 def assert_canonical(p):
@@ -734,6 +798,7 @@ def assert_canonical(p):
 @example(ZERO, ZERO, 1, 4)
 @example(MotivicPolynomial.one(), ZERO, 1, 0)
 @example(MotivicPolynomial.one(), ZERO, 1, 1)
+@example(ZERO, ZERO, 1, 2)
 def test_every_built_polynomial_is_canonical(route, a, b, r, order):
     packed = []
     with pytest.MonkeyPatch.context() as forced:
@@ -755,10 +820,10 @@ def test_every_built_polynomial_is_canonical(route, a, b, r, order):
     for p in built:
         assert_canonical(p)
     if route == "packed":
-        # every sum with a nonzero pair packs.  With b = 0 the only such sums
-        # are the recurrences that read a, from order 1 on: config of the
-        # zero class takes zeta's ghost route and multiplies no 1 * 1
-        assert bool(packed) != (b == ZERO and (a == ZERO or order == 0))
+        # every sum with a nonzero pair packs, and so does every recurrence
+        # of two steps or more.  With b = 0 no sum has a nonzero pair, so
+        # before zeta and config only the recurrences pack, from order 2 on
+        assert bool(packed[:before]) == (b != ZERO or order >= 2)
     else:
         # zeta_series takes its product route on a dense class of small
         # coefficients whatever the forced route, and that route always unpacks
@@ -774,6 +839,7 @@ def test_generated_products_match_dict_loop(a, b, r):
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(polynomials, min_size=1, max_size=5))
+@example(list(SERIES_DEEP_BASE[1:]))  # its log recurrence packs from step 3
 def test_generated_ghosts_match_dict_loops(tail):
     coeffs = (MotivicPolynomial.one(), *tail)
     ghosts = ghost_log(coeffs)
@@ -804,6 +870,9 @@ def classes_on_both_routes(draw):
 @example(ZERO, 12)
 @example(MotivicPolynomial({0: -3, 1: -(10**30)}), 12)
 @example(MotivicPolynomial({0: 12, 1: -12, 2: 5}), 12)
+@example(SPARSE_CLASS, 12)
+@example(NINE_L4, 8)
+@example(TWELVE, 8)
 def test_zeta_series_matches_the_ghost_route_on_either_route(m, order):
     ghost_calls = []
     with pytest.MonkeyPatch.context() as spy:
@@ -819,6 +888,9 @@ def test_zeta_series_matches_the_ghost_route_on_either_route(m, order):
     st.dictionaries(st.integers(0, 40), st.integers(-12, 12).filter(bool), max_size=24).map(MotivicPolynomial),
     st.integers(0, 12),
 )
+@example(projective_class(20), 8)  # the ghost route packs from step 2 on these three
+@example(projective_class(60), 8)
+@example(projective_class(8), 16)
 def test_zeta_product_is_exact_on_any_class(m, order):
     # the width bound holds whatever the class, sparse or with |m_k| above the order
     assert lefschetz._zeta_product(m, order) == ghost_exp([adams(m, r) for r in range(1, order + 1)])

@@ -94,13 +94,38 @@ def test_a_config_mutant_fails_its_suites(monkeypatch, capsys, suite, checks):
     assert failed_checks(capsys) == checks
 
 
-# At the default order no suite packs: the first packed sums come at order 12
-# (statement1, ring-axioms), the first packed ghost steps at power-axioms
-# order 16.  So the packed route's mutants run their suite at those orders.
+# At the default order power-axioms and identities run packed ghost steps,
+# but no suite runs a packed sum: the first come at order 12 (statement1,
+# ring-axioms).  So the packed sum's mutant runs its suite at order 12, the
+# packed step's at the default order.
 
 
 PACKED_SUM_KILLS = ("statement1", {"zeta-multiplicative"})
-PACKED_STEP_KILLS = ("power-axioms", {"base-multiplicative"})
+PACKED_STEP_KILLS = (
+    "power-axioms",
+    {"base-multiplicative", "effective", "exponent-additive", "exponent-multiplicative", "factor-roundtrip"},
+)
+
+
+def test_verify_all_runs_the_product_kernels(monkeypatch, capsys):
+    # the default certification command makes products in a packed ghost
+    # step, in the dict loop and on zeta's product route, so a mutant of
+    # any of the three can fail it; _packed_sum is not among them, as no
+    # default suite makes a packed sum
+    calls = {"step": 0, "_dict_sum": 0, "_zeta_product": 0}
+
+    def counted(name, routine):
+        def call(*args):
+            calls[name] += 1
+            return routine(*args)
+        return call
+
+    monkeypatch.setattr(lefschetz._PackedRecurrence, "step", counted("step", lefschetz._PackedRecurrence.step))
+    for name in ("_dict_sum", "_zeta_product"):
+        monkeypatch.setattr(lefschetz, name, counted(name, getattr(lefschetz, name)))
+    assert main(["verify", "--suite", "all"]) == 0
+    capsys.readouterr()
+    assert all(calls.values()), calls
 
 
 def test_a_packed_sum_mutant_fails_statement1(monkeypatch, capsys):
@@ -119,17 +144,18 @@ def test_a_packed_sum_mutant_fails_statement1(monkeypatch, capsys):
 
 
 def test_a_packed_step_mutant_fails_power_axioms(monkeypatch, capsys):
-    # a packed exp step returns its coefficient with 1 more on top; the steps
-    # after it read the packed form, so only that coefficient is off
+    # a packed exp step returns its coefficient with 1 more on top (at L^0
+    # if it is zero); the steps after it read the packed form, so only that
+    # coefficient is off
     step = lefschetz._PackedRecurrence.step
 
     def one_more_on_top(recurrence, n):
         made = step(recurrence, n)
-        return made if recurrence.log else made + MotivicPolynomial({made.degree: 1})
+        return made if recurrence.log else made + MotivicPolynomial({max(made.degree, 0): 1})
 
     monkeypatch.setattr(lefschetz._PackedRecurrence, "step", one_more_on_top)
     suite, checks = PACKED_STEP_KILLS
-    assert main(["verify", "--suite", suite, "--order", "16"]) == 1
+    assert main(["verify", "--suite", suite]) == 1
     assert failed_checks(capsys) == checks
 
 

@@ -233,3 +233,26 @@ def test_zeta_route_rule_lives_in_one_function():
                     callers.append(f"{path.name}: {function.name}")
     assert readers == ["lefschetz.py: _product_route"]
     assert sorted(callers) == ["lefschetz.py: zeta_series", "power.py: config_series"]
+
+
+def test_recurrence_pack_rule_lives_in_one_function():
+    # a ghost recurrence starts packing by one predicate, the only reader of
+    # its constants, and reads none of the sum rule's names
+    constants = {"_PACK_READ", "_PACK_FIXED", "_PACK_AREA"}
+    readers, callers, recurrence_reads = [], [], set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Name) and node.id in constants:
+                    readers.append(f"{path.name}: {function.name}")
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_packs":
+                    callers.append(f"{path.name}: {function.name}")
+                if function.name == "_recurrence" and isinstance(node, ast.Name):
+                    recurrence_reads.add(node.id)
+    assert sorted(set(readers)) == ["lefschetz.py: _packs"]
+    assert len(readers) == len(constants)
+    assert set(callers) == {"lefschetz.py: _recurrence"}
+    assert not recurrence_reads & {"_PACK_TERMS", "_PACK_SPREAD", "_either_dense"}

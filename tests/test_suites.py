@@ -221,21 +221,22 @@ def test_command_prices_cover_their_term_products(term_products, enumerated, cap
 
 def test_term_products_count_every_ghost_step_packed_or_not(term_products, monkeypatch):
     # zeta of P^20: its psi_r ghosts have 21 terms and psi_1 is dense, so
-    # the exp recurrence packs from its first step; the count must be the
-    # same sum over the steps as when every step runs the dict loop
+    # the exp recurrence packs from its second step, the first its rule is
+    # asked at; the count must be the same sum over the steps as when every
+    # step runs the dict loop
     m = lefschetz.projective_class(20)
     psi = [lefschetz.adams(m, r) for r in range(1, 9)]
     steps = []
     step = lefschetz._PackedRecurrence.step
     monkeypatch.setattr(lefschetz._PackedRecurrence, "step", lambda rec, n: steps.append(n) or step(rec, n))
     coeffs = lefschetz.ghost_exp(psi)
-    assert steps == list(range(1, 9))
+    assert steps == list(range(2, 9))
     expected = sum(terms(psi[k - 1]) * terms(coeffs[n - k]) for n in range(1, 9) for k in range(1, n))
     assert term_products[0] == expected > 0
     term_products[0] = 0
-    monkeypatch.setattr(lefschetz, "_PACK_TERMS", 10**9)
+    monkeypatch.setattr(lefschetz, "_packs", lambda *sizes: False)
     assert lefschetz.ghost_exp(psi) == coeffs
-    assert term_products[0] == expected and steps == list(range(1, 9))
+    assert term_products[0] == expected and steps == list(range(2, 9))
 
 # The bounds each algebra suite refuses with under a budget of 1, by order.
 # They are closed forms of the order alone, so any change to a cost bound
