@@ -32,10 +32,14 @@ series product, a step of a ghost recurrence.  A large sum runs packed
 one big-integer computation, unpacked once into balanced base-2^w digits.
 The digit width w comes from one proven bound on the result's coefficients,
 _bound: |f g|_inf <= min(|f|_inf |g|_1, |f|_1 |g|_inf), summed over the
-pairs, so packing is exact.  f*g and a series coefficient pack their
-polynomials for the one sum; small and sparse sums keep the dict loop,
-which is faster for them.  The log and exp recurrences are one routine,
-_recurrence.  It starts packing at the first step where a running cost
+pairs, so packing is exact.  f*g packs its polynomials for the one sum;
+small and sparse sums keep the dict loop, which is faster for them.  A
+series product decides once, by one predicate on its factors' term counts
+and degrees (_packs_series): either it packs every coefficient of both
+factors once, at one width, and makes each coefficient of the product as
+one sum of packed products (_packed_series), or each coefficient is its
+own sum of products by the rule of f*g.  The log and exp recurrences are
+one routine, _recurrence.  It starts packing at the first step where a running cost
 estimate, one predicate (_packs) on sums of term counts and degrees that
 it keeps in O(1) a step and on the size of its newest coefficients, finds
 the dict step dearer than a packed one; from there on it keeps both of its
@@ -70,7 +74,7 @@ import contextlib
 import contextvars
 import functools
 import struct
-from itertools import compress
+from itertools import chain, compress
 from math import comb, inf
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -182,8 +186,24 @@ class MotivicPolynomial:
 
     @classmethod
     def sum_of_products(cls, pairs: Sequence[tuple["MotivicPolynomial", "MotivicPolynomial"]]) -> "MotivicPolynomial":
-        """sum f*g over the (f, g) pairs: one coefficient of a series product."""
+        """sum f*g over the (f, g) pairs, as a series division takes each coefficient."""
         return cls._trusted(_sum_of_products(pairs))
+
+    @classmethod
+    def series_product(
+        cls, a: Sequence["MotivicPolynomial"], b: Sequence["MotivicPolynomial"]
+    ) -> tuple["MotivicPolynomial", ...]:
+        """The coefficients sum_j a_j b_(k-j) of a series product, k below the shorter window's length.
+
+        One predicate on the factors' sizes (_packs_series) decides for the
+        whole product: either each factor is packed once (_packed_series),
+        or each coefficient is its own sum of products.
+        """
+        n = min(len(a), len(b))
+        a, b = a[:n], b[:n]
+        if _packs_series(a, b):
+            return _packed_series(a, b)
+        return tuple([cls._trusted(_sum_of_products(list(zip(a, b[k::-1])))) for k in range(n)])
 
     # -- specialization ------------------------------------------------------
 
@@ -245,26 +265,32 @@ def adams(m: MotivicPolynomial, r: int) -> MotivicPolynomial:
 # -- sums of products -----------------------------------------------------------
 #
 # Every Z[L] product here is a sum of products sum f*g: one pair for f*g, the
-# pairs a_j b_(k-j) for coefficient k of a series product, the pairs g_k a_(n-k)
-# for a step of a ghost recurrence.  The packed route reads a polynomial
-# sum c_d L^d with |c_d| < 2^(w-1) as the integer sum c_d 2^(w d) in base 2^w
-# with balanced digits (Kronecker substitution), so a whole sum is one sum of
-# integer products, which CPython multiplies in C (Karatsuba from about 70
-# 30-bit digits on).  The packed integers spend a digit on every degree up to
-# the top one, terms or not, so the dict loop stays faster while a factor has
-# few terms, or when both factors are sparse, as psi_r images are for large r.
-# So f*g and a series coefficient pack when some pair has _PACK_TERMS terms
-# in both factors and one factor has a term in at least one degree out of
+# pairs a_j b_(k-j) for coefficient k of a series product or a series
+# division, the pairs g_k a_(n-k) for a step of a ghost recurrence.  The
+# packed route reads a polynomial sum c_d L^d with |c_d| < 2^(w-1) as the
+# integer sum c_d 2^(w d) in base 2^w with balanced digits (Kronecker
+# substitution), so a whole sum is one sum of integer products, which
+# CPython multiplies in C (Karatsuba from about 70 30-bit digits on).  The
+# packed integers spend a digit on every degree up to the top one, terms or
+# not, so the dict loop stays faster while a factor has few terms, or when
+# both factors are sparse, as psi_r images are for large r.  So f*g, and a
+# coefficient of a series division or of a series product that does not
+# pack its factors, pack when some pair has _PACK_TERMS terms in both
+# factors and one factor has a term in at least one degree out of
 # _PACK_SPREAD (_either_dense).  Both constants come from timing the two
 # routes on random polynomials: from 16 dense terms a product ran faster
 # packed, while a product of two psi_r images of 16 to 32 terms (one term in
 # r degrees) ran about 2x slower packed at r = 8 and 50x slower at r = 128.
 # A ghost recurrence does not use this rule: it weighs term counts against
 # degrees and digit widths of all the pairs a step sums (_packs, below).
+# Nor does a series product as a whole: it packs each a_j and b_j once, for
+# all the coefficients that read it, when its factors' summed term counts
+# outweigh their number and their summed degrees (_packs_series).
 #
 # Every packed width is _digit_width of one bound, _bound, on the norms
 # |p|_inf (largest |c|) and |p|_1 (sum of |c|) of the factors: a packed
-# sum reads them off its pairs; a packed recurrence predicts them for all
+# sum reads them off its pairs; a packed series product off its two
+# windows, each read as one whole; a packed recurrence predicts them for all
 # of its steps at once and keeps that one width.  Only zeta's product route
 # (_zeta_product) uses the same L1 bound in closed form.
 
@@ -368,6 +394,66 @@ def _packed_sum(pairs: Iterable[tuple[MotivicPolynomial, MotivicPolynomial]]) ->
     fs, gs = zip(*[(f._coeffs, g._coeffs) for f, g in pairs if f._coeffs and g._coeffs])
     width = _digit_width(_bound(*_norms(fs), *_norms(gs)))
     return _unpack(sum(_pack(f, width) * _pack(g, width) for f, g in zip(fs, gs)), width)
+
+
+# The series rule's constants were fitted by timing both routes on every
+# series multiply of verify --suite all at orders 8, 12 and 16 and on a
+# random grid of 3000 products (window length 1 to 20, 1 to 32 terms per
+# coefficient, dense or spread over up to 16 degrees a term, 2 to 100-bit
+# coefficients, some zero), and confirmed on 3000 more from another seed
+# (BENCH_26.json).  Without the area term the grid ran 1.38x the
+# per-coefficient route, its sparse and wide products packing at a loss;
+# with it, 0.73x, and no suite's multiplies ran slower.  A fixed cost of 2
+# to 16 term products per pair read within 2% of 8 on the grid; below 2,
+# the constant lanes of power-axioms and identities packed at a loss.
+
+_SERIES_FIXED = 8
+_SERIES_AREA = 0.05
+
+
+def _packs_series(a: Sequence[MotivicPolynomial], b: Sequence[MotivicPolynomial]) -> bool:
+    """Whether a series product of the windows a and b, of one length n, packs its factors.
+
+    work and area multiply the sums, over a and over b, of the term counts
+    and of the packed lengths (degree + 1), as _packs reads a recurrence.
+    It packs once work >= _SERIES_FIXED n^2 + _SERIES_AREA area: on
+    average _SERIES_FIXED term products per coefficient pair, while the
+    digits packing spends on empty degrees stay few.
+    """
+    n = len(a)
+    terms_a = terms_b = size_a = size_b = 0
+    for f, g in zip(a, b):
+        f, g = f._coeffs, g._coeffs
+        terms_a += len(f)
+        terms_b += len(g)
+        size_a += next(reversed(f), -1) + 1
+        size_b += next(reversed(g), -1) + 1
+    return terms_a * terms_b >= _SERIES_FIXED * n * n + _SERIES_AREA * size_a * size_b
+
+
+def _packed_series(a: Sequence[MotivicPolynomial], b: Sequence[MotivicPolynomial]) -> tuple[MotivicPolynomial, ...]:
+    """The coefficients sum_j a_j b_(k-j), k < len(a) = len(b), with every factor packed once at one width.
+
+    The width comes from _bound of one pair, the windows read as wholes:
+    the largest |c| of any a_j and the sum of every |a_j|_1, and the same
+    of b.  Every pair a_j b_(k-j) of coefficient k has its own term of
+    _bound at most |a_j|_inf |b_(k-j)|_1 (or |a_j|_1 |b_(k-j)|_inf), so
+    the sum over j is at most max_j |a_j|_inf sum_i |b_i|_1 (or the other
+    way round) for every k.  The width also holds the largest |c| of every
+    factor, which packs even where its partners are zero: the bound covers
+    it unless a window is all zero, and then the maximum does.
+    """
+    sizes_a = list(map(abs, chain.from_iterable([f._coeffs.values() for f in a])))
+    sizes_b = list(map(abs, chain.from_iterable([g._coeffs.values() for g in b])))
+    top_a, top_b = max(sizes_a, default=0), max(sizes_b, default=0)
+    width = _digit_width(max(_bound([top_a], [sum(sizes_a)], [top_b], [sum(sizes_b)]), top_a, top_b))
+    ints_a, ints_b = [_pack(f._coeffs, width) for f in a], [_pack(g._coeffs, width) for g in b]
+    return tuple(
+        [
+            MotivicPolynomial._trusted(_unpack(sum(map(mul, ints_a[: k + 1], ints_b[k::-1])), width))
+            for k in range(len(a))
+        ]
+    )
 
 
 def _digit_width(bound: int) -> int:

@@ -81,6 +81,13 @@ class PairClass:
             MotivicPolynomial.sum_of_products([(f.comp, g.comp) for f, g in pairs]),
         )
 
+    @classmethod
+    def series_product(cls, a: Sequence["PairClass"], b: Sequence["PairClass"]) -> tuple["PairClass", ...]:
+        """The coefficients of a series product, one Z[L] series product per lane."""
+        amb = MotivicPolynomial.series_product([f.amb for f in a], [g.amb for g in b])
+        comp = MotivicPolynomial.series_product([f.comp for f in a], [g.comp for g in b])
+        return tuple(map(cls, amb, comp))
+
     # -- rendering and serialization ----------------------------------------
 
     def __str__(self) -> str:

@@ -3,9 +3,10 @@
 A series is a finite window c0 + c1*t + ... + cN*t^N of a formal power
 series in one variable t, stored as a tuple of N+1 coefficients.  The
 coefficient type (a Z[L] polynomial or a pair of them) provides exact
-arithmetic and the sum of products sum f*g of a list of (f, g) pairs as
-`type(c).sum_of_products`, which makes each coefficient of a product in
-one call; this module never divides coefficients and never rounds.
+arithmetic and `type(c).series_product`, which makes every coefficient
+sum_j a_j b_(k-j) of a product in one call, so that it can prepare each
+factor once for all the coefficients that read it; this module never
+divides coefficients and never rounds.
 
 Binary operations align two windows by truncating to the smaller order:
 degrees above the common order carry no information, so they are dropped
@@ -47,9 +48,8 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        combine = type(a[0]).sum_of_products  # coefficient k is sum_j a_j b_(k-j)
-        return TruncatedSeries(tuple(combine(list(zip(a, b[k::-1]))) for k in range(min(len(a), len(b)))))
+        a = self.coeffs
+        return TruncatedSeries(type(a[0]).series_product(a, other.coeffs))
 
     # -- serialization ---------------------------------------------------
 

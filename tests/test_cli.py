@@ -356,6 +356,56 @@ def test_verify_all_output_is_pinned(capsys):
     assert digest == "d7ace563c86451be35b02e77eaef9470b28e4cd5b9b259c9e9e1f56ee2eacac0"
 
 
+# Every route reproduces the pinned reports at orders 8, 12 and 16.  Each
+# variant forces the routes through the rules that choose them:
+# power.py imports _product_route by name, so both bindings are patched.
+VERIFY_GRID_DIGESTS = {
+    "8": "d7ace563c86451be35b02e77eaef9470b28e4cd5b9b259c9e9e1f56ee2eacac0",
+    "12": "64cfb756a823e84bb8c7cf6dac54229e3f2aab4e88f7799394ecf02fe2a8e5c1",
+    "16": "7ae8f25dd364614178b70e47783f6e0da354aebb1698280dfe6e81363a59e3b7",
+}
+
+
+def _every_nonzero_sum_packed(pairs):
+    if any(f._coeffs and g._coeffs for f, g in pairs):
+        return lefschetz._packed_sum(pairs)
+    return lefschetz._terms(lefschetz._dict_sum(pairs))
+
+
+FORCED_ROUTES = {
+    # dict loops, the ghost route and one sum per series coefficient everywhere
+    "dict-and-ghost": [
+        (lefschetz, "_PACK_TERMS", 10**9),
+        (lefschetz, "_packs", lambda *sizes: False),
+        (lefschetz, "_packs_series", lambda a, b: False),
+        (lefschetz, "_product_route", lambda m, order: False),
+        (power, "_product_route", lambda m, order: False),
+    ],
+    # every recurrence packed from step 2, the first that sums, and every
+    # sum with a nonzero pair packed
+    "packed": [
+        (lefschetz, "_packs", lambda *sizes: True),
+        (lefschetz, "_sum_of_products", _every_nonzero_sum_packed),
+    ],
+    "product-route": [
+        (lefschetz, "_product_route", lambda m, order: bool(m._coeffs)),
+        (power, "_product_route", lambda m, order: bool(m._coeffs)),
+    ],
+    "series-packed": [(lefschetz, "_packs_series", lambda a, b: True)],
+    "series-per-coefficient": [(lefschetz, "_packs_series", lambda a, b: False)],
+}
+
+
+@pytest.mark.parametrize("route", FORCED_ROUTES)
+def test_every_route_gives_the_pinned_verify_reports(monkeypatch, capsys, route):
+    for module, name, value in FORCED_ROUTES[route]:
+        assert hasattr(module, name)
+        monkeypatch.setattr(module, name, value)
+    for order, digest in VERIFY_GRID_DIGESTS.items():
+        assert main(["verify", "--suite", "all", "--order", order]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, (route, order)
+
+
 PINNED_OUTPUTS = [
     (["verify", "--suite", "all", "--order", "0"],
      "cb95184a7c59524262ea757f73c92521b6e1ef6e0b206bdf5e92b2e8d9f8ee0a"),

@@ -769,12 +769,14 @@ def test_predicted_bound_holds_every_step_left(tail, data):
 # MotivicPolynomial._trusted takes its dict over as it is, so each route that
 # builds one must hand it over in ascending degree with no zero coefficient.
 # The two routes are forced: the dict loops only, or packing every sum with
-# a nonzero pair and every recurrence from the first step its rule is asked
-# at, its second.
+# a nonzero pair, every series product and every recurrence from the first
+# step its rule is asked at, its second.
 
 ROUTES = {
-    "dict": {"_PACK_TERMS": 10**9, "_packs": lambda *sizes: False},
-    "packed": {"_PACK_TERMS": 1, "_PACK_SPREAD": 10**9, "_packs": lambda *sizes: True},
+    "dict": {"_PACK_TERMS": 10**9, "_packs": lambda *sizes: False, "_packs_series": lambda a, b: False},
+    "packed": {
+        "_PACK_TERMS": 1, "_PACK_SPREAD": 10**9, "_packs": lambda *sizes: True, "_packs_series": lambda a, b: True,
+    },
 }
 
 
@@ -1032,10 +1034,18 @@ def ref_divide(a, u):
 
 
 @RINGS
-def test_series_multiply_and_divide_match_the_product_chain(ring, packed_calls):
+def test_series_multiply_and_divide_match_the_product_chain(ring, packed_calls, monkeypatch):
     # coefficients on both sides of the threshold, dense, with gaps, psi_3
-    # images and zeros; some above 200 bits
+    # images and zeros; some above 200 bits.  A multiply packs each factor
+    # once (_packed_series), a division packs its large sums (_packed_sum)
     rng = random.Random(24 if ring is LANE else 25)
+    packed_series, series_calls = lefschetz._packed_series, []
+
+    def spy_series(a, b):
+        series_calls.append(len(a))
+        return packed_series(a, b)
+
+    monkeypatch.setattr(lefschetz, "_packed_series", spy_series)
 
     def lane():
         kind = rng.randrange(4)
@@ -1053,12 +1063,121 @@ def test_series_multiply_and_divide_match_the_product_chain(ring, packed_calls):
         a = TruncatedSeries(tuple(coeff() for _ in range(order + 1)))
         b = TruncatedSeries(tuple(coeff() for _ in range(order + 2)))
         u = TruncatedSeries((ring.one, *(coeff() for _ in range(order))))
-        before = len(packed_calls)
+        before = len(series_calls)
         assert a * b == ref_series_mul(a, b)
-        packed["mul"] += len(packed_calls) > before
+        packed["mul"] += len(series_calls) > before
         before = len(packed_calls)
         quotient = _divide(a, u)
         packed["divide"] += len(packed_calls) > before
         assert quotient == ref_divide(a, u)
         assert ref_series_mul(quotient, u) == a
-    assert packed["mul"] and packed["divide"]  # the packed route ran in both
+    assert packed["mul"] and packed["divide"]  # the packed routes ran in both
+
+
+# -- series products: each factor packed once, or one sum per coefficient -----------------
+
+
+def per_coefficient_product(a, b):
+    # the route _packs_series turns down: coefficient k is one sum of products
+    combine = type(a[0]).sum_of_products
+    return tuple(combine(list(zip(a, b[k::-1]))) for k in range(min(len(a), len(b))))
+
+
+# the factor with no nonzero partner: 2^70 + 5 L^3 meets only b_0 = 0, so no
+# coefficient's _bound holds it, and a width taken only from them is 8 bits
+TRAP = (
+    (MotivicPolynomial.one(), MotivicPolynomial({0: 1, 1: 2}), MotivicPolynomial({0: 2**70, 3: 5})),
+    (ZERO, projective_class(3), ZERO),
+)
+
+# series coefficients: zero, small dense, dense or sparse up to 2^200 (factors)
+series_coefficients = st.one_of(
+    factors,
+    st.dictionaries(st.integers(0, 5), st.integers(-(2**66), 2**66), max_size=6).map(MotivicPolynomial),
+)
+windows = st.lists(series_coefficients, min_size=1, max_size=7)
+
+
+@pytest.mark.parametrize("packs", [False, True], ids=["per-coefficient", "packed"])
+@settings(max_examples=60, deadline=None)
+@given(windows, windows, st.booleans(), st.booleans())
+@example(*TRAP, False, False)
+@example(*TRAP[::-1], False, False)
+def test_series_product_matches_the_per_coefficient_route(packs, a, b, b0_zero, pair):
+    # with the route forced either way, on one lane and on pairs of lanes
+    # (the lanes of a pair route each by their own sizes: both forced here)
+    b = [ZERO, *b[1:]] if b0_zero else b
+    if pair:
+        a = [PairClass(f, -f) for f in a]
+        b = [PairClass(g, g + g) for g in b]
+    expected = per_coefficient_product(a, b)
+    with pytest.MonkeyPatch.context() as forced:
+        forced.setattr(lefschetz, "_packs_series", lambda a, b: packs)
+        made = TruncatedSeries(tuple(a)) * TruncatedSeries(tuple(b))
+    assert made.coeffs == expected
+    for c in made.coeffs:
+        for p in (c.amb, c.comp) if pair else (c,):
+            assert_canonical(p)
+
+
+@pytest.fixture
+def series_routes(monkeypatch):
+    # the route of each lane's series product, and the pairs of each packed sum
+    routes, sums = [], []
+    packed_series, packed_sum = lefschetz._packed_series, lefschetz._packed_sum
+    rule = lefschetz._packs_series
+
+    def spy_rule(a, b):
+        routes.append("packed" if rule(a, b) else "per-coefficient")
+        return routes[-1] == "packed"
+
+    def spy_series(a, b):
+        assert routes[-1] == "packed"
+        return packed_series(a, b)
+
+    def spy_sum(pairs):
+        pairs = list(pairs)
+        sums.append(len(pairs))
+        return packed_sum(pairs)
+
+    monkeypatch.setattr(lefschetz, "_packs_series", spy_rule)
+    monkeypatch.setattr(lefschetz, "_packed_series", spy_series)
+    monkeypatch.setattr(lefschetz, "_packed_sum", spy_sum)
+    return routes, sums
+
+
+def ring_axioms_shaped(seed, order=8):
+    # a series of coefficients drawn as ring-axioms draws them: 4 terms up to L^3
+    rng = random.Random(seed)
+    return TruncatedSeries(
+        tuple(MotivicPolynomial({d: rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)) for d in range(4)}) for _ in range(order + 1))
+    )
+
+
+def test_a_ring_axioms_shaped_product_packs(series_routes):
+    routes, _ = series_routes
+    a, b = ring_axioms_shaped(1), ring_axioms_shaped(2)
+    assert a * b == ref_series_mul(a, b)
+    assert routes == ["packed"]
+
+
+def test_a_constant_lane_product_keeps_one_sum_per_coefficient(series_routes):
+    # power-axioms multiplies series of constants and one-term lanes: one
+    # term product per coefficient pair, so packing would only add work
+    routes, sums = series_routes
+    a = TruncatedSeries(tuple(MotivicPolynomial.constant(k + 1) for k in range(9)))
+    b = TruncatedSeries(tuple(MotivicPolynomial({k: -1}) for k in range(9)))
+    assert a * b == ref_series_mul(a, b)
+    assert a * a == ref_series_mul(a, a)
+    assert routes == ["per-coefficient", "per-coefficient"] and sums == []
+
+
+def test_a_lone_large_coefficient_pair_still_packs_its_sum(series_routes):
+    # 1 + P^40 t^10 at N = 20 squared: its 42 terms are few for 21
+    # coefficients, so the product keeps one sum per coefficient, and the
+    # one large pair, P^40 P^40 at t^20, packs as f*g does
+    routes, sums = series_routes
+    a = TruncatedSeries((MotivicPolynomial.one(), *[ZERO] * 9, projective_class(40), *[ZERO] * 10))
+    assert a * a == ref_series_mul(a, a)
+    assert routes == ["per-coefficient"]
+    assert sums == [21]  # the t^20 sum: a_j a_(20-j), j = 0..20

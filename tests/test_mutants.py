@@ -95,12 +95,17 @@ def test_a_config_mutant_fails_its_suites(monkeypatch, capsys, suite, checks):
 
 
 # At the default order power-axioms and identities run packed ghost steps,
-# but no suite runs a packed sum: the first come at order 12 (statement1,
-# ring-axioms).  So the packed sum's mutant runs its suite at order 12, the
-# packed step's at the default order.
+# and the series multiplies of ring-axioms, statement1 and the others pack
+# each factor once (_packed_series), but no suite runs a packed sum at
+# order 8, 12 or 16: those series coefficients were its only suite callers
+# (ROADMAP item 10).  So the packed sum's mutant is shown on a command that
+# still runs it, a product of two dense catalog classes in a pair spec.
 
 
-PACKED_SUM_KILLS = ("statement1", {"zeta-multiplicative"})
+PACKED_SERIES_KILLS = [
+    ("ring-axioms", {"series-div-roundtrip", "series-mul-associative", "zeta-inverse", "zeta-multiplicative-base"}),
+    ("statement1", {"zeta-multiplicative"}),
+]
 PACKED_STEP_KILLS = (
     "power-axioms",
     {"base-multiplicative", "effective", "exponent-additive", "exponent-multiplicative", "factor-roundtrip"},
@@ -109,10 +114,10 @@ PACKED_STEP_KILLS = (
 
 def test_verify_all_runs_the_product_kernels(monkeypatch, capsys):
     # the default certification command makes products in a packed ghost
-    # step, in the dict loop and on zeta's product route, so a mutant of
-    # any of the three can fail it; _packed_sum is not among them, as no
-    # default suite makes a packed sum
-    calls = {"step": 0, "_dict_sum": 0, "_zeta_product": 0}
+    # step, in a packed series product, in the dict loop and on zeta's
+    # product route, so a mutant of any of the four can fail it; _packed_sum
+    # is not among them, as no default suite makes a packed sum
+    calls = {"step": 0, "_packed_series": 0, "_dict_sum": 0, "_zeta_product": 0}
 
     def counted(name, routine):
         def call(*args):
@@ -121,26 +126,47 @@ def test_verify_all_runs_the_product_kernels(monkeypatch, capsys):
         return call
 
     monkeypatch.setattr(lefschetz._PackedRecurrence, "step", counted("step", lefschetz._PackedRecurrence.step))
-    for name in ("_dict_sum", "_zeta_product"):
+    for name in ("_packed_series", "_dict_sum", "_zeta_product"):
         monkeypatch.setattr(lefschetz, name, counted(name, getattr(lefschetz, name)))
     assert main(["verify", "--suite", "all"]) == 0
     capsys.readouterr()
     assert all(calls.values()), calls
 
 
-def test_a_packed_sum_mutant_fails_statement1(monkeypatch, capsys):
-    # a sum that runs packed gains 1 on its top coefficient
-    packed_sum = lefschetz._packed_sum
+@pytest.mark.parametrize("suite, checks", PACKED_SERIES_KILLS, ids=[k[0] for k in PACKED_SERIES_KILLS])
+def test_a_packed_series_mutant_fails_its_suites(monkeypatch, capsys, suite, checks):
+    # a series product that packs its factors gains 1 on the top L-degree
+    # of its last coefficient (at L^0 if that coefficient is zero)
+    packed_series = lefschetz._packed_series
+
+    def one_more_on_top(a, b):
+        *head, last = packed_series(a, b)
+        return (*head, last + MotivicPolynomial({max(last.degree, 0): 1}))
+
+    monkeypatch.setattr(lefschetz, "_packed_series", one_more_on_top)
+    assert main(["verify", "--suite", suite]) == 1
+    assert failed_checks(capsys) == checks
+
+
+def test_a_packed_sum_mutant_changes_a_pair_spec_product(monkeypatch, capsys):
+    # a sum that runs packed gains 1 on its top coefficient; P^20 x P^20 has
+    # 21 dense terms per factor, so the pair spec's product packs in each lane
+    argv = ["zeta", "--pair", "prod(pn:20,pn:20)", "--order", "2", "--format", "json"]
+    assert main(argv) == 0
+    intact = capsys.readouterr().out
+    packed_sum, calls = lefschetz._packed_sum, []
 
     def one_more_on_top(pairs):
+        calls.append(pairs)
         acc = packed_sum(pairs)
         top = next(reversed(acc))
         return {**acc, top: acc[top] + 1}
 
     monkeypatch.setattr(lefschetz, "_packed_sum", one_more_on_top)
-    suite, checks = PACKED_SUM_KILLS
-    assert main(["verify", "--suite", suite, "--order", "12"]) == 1
-    assert failed_checks(capsys) == checks
+    assert main(argv) == 0
+    mutated = capsys.readouterr().out
+    assert len(calls) == 2  # one product per lane
+    assert json.loads(mutated)["coeffs"][1] != json.loads(intact)["coeffs"][1]
 
 
 def test_a_packed_step_mutant_fails_power_axioms(monkeypatch, capsys):
@@ -181,5 +207,5 @@ def test_a_divisor_sum_mutant_crashes_verify_all(monkeypatch, capsys):
 def test_every_suite_has_a_mutant_that_fails_it():
     # a new suite cannot land without a mutant row above, and no row names a suite that is gone
     killed = [suite for _, _, suite, _ in MUTANTS]
-    killed += [suite for suite, _ in ZETA_PRODUCT_KILLS + CONFIG_KILLS + [PACKED_SUM_KILLS, PACKED_STEP_KILLS]]
+    killed += [suite for suite, _ in ZETA_PRODUCT_KILLS + CONFIG_KILLS + PACKED_SERIES_KILLS + [PACKED_STEP_KILLS]]
     assert set(suites.SUITES) == set(killed)

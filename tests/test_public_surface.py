@@ -211,6 +211,7 @@ def test_every_packed_width_comes_from_one_bound():
                 rules.append((function.name, "_bound" if read & bounded else "comb" if "comb" in read else None))
     assert sorted(rules) == [
         ("__init__", "_bound"),
+        ("_packed_series", "_bound"),
         ("_packed_sum", "_bound"),
         ("_zeta_product", "comb"),
     ]
@@ -256,3 +257,27 @@ def test_recurrence_pack_rule_lives_in_one_function():
     assert len(readers) == len(constants)
     assert set(callers) == {"lefschetz.py: _recurrence"}
     assert not recurrence_reads & {"_PACK_TERMS", "_PACK_SPREAD", "_either_dense"}
+
+
+def test_series_pack_rule_lives_in_one_function():
+    # a series product packs its factors by one predicate, the only reader of
+    # its constants, called only by the series product, and reads none of the
+    # sum rule's names
+    constants = {"_SERIES_FIXED", "_SERIES_AREA"}
+    readers, callers, rule_reads = [], [], set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Name) and node.id in constants:
+                    readers.append(f"{path.name}: {function.name}")
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_packs_series":
+                    callers.append(f"{path.name}: {function.name}")
+                if function.name == "_packs_series" and isinstance(node, ast.Name):
+                    rule_reads.add(node.id)
+    assert sorted(set(readers)) == ["lefschetz.py: _packs_series"]
+    assert len(readers) == len(constants)
+    assert callers == ["lefschetz.py: series_product"]
+    assert not rule_reads & {"_PACK_TERMS", "_PACK_SPREAD", "_either_dense"}

@@ -129,8 +129,9 @@ def terms(p):
 def term_products(monkeypatch):
     # counts the Z[L] term products of the series algebra, the unit of the
     # suites' cost bounds: every sum of products the routine takes inside a
-    # series multiply or divide, a ghost recurrence or power_pow's scaling
-    # (not the few products that build catalog classes and exponents)
+    # series multiply or divide, a ghost recurrence or power_pow's scaling,
+    # and the products of a series multiply that packs each factor once (not
+    # the few products that build catalog classes and exponents)
     count, depth = [0], [0]
 
     def counted(routine):
@@ -140,6 +141,15 @@ def term_products(monkeypatch):
             if depth[0]:
                 count[0] += sum(terms(f) * terms(g) for f, g in pairs)
             return routine(pairs)
+        return wrapper
+
+    def counted_series(routine):
+        # a series product that packs each factor once: coefficient k makes
+        # the products a_j b_(k-j), j = 0..k, as the per-coefficient sums do
+        def wrapper(a, b):
+            if depth[0]:
+                count[0] += sum(terms(a[j]) * terms(b[k - j]) for k in range(len(a)) for j in range(k + 1))
+            return routine(a, b)
         return wrapper
 
     step = lefschetz._PackedRecurrence.step
@@ -162,6 +172,7 @@ def term_products(monkeypatch):
 
     monkeypatch.setattr(lefschetz, "_dict_sum", counted(lefschetz._dict_sum))
     monkeypatch.setattr(lefschetz, "_packed_sum", counted(lefschetz._packed_sum))
+    monkeypatch.setattr(lefschetz, "_packed_series", counted_series(lefschetz._packed_series))
     monkeypatch.setattr(lefschetz._PackedRecurrence, "step", counted_step)
     for module in (lefschetz, power):
         monkeypatch.setattr(module, "ghost_exp", inside(lefschetz.ghost_exp))
