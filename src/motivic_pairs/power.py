@@ -132,24 +132,37 @@ PAIR_RING = LambdaRing(PairClass.one(), kapranov_zeta)
 def _lane_pow(coeffs: tuple[MotivicPolynomial, ...], m: MotivicPolynomial) -> tuple[MotivicPolynomial, ...]:
     # With c_i = i*b_i the ghosts are g_n = sum_{i|n} psi_{n/i}(c_i), because
     # psi commutes with integer multiples; so c needs no division, and the
-    # ghosts of A^m are sum_{i|n} psi_{n/i}(m*c_i).  The divisor sum runs on
-    # degree -> coefficient dicts in place: c_i is final once every i' < i
-    # has taken psi_{i/i'}(c_i') off it.  Both fill their dicts in scatter
-    # order, so each polynomial made from one goes through _terms.
-    c = [{}, *(dict(g._coeffs) for g in ghost_log(coeffs))]
+    # ghosts of A^m are h_n = sum_{i|n} psi_{n/i}(m*c_i).  psi fixes integers,
+    # so for m = m0 + m' with m0 the constant term,
+    # sum_{i|n} psi_{n/i}(m0*c_i) = m0*g_n, and h_n = m0*g_n +
+    # sum_{i|n} psi_{n/i}(m'*c_i): a constant exponent only scales the ghosts,
+    # which keeps them canonical.  For an L-part m' the divisor sum runs on
+    # degree -> coefficient dicts in place: c_i is final once every i' < i has
+    # taken psi_{i/i'}(c_i') off it, and a zero c_i adds nothing.  Both fill
+    # their dicts in scatter order, so each polynomial made from one goes
+    # through _terms.
+    ghosts = ghost_log(coeffs)
+    m0 = m.coefficient(0)
+    l_part = MotivicPolynomial._trusted({d: v for d, v in m._coeffs.items() if d})
+    if not l_part._coeffs:
+        return ghost_exp([MotivicPolynomial._trusted({d: m0 * v for d, v in g._coeffs.items() if m0}) for g in ghosts])
+    h = [{d: m0 * v for d, v in g._coeffs.items() if m0} for g in ghosts]
+    c = [{}, *(dict(g._coeffs) for g in ghosts)]
     order = len(coeffs) - 1
-    scaled: list[dict[int, int]] = [{} for _ in range(order + 1)]
     for i in range(1, order + 1):
+        ci = MotivicPolynomial._trusted(_terms(c[i]))
+        if not ci._coeffs:
+            continue
         for n in range(2 * i, order + 1, i):
             r, target = n // i, c[n]
-            for d, v in c[i].items():
+            for d, v in ci._coeffs.items():
                 target[d * r] = target.get(d * r, 0) - v
-        mc = (m * MotivicPolynomial._trusted(_terms(c[i]))).items()
+        mc = (l_part * ci)._coeffs.items()
         for n in range(i, order + 1, i):
-            r, target = n // i, scaled[n]
+            r, target = n // i, h[n - 1]
             for d, v in mc:
                 target[d * r] = target.get(d * r, 0) + v
-    return ghost_exp([MotivicPolynomial._trusted(_terms(g)) for g in scaled[1:]])
+    return ghost_exp([MotivicPolynomial._trusted(_terms(x)) for x in h])
 
 
 def power_pow(series: TruncatedSeries, exponent: Any, ring: Any = None) -> TruncatedSeries:
@@ -157,9 +170,13 @@ def power_pow(series: TruncatedSeries, exponent: Any, ring: Any = None) -> Trunc
 
     Coefficients and exponent are both pairs or both Z[L] polynomials;
     ring is not read.  Works in ghost coordinates, one Z[L] lane at a time:
-    the log recurrence reads the ghosts of the series, a divisor sum
+    the log recurrence reads the ghosts g_n of the series, a divisor sum
     recovers c_i = i*b_i of its factors prod_i zeta_{b_i}(t^i), and the exp
-    recurrence rebuilds the series from the ghosts of prod_i zeta_{m*b_i}(t^i).
+    recurrence rebuilds the series from the ghosts of prod_i zeta_{m*b_i}(t^i),
+    h_n = sum_{i|n} psi_{n/i}(m*c_i).  As psi fixes integers, the constant
+    term m0 of a lane m adds sum_{i|n} psi_{n/i}(m0*c_i) = m0*g_n to h_n, so
+    the divisor sum runs only for the L-part m - m0, and a constant lane
+    (every integer power, every finite: class) needs none.
     """
     one = type(exponent).one()
     if series.coeffs[0] != one:
@@ -225,7 +242,10 @@ def pow_cost(slopes: tuple[int, int], exponent: PairClass, order: int) -> int:
     most s*j at every c_j (see tail_slopes).  So do the ghosts g_j, and
     s*j + 1 bounds their term counts; the exp side has slope s + deg m.
     Each step sums (s*k + 1)(s*(n-k) + 1) products over k, which has a
-    closed form.
+    closed form.  The scale term charges T(m) products per c_i, while
+    _lane_pow multiplies only the L-part of m, of at most T(m) terms, into
+    each nonzero c_i and scales the ghosts by the constant term with no
+    Z[L] product, so it still bounds the products made.
     """
     s1, s2, s3 = _power_sums(order)
     cubic = (s3 - s1) // 6  # sum over n of (n^3 - n) / 6

@@ -1001,6 +1001,109 @@ def test_lane_pow_dict_divisor_sum_matches_polynomial_chain(coeffs, m):
     assert _lane_pow(coeffs, m) is not first  # and never reused outside it
 
 
+def full_divisor_sum_lane_pow(coeffs, m):
+    # _lane_pow before the constant term of m scaled the ghosts: every c_i
+    # is inverted and psi_r(m*c_i) is scattered for the whole exponent
+    c = [{}, *(dict(g._coeffs) for g in ghost_log(coeffs))]
+    order = len(coeffs) - 1
+    scaled = [{} for _ in range(order + 1)]
+    for i in range(1, order + 1):
+        for n in range(2 * i, order + 1, i):
+            r, target = n // i, c[n]
+            for d, v in c[i].items():
+                target[d * r] = target.get(d * r, 0) - v
+        mc = (m * MotivicPolynomial(c[i])).items()
+        for n in range(i, order + 1, i):
+            r, target = n // i, scaled[n]
+            for d, v in mc:
+                target[d * r] = target.get(d * r, 0) + v
+    return ghost_exp([MotivicPolynomial(g) for g in scaled[1:]])
+
+
+@st.composite
+def sparse_unit_lanes(draw):
+    # 1 + a_1 t + ... + a_N t^N, N in 0..14: zero coefficients, sparse terms
+    # up to L^200 and coefficients up to 2^100; few distinct degrees keep the
+    # powers' term counts small
+    order = draw(st.integers(0, 14))
+    wide = st.one_of(st.integers(-4, 4), st.integers(-(2**100), 2**100))
+    sparse = st.dictionaries(st.sampled_from((0, 1, 2, 3, 40, 200)), wide, max_size=2).map(MotivicPolynomial)
+    tail = [draw(sparse) for _ in range(order)]
+    return (MotivicPolynomial.one(), *tail)
+
+
+# zero, constant, L-part only, mixed, and sparse of high degree like L^40 - 3
+nonzero, l_degrees = st.integers(1, 5) | st.integers(-5, -1), st.integers(1, 4)
+lane_exponents = st.one_of(
+    st.just(ZERO),
+    nonzero.map(MotivicPolynomial.constant),
+    st.dictionaries(l_degrees, nonzero, min_size=1, max_size=3).map(MotivicPolynomial),
+    st.builds(lambda m0, tail: MotivicPolynomial({0: m0, **tail}), nonzero, st.dictionaries(l_degrees, nonzero)),
+    st.builds(lambda d, m0: MotivicPolynomial({0: m0, d: 1}), st.integers(10, 60), st.integers(-5, 5)),
+)
+# series-deep's shape: 16 four-term coefficients of L-degree 3
+SERIES_DEEP_BASE = (
+    MotivicPolynomial.one(),
+    *(MotivicPolynomial({0: j, 1: -2, 2: 3, 3: (-1) ** j}) for j in range(1, 17)),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(sparse_unit_lanes(), st.one_of(lane_exponents, st.builds(PairClass, lane_exponents, lane_exponents)))
+@example(SERIES_DEEP_BASE, MotivicPolynomial({0: 2, 1: -3}))
+@example(geometric_series(4, MotivicPolynomial.one()).coeffs, catalog("pn-hyp", 80, 4))
+@example(SERIES_DEEP_BASE[:9], catalog("finite", 3, 3))
+def test_lane_pow_scales_by_the_constant_term_as_the_full_divisor_sum_does(coeffs, exponent):
+    # A pair exponent is taken lane by lane, as power_pow takes it; the
+    # zero lane of finite:3,3 raises to 1
+    for m in (exponent.amb, exponent.comp) if isinstance(exponent, PairClass) else (exponent,):
+        assert _lane_pow(coeffs, m) == full_divisor_sum_lane_pow(coeffs, m)
+
+
+def factor_exponents(coeffs):
+    # c_i = i*b_i of A = prod_i zeta_{b_i}(t^i), by the divisor sum as a polynomial chain
+    c = [ZERO, *ghost_log(coeffs)]
+    for i in range(1, len(c)):
+        for n in range(2 * i, len(c), i):
+            c[n] = c[n] - adams(c[i], n // i)
+    return c[1:]
+
+
+@pytest.fixture
+def lane_products(monkeypatch):
+    # the operands of each MotivicPolynomial.__mul__ call
+    calls, mul = [], MotivicPolynomial.__mul__
+    monkeypatch.setattr(MotivicPolynomial, "__mul__", lambda f, g: calls.append((f, g)) or mul(f, g))
+    return calls
+
+
+ONE_PLUS_T = one_plus((MotivicPolynomial.one(),), 6, MotivicPolynomial.one()).coeffs
+
+
+@pytest.mark.parametrize("coeffs", [SERIES_DEEP_BASE, ONE_PLUS_T], ids=["series-deep", "one-plus-t"])
+def test_only_the_l_part_of_a_lane_exponent_is_multiplied(lane_products, coeffs):
+    for m in (ZERO, MotivicPolynomial.constant(3), MotivicPolynomial.constant(-2)):
+        lane_products.clear()
+        _lane_pow(coeffs, m)
+        assert lane_products == []
+    for m in (MotivicPolynomial({0: 2, 1: -3}), MotivicPolynomial({1: 1}), MotivicPolynomial({0: -3, 40: 1})):
+        lane_products.clear()
+        _lane_pow(coeffs, m)
+        l_part = m - MotivicPolynomial.constant(m.coefficient(0))
+        assert lane_products == [(l_part, c) for c in factor_exponents(coeffs) if c != ZERO]
+    # 1 + t = zeta_1(t) zeta_-1(t^2) has c_1 = 1 and c_2 = -2 only, so four c_i make no product
+    assert factor_exponents(ONE_PLUS_T) == [MotivicPolynomial.constant(1), MotivicPolynomial.constant(-2), *[ZERO] * 4]
+
+
+def test_a_degree_one_pair_exponent_still_multiplies_lanes(lane_products):
+    # series-deep's exponents are pairs of degree 1 with a nonzero L
+    # coefficient: their power_pow makes Z[L] products through __mul__
+    one = PairClass.one()
+    base = TruncatedSeries(tuple(PairClass(c, -c) if j else one for j, c in enumerate(SERIES_DEEP_BASE[:11])))
+    power_pow(base, PairClass(MotivicPolynomial({0: 2, 1: -3}), MotivicPolynomial({0: -1, 1: 1})))
+    assert lane_products
+
+
 # -- series multiply and divide through the sum-of-products routine ---------------------------
 
 

@@ -204,8 +204,31 @@ def test_a_divisor_sum_mutant_crashes_verify_all(monkeypatch, capsys):
     assert "no series over Z[L] has these ghosts" in captured.err
 
 
+CONSTANT_TERM_KILLS = [
+    ("eq3-finite", {"power-config-count"}),
+    ("power-axioms", {"exponent-additive", "exponent-multiplicative", "factor-roundtrip", "unit-exponent"}),
+    ("identities", {"binomial-power-is-config", "geometric-power-is-zeta"}),
+]
+
+
+@pytest.mark.parametrize("suite, checks", CONSTANT_TERM_KILLS, ids=[k[0] for k in CONSTANT_TERM_KILLS])
+def test_a_constant_term_mutant_fails_its_suites(monkeypatch, capsys, suite, checks):
+    # _lane_pow scales the ghosts by m0 + 1 instead of the exponent's
+    # constant term m0, on the constant route and the L-part route alike;
+    # every finite: class is a constant exponent
+    source = inspect.getsource(power._lane_pow)
+    scale = "m0 * v"
+    assert source.count(scale) == 2
+    namespace = dict(vars(power))
+    exec(source.replace(scale, "(m0 + 1) * v"), namespace)
+    monkeypatch.setattr(power, "_lane_pow", namespace["_lane_pow"])
+    assert main(["verify", "--suite", suite]) == 1
+    assert failed_checks(capsys) == checks
+
+
 def test_every_suite_has_a_mutant_that_fails_it():
     # a new suite cannot land without a mutant row above, and no row names a suite that is gone
     killed = [suite for _, _, suite, _ in MUTANTS]
-    killed += [suite for suite, _ in ZETA_PRODUCT_KILLS + CONFIG_KILLS + PACKED_SERIES_KILLS + [PACKED_STEP_KILLS]]
+    tables = ZETA_PRODUCT_KILLS + CONFIG_KILLS + CONSTANT_TERM_KILLS + PACKED_SERIES_KILLS + [PACKED_STEP_KILLS]
+    killed += [suite for suite, _ in tables]
     assert set(suites.SUITES) == set(killed)
