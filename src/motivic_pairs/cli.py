@@ -43,7 +43,6 @@ from .geometry import hyperplane_union_class, sym_pair_p1_direct
 from .lefschetz import lane_memo
 from .oracle import DEFAULT_BUDGET, BudgetExceededError
 from .pairs import _PARAM, PairClass, parse_pair_spec, projective_line_marked
-from .series import TruncatedSeries
 from .suites import SUITES, _planned, run_suite
 
 

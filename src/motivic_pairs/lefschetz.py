@@ -26,19 +26,24 @@ between a series and its ghosts, and the Adams operations psi_r (L to L^r)
 are the ghosts of a zeta series.
 
 Every product is a sum of products sum f*g: f*g alone, a coefficient of a
-series product, a step of a ghost recurrence.  A large sum runs packed
-(Kronecker substitution): a polynomial whose coefficients are below
-2^(w-1) in absolute value is the integer sum c_d 2^(w d), so the sum is
-one big-integer computation, unpacked once into balanced base-2^w digits.
-The digit width w comes from one proven bound on the result's coefficients,
-_bound: |f g|_inf <= min(|f|_inf |g|_1, |f|_1 |g|_inf), summed over the
-pairs, so packing is exact.  f*g packs its polynomials for the one sum;
-small and sparse sums keep the dict loop, which is faster for them.  A
-series product decides once, by one predicate on its factors' term counts
-and degrees (_packs_series): either it packs every coefficient of both
-factors once, at one width, and makes each coefficient of the product as
-one sum of packed products (_packed_series), or each coefficient is its
-own sum of products by the rule of f*g.  The log and exp recurrences are
+series product or division, a step of a ghost recurrence.  Z[L] products
+are made in four kernels: the dict loop (_dict_sum), a packed series
+product (_packed_series), a packed recurrence step (_PackedRecurrence.step)
+and zeta's product route (_zeta_product).  Packing is Kronecker
+substitution: a polynomial whose coefficients are below 2^(w-1) in
+absolute value is the integer sum c_d 2^(w d), so a sum is one big-integer
+computation, unpacked once into balanced base-2^w digits.  The digit
+width w comes from one proven bound on the result's coefficients, _bound:
+|f g|_inf <= min(|f|_inf |g|_1, |f|_1 |g|_inf), summed over the pairs, so
+packing is exact.  A series product decides once, by one predicate on its
+factors' term counts and degrees (_packs_series): either it packs every
+coefficient of both factors once, at one width, and makes each
+coefficient of the product as one sum of packed products
+(_packed_series), or each coefficient is one dict-loop sum, as each
+coefficient of a series division is.  f*g is the series product of one
+pair: it packs when both factors have _PACK_TERMS terms and one is dense
+(_either_dense); small and sparse factors keep the dict loop, which is
+faster for them.  The log and exp recurrences are
 one routine, _recurrence.  It starts packing at the first step where a running cost
 estimate, one predicate (_packs) on sums of term counts and degrees that
 it keeps in O(1) a step and on the size of its newest coefficients, finds
@@ -178,16 +183,18 @@ class MotivicPolynomial:
     def __mul__(self, other: "MotivicPolynomial") -> "MotivicPolynomial":
         if not isinstance(other, MotivicPolynomial):
             return NotImplemented
-        return MotivicPolynomial._trusted(_sum_of_products(((self, other),)))
+        if len(self._coeffs) >= _PACK_TERMS <= len(other._coeffs) and _either_dense(self, other):
+            return _packed_series((self,), (other,))[0]
+        return MotivicPolynomial.sum_of_products(((self, other),))
 
     # perfbench/tests/test_bench.py checks that the tracer gives this alias
     # and __mul__ one span.
     __rmul__ = __mul__
 
     @classmethod
-    def sum_of_products(cls, pairs: Sequence[tuple["MotivicPolynomial", "MotivicPolynomial"]]) -> "MotivicPolynomial":
-        """sum f*g over the (f, g) pairs, as a series division takes each coefficient."""
-        return cls._trusted(_sum_of_products(pairs))
+    def sum_of_products(cls, pairs: Iterable[tuple["MotivicPolynomial", "MotivicPolynomial"]]) -> "MotivicPolynomial":
+        """sum f*g over the (f, g) pairs by the dict loop, as a series division takes each coefficient."""
+        return cls._trusted(_terms(_dict_sum(pairs)))
 
     @classmethod
     def series_product(
@@ -197,13 +204,13 @@ class MotivicPolynomial:
 
         One predicate on the factors' sizes (_packs_series) decides for the
         whole product: either each factor is packed once (_packed_series),
-        or each coefficient is its own sum of products.
+        or each coefficient is one dict-loop sum (sum_of_products).
         """
         n = min(len(a), len(b))
         a, b = a[:n], b[:n]
         if _packs_series(a, b):
             return _packed_series(a, b)
-        return tuple([cls._trusted(_sum_of_products(list(zip(a, b[k::-1])))) for k in range(n)])
+        return tuple([cls.sum_of_products(zip(a, b[k::-1])) for k in range(n)])
 
     # -- specialization ------------------------------------------------------
 
@@ -266,33 +273,36 @@ def adams(m: MotivicPolynomial, r: int) -> MotivicPolynomial:
 #
 # Every Z[L] product here is a sum of products sum f*g: one pair for f*g, the
 # pairs a_j b_(k-j) for coefficient k of a series product or a series
-# division, the pairs g_k a_(n-k) for a step of a ghost recurrence.  The
-# packed route reads a polynomial sum c_d L^d with |c_d| < 2^(w-1) as the
-# integer sum c_d 2^(w d) in base 2^w with balanced digits (Kronecker
-# substitution), so a whole sum is one sum of integer products, which
-# CPython multiplies in C (Karatsuba from about 70 30-bit digits on).  The
-# packed integers spend a digit on every degree up to the top one, terms or
-# not, so the dict loop stays faster while a factor has few terms, or when
-# both factors are sparse, as psi_r images are for large r.  So f*g, and a
-# coefficient of a series division or of a series product that does not
-# pack its factors, pack when some pair has _PACK_TERMS terms in both
-# factors and one factor has a term in at least one degree out of
-# _PACK_SPREAD (_either_dense).  Both constants come from timing the two
-# routes on random polynomials: from 16 dense terms a product ran faster
-# packed, while a product of two psi_r images of 16 to 32 terms (one term in
-# r degrees) ran about 2x slower packed at r = 8 and 50x slower at r = 128.
-# A ghost recurrence does not use this rule: it weighs term counts against
-# degrees and digit widths of all the pairs a step sums (_packs, below).
-# Nor does a series product as a whole: it packs each a_j and b_j once, for
-# all the coefficients that read it, when its factors' summed term counts
-# outweigh their number and their summed degrees (_packs_series).
+# division, the pairs g_k a_(n-k) for a step of a ghost recurrence.  Four
+# kernels make them: _dict_sum, _packed_series, _PackedRecurrence.step and
+# _zeta_product.  The packed route reads a polynomial sum c_d L^d with
+# |c_d| < 2^(w-1) as the integer sum c_d 2^(w d) in base 2^w with balanced
+# digits (Kronecker substitution), so a whole sum is one sum of integer
+# products, which CPython multiplies in C (Karatsuba from about 70 30-bit
+# digits on).  The packed integers spend a digit on every degree up to the
+# top one, terms or not, so the dict loop stays faster while a factor has
+# few terms, or when both factors are sparse, as psi_r images are for large
+# r.  So f*g runs as the packed series product of the windows (f) and (g)
+# when both factors have _PACK_TERMS terms and one has a term in at least
+# one degree out of _PACK_SPREAD (_either_dense), and on the dict loop
+# otherwise.  Both constants come from timing the two routes on random
+# polynomials: from 16 dense terms a product ran faster packed, while a
+# product of two psi_r images of 16 to 32 terms (one term in r degrees) ran
+# about 2x slower packed at r = 8 and 50x slower at r = 128.  A series
+# product as a whole does not use this rule: it packs each a_j and b_j once,
+# for all the coefficients that read it, when its factors' summed term
+# counts outweigh their number and their summed degrees (_packs_series),
+# and otherwise takes each coefficient, as a series division does, by the
+# dict loop (MotivicPolynomial.sum_of_products).  Nor does a ghost
+# recurrence: it weighs term counts against degrees and digit widths of all
+# the pairs a step sums (_packs, below).
 #
 # Every packed width is _digit_width of one bound, _bound, on the norms
 # |p|_inf (largest |c|) and |p|_1 (sum of |c|) of the factors: a packed
-# sum reads them off its pairs; a packed series product off its two
-# windows, each read as one whole; a packed recurrence predicts them for all
-# of its steps at once and keeps that one width.  Only zeta's product route
-# (_zeta_product) uses the same L1 bound in closed form.
+# series product, f*g among them, reads them off its two windows, each read
+# as one whole; a packed recurrence predicts them for all of its steps at
+# once and keeps that one width.  Only zeta's product route (_zeta_product)
+# uses the same L1 bound in closed form.
 
 _PACK_TERMS = 16
 _PACK_SPREAD = 4
@@ -363,14 +373,6 @@ def _bound(tops_f: Sequence, ones_f: Sequence, tops_g: Sequence, ones_g: Sequenc
     return bound
 
 
-def _sum_of_products(pairs: Sequence[tuple[MotivicPolynomial, MotivicPolynomial]]) -> dict[int, int]:
-    """sum f*g over the (f, g) pairs as a canonical degree -> coefficient dict (see _terms)."""
-    for f, g in pairs:
-        if len(f._coeffs) >= _PACK_TERMS <= len(g._coeffs) and _either_dense(f, g):
-            return _packed_sum(pairs)
-    return _terms(_dict_sum(pairs))
-
-
 def _dict_sum(pairs: Iterable[tuple[MotivicPolynomial, MotivicPolynomial]]) -> dict[int, int]:
     """sum f*g one term product at a time, in scatter order; zero entries may stay."""
     acc = {}
@@ -382,18 +384,6 @@ def _dict_sum(pairs: Iterable[tuple[MotivicPolynomial, MotivicPolynomial]]) -> d
                 d = d1 + d2
                 acc[d] = get(d, 0) + c1 * c2
     return acc
-
-
-def _packed_sum(pairs: Iterable[tuple[MotivicPolynomial, MotivicPolynomial]]) -> dict[int, int]:
-    """sum f*g as one sum of packed integer products, canonical as unpacked; some pair is nonzero.
-
-    Only the pairs of two nonzero factors are packed, and then |f|_inf <=
-    |f|_inf |g|_inf is at most the pair's term of _bound, so the width
-    holds the factors too.
-    """
-    fs, gs = zip(*[(f._coeffs, g._coeffs) for f, g in pairs if f._coeffs and g._coeffs])
-    width = _digit_width(_bound(*_norms(fs), *_norms(gs)))
-    return _unpack(sum(_pack(f, width) * _pack(g, width) for f, g in zip(fs, gs)), width)
 
 
 # The series rule's constants were fitted by timing both routes on every

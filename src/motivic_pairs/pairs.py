@@ -74,14 +74,6 @@ class PairClass:
         return PairClass(self.amb * other.amb, self.comp * other.comp)
 
     @classmethod
-    def sum_of_products(cls, pairs: Sequence[tuple["PairClass", "PairClass"]]) -> "PairClass":
-        """sum f*g over the (f, g) pairs, one Z[L] sum of products per lane."""
-        return cls(
-            MotivicPolynomial.sum_of_products([(f.amb, g.amb) for f, g in pairs]),
-            MotivicPolynomial.sum_of_products([(f.comp, g.comp) for f, g in pairs]),
-        )
-
-    @classmethod
     def series_product(cls, a: Sequence["PairClass"], b: Sequence["PairClass"]) -> tuple["PairClass", ...]:
         """The coefficients of a series product, one Z[L] series product per lane."""
         amb = MotivicPolynomial.series_product([f.amb for f in a], [g.amb for g in b])

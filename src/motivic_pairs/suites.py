@@ -337,14 +337,13 @@ def _random_pair(rng: random.Random) -> PairClass:
 
 
 def _divide(a: TruncatedSeries, u: TruncatedSeries) -> TruncatedSeries:
-    # a / u to the common order, for u_0 = 1: the long division
-    # q_n = a_n - sum u_j q_{n-j} needs no coefficient division
-    if u.coeffs[0] != type(u.coeffs[0]).one():
+    # a / u to the common order, for Z[L] series with u_0 = 1: the long
+    # division q_n = a_n - sum u_j q_{n-j} needs no coefficient division
+    if u.coeffs[0] != MotivicPolynomial.one():
         raise ValueError("division requires a divisor with constant term 1")
-    combine = type(u.coeffs[0]).sum_of_products
-    quot: list = []
+    quot: list[MotivicPolynomial] = []
     for k in range(min(a.order, u.order) + 1):
-        quot.append(a.coeffs[k] - combine(list(zip(u.coeffs[1:], reversed(quot)))))
+        quot.append(a.coeffs[k] - MotivicPolynomial.sum_of_products(zip(u.coeffs[1:], reversed(quot))))
     return TruncatedSeries(tuple(quot))
 
 

@@ -366,12 +366,6 @@ VERIFY_GRID_DIGESTS = {
 }
 
 
-def _every_nonzero_sum_packed(pairs):
-    if any(f._coeffs and g._coeffs for f, g in pairs):
-        return lefschetz._packed_sum(pairs)
-    return lefschetz._terms(lefschetz._dict_sum(pairs))
-
-
 FORCED_ROUTES = {
     # dict loops, the ghost route and one sum per series coefficient everywhere
     "dict-and-ghost": [
@@ -382,10 +376,11 @@ FORCED_ROUTES = {
         (power, "_product_route", lambda m, order: False),
     ],
     # every recurrence packed from step 2, the first that sums, and every
-    # sum with a nonzero pair packed
+    # product f*g of two nonzero factors packed
     "packed": [
         (lefschetz, "_packs", lambda *sizes: True),
-        (lefschetz, "_sum_of_products", _every_nonzero_sum_packed),
+        (lefschetz, "_PACK_TERMS", 1),
+        (lefschetz, "_PACK_SPREAD", 10**9),
     ],
     "product-route": [
         (lefschetz, "_product_route", lambda m, order: bool(m._coeffs)),

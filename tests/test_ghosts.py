@@ -73,8 +73,19 @@ def reference_zeta_factor(ring, b, i, order):
     return TruncatedSeries(tuple(coeffs))
 
 
+def divide(a, u):
+    # suites._divide takes Z[L] series, so a pair series divides lane by lane
+    if isinstance(u.coeffs[0], MotivicPolynomial):
+        return _divide(a, u)
+    amb, comp = (
+        _divide(*(TruncatedSeries(tuple(getattr(c, lane) for c in s.coeffs)) for s in (a, u)))
+        for lane in ("amb", "comp")
+    )
+    return TruncatedSeries(tuple(map(PairClass, amb.coeffs, comp.coeffs)))
+
+
 def reference_config_series(ring, m, order):
-    return _divide(reference_zeta(ring, m, order), reference_zeta_factor(ring, m, 2, order))
+    return divide(reference_zeta(ring, m, order), reference_zeta_factor(ring, m, 2, order))
 
 
 def reference_power_pow(ring, series, exponent):
@@ -85,7 +96,7 @@ def reference_power_pow(ring, series, exponent):
     for i in range(1, order + 1):
         b = residual.coefficient(i)
         if b != ring.zero:
-            residual = _divide(residual, reference_zeta_factor(ring, b, i, order))
+            residual = divide(residual, reference_zeta_factor(ring, b, i, order))
             result = result * reference_zeta_factor(ring, exponent * b, i, order)
     assert residual == one_plus((), order, ring.one)
     return result
@@ -293,22 +304,22 @@ def ref_ghost_exp(ghosts):
 
 @pytest.fixture
 def packed_calls(monkeypatch):
-    # the pair counts of the sums that run packed: a sum of products that
-    # _sum_of_products packs, or a step of a packed ghost recurrence (the two
-    # packed entries), so a test can show that the packed route ran
+    # the pair counts of the sums that run packed: the window length of a
+    # packed series product (f*g packs as one of length 1), or the pairs of a
+    # packed ghost recurrence step (the two packed entries), so a test can
+    # show that the packed route ran
     calls = []
-    packed_sum, step = lefschetz._packed_sum, lefschetz._PackedRecurrence.step
+    packed_series, step = lefschetz._packed_series, lefschetz._PackedRecurrence.step
 
-    def spy_sum(pairs):
-        pairs = list(pairs)
-        calls.append(len(pairs))
-        return packed_sum(pairs)
+    def spy_series(a, b):
+        calls.append(len(a))
+        return packed_series(a, b)
 
     def spy_step(recurrence, n):
         calls.append(n - 1)
         return step(recurrence, n)
 
-    monkeypatch.setattr(lefschetz, "_packed_sum", spy_sum)
+    monkeypatch.setattr(lefschetz, "_packed_series", spy_series)
     monkeypatch.setattr(lefschetz._PackedRecurrence, "step", spy_step)
     return calls
 
@@ -344,16 +355,47 @@ def test_packed_product_matches_dict_loop(packed_calls):
     assert packed_calls  # the packed path ran, not only the dict loop
 
 
+@pytest.mark.parametrize(
+    "f, g, packs",
+    [
+        (projective_class(PACK - 1), projective_class(PACK - 1), True),  # 16 dense terms each
+        (projective_class(PACK - 2), projective_class(PACK - 1), False),  # 15 terms against 16
+        (adams(projective_class(PACK - 1), 8), adams(projective_class(PACK - 1), 8), False),  # sparse
+    ],
+    ids=["dense-16x16", "dense-15x16", "psi8-16x16"],
+)
+def test_a_product_packs_on_its_side_of_the_one_pair_rule(packed_calls, f, g, packs):
+    # f*g packs as the series product of the windows (f) and (g) when both
+    # factors have _PACK_TERMS terms and one is dense
+    assert f * g == ref_mul(f, g)
+    assert packed_calls == ([1] if packs else [])
+
+
 def bound_of(pairs):
     # lefschetz._bound on the norms of the pairs' factors
     fs, gs = ([p._coeffs for p in side] for side in zip(*pairs))
     return lefschetz._bound(*lefschetz._norms(fs), *lefschetz._norms(gs))
 
 
+def packed_sum(pairs):
+    # sum f*g over the pairs on the one multi-pair packed kernel: the last
+    # coefficient of the series product of (f_1, ..., f_n) and (g_n, ..., g_1)
+    fs, gs = zip(*pairs)
+    return lefschetz._packed_series(fs, gs[::-1])[-1]
+
+
+def window_bound(a, b):
+    # the bound _packed_series takes: _bound of one pair, each window read as one whole
+    (tops_a, ones_a), (tops_b, ones_b) = norms_of(a), norms_of(b)
+    return lefschetz._bound([max(tops_a)], [sum(ones_a)], [max(tops_b)], [sum(ones_b)])
+
+
 def test_packed_product_at_the_digit_bound():
     # f * f with T coefficients +-(2^b - 1) puts +-T (2^b - 1)^2 in the middle
     # coefficient, which meets _bound exactly: |f|_inf |f|_1 = T (2^b - 1)^2.
-    # So does a sum of such squares of T terms each, at every digit size.
+    # So does a packed sum of three such squares, which meets the bound of
+    # its windows, at every digit size; and one of squares of other sizes,
+    # which meets the sum of its pairs' bounds.
     for terms in (PACK, PACK + 1, 31, 32, 63, 64, 100):
         for bits in (*range(1, 80, 3), 28, 29, 30, 31, 32, 33, 250):
             top = 2**bits - 1
@@ -365,10 +407,13 @@ def test_packed_product_at_the_digit_bound():
             # with one term in g the lesser product |f|_inf |g|_1 is met, not |f|_1 |g|_inf
             lone = MotivicPolynomial({terms: top})
             assert (same * lone).coefficient(terms) == top * top == bound_of([(same, lone)])
+            total = packed_sum([(same, same), (-same, -same), (same, same)])
+            assert total.coefficient(terms - 1) == 3 * terms * top * top == window_bound([same] * 3, [same] * 3)
+            assert total == MotivicPolynomial.constant(3) * ref_mul(same, same), (terms, bits)
         widths = (5, 31, 33, 64, 90)
         squares = [MotivicPolynomial({d: 2**bits - 1 for d in range(terms)}) for bits in widths]
         pairs = [(f, f) for f in squares[:3]] + [(-f, -f) for f in squares[3:]] + [(ZERO, squares[-1])]
-        total = MotivicPolynomial.sum_of_products(pairs)
+        total = packed_sum(pairs)
         assert total == sum((ref_mul(f, g) for f, g in pairs), ZERO), terms
         middle = sum(terms * (2**bits - 1) ** 2 for bits in widths)
         assert total.coefficient(terms - 1) == middle == bound_of(pairs)
@@ -720,11 +765,10 @@ factors = st.one_of(
 def test_bound_holds_every_coefficient_of_a_sum_of_products(pairs, wide):
     expected = lefschetz._terms(lefschetz._dict_sum(pairs))
     assert lefschetz._top(expected) <= bound_of(pairs)
-    # a factor whose partner is zero adds nothing to the bound, and is left
-    # out of the packed sum, however wide it is
+    # a factor whose partner is zero adds nothing to the bound, yet the
+    # packed kernel packs it, so its width must hold it however wide it is
     pairs += [(wide, ZERO), (ZERO, wide)]
-    if any(f.items() and g.items() for f, g in pairs):
-        assert lefschetz._packed_sum(pairs) == expected
+    assert packed_sum(pairs)._coeffs == expected
 
 
 def norms_of(polys):
@@ -768,9 +812,9 @@ def test_predicted_bound_holds_every_step_left(tail, data):
 #
 # MotivicPolynomial._trusted takes its dict over as it is, so each route that
 # builds one must hand it over in ascending degree with no zero coefficient.
-# The two routes are forced: the dict loops only, or packing every sum with
-# a nonzero pair, every series product and every recurrence from the first
-# step its rule is asked at, its second.
+# The two routes are forced: the dict loops only, or packing every product
+# of two nonzero factors, every series product and every recurrence from the
+# first step its rule is asked at, its second.
 
 ROUTES = {
     "dict": {"_PACK_TERMS": 10**9, "_packs": lambda *sizes: False, "_packs_series": lambda a, b: False},
@@ -808,7 +852,7 @@ def test_every_built_polynomial_is_canonical(route, a, b, r, order):
             forced.setattr(lefschetz, name, value)
         unpack = lefschetz._unpack
         forced.setattr(lefschetz, "_unpack", lambda *args: packed.append(args) or unpack(*args))
-        built = [a + b, a - b, b - b, a * b, b * a, -a, adams(a, r), adams(-b, r)]
+        built = [a + b, a - b, b - b, a * b, b * a, b * b, -a, adams(a, r), adams(-b, r)]
         built += [
             MotivicPolynomial.sum_of_products(pairs)
             for pairs in ([(a, b), (b, a), (a, -b)], [(a, b), (-a, b)], [(b, b)], [])
@@ -822,9 +866,10 @@ def test_every_built_polynomial_is_canonical(route, a, b, r, order):
     for p in built:
         assert_canonical(p)
     if route == "packed":
-        # every sum with a nonzero pair packs, and so does every recurrence
-        # of two steps or more.  With b = 0 no sum has a nonzero pair, so
-        # before zeta and config only the recurrences pack, from order 2 on
+        # every product of two nonzero factors packs, and so does every
+        # recurrence of two steps or more.  With b = 0 no product has two
+        # nonzero factors, so before zeta and config only the recurrences
+        # pack, from order 2 on
         assert bool(packed[:before]) == (b != ZERO or order >= 2)
     else:
         # zeta_series takes its product route on a dense class of small
@@ -1137,18 +1182,12 @@ def ref_divide(a, u):
 
 
 @RINGS
-def test_series_multiply_and_divide_match_the_product_chain(ring, packed_calls, monkeypatch):
+def test_series_multiply_and_divide_match_the_product_chain(ring, packed_calls):
     # coefficients on both sides of the threshold, dense, with gaps, psi_3
     # images and zeros; some above 200 bits.  A multiply packs each factor
-    # once (_packed_series), a division packs its large sums (_packed_sum)
+    # once (_packed_series) or takes each coefficient by the dict loop, as a
+    # division does; pair series divide lane by lane
     rng = random.Random(24 if ring is LANE else 25)
-    packed_series, series_calls = lefschetz._packed_series, []
-
-    def spy_series(a, b):
-        series_calls.append(len(a))
-        return packed_series(a, b)
-
-    monkeypatch.setattr(lefschetz, "_packed_series", spy_series)
 
     def lane():
         kind = rng.randrange(4)
@@ -1161,29 +1200,31 @@ def test_series_multiply_and_divide_match_the_product_chain(ring, packed_calls, 
     def coeff():
         return lane() if ring is LANE else PairClass(lane(), lane())
 
-    packed = {"mul": 0, "divide": 0}
+    packed = 0
     for order in (0, 1, 3, 6):
         a = TruncatedSeries(tuple(coeff() for _ in range(order + 1)))
         b = TruncatedSeries(tuple(coeff() for _ in range(order + 2)))
         u = TruncatedSeries((ring.one, *(coeff() for _ in range(order))))
-        before = len(series_calls)
-        assert a * b == ref_series_mul(a, b)
-        packed["mul"] += len(series_calls) > before
         before = len(packed_calls)
-        quotient = _divide(a, u)
-        packed["divide"] += len(packed_calls) > before
+        assert a * b == ref_series_mul(a, b)
+        packed += len(packed_calls) > before
+        quotient = divide(a, u)
         assert quotient == ref_divide(a, u)
         assert ref_series_mul(quotient, u) == a
-    assert packed["mul"] and packed["divide"]  # the packed routes ran in both
+    assert packed  # some multiply packed its factors
 
 
 # -- series products: each factor packed once, or one sum per coefficient -----------------
 
 
 def per_coefficient_product(a, b):
-    # the route _packs_series turns down: coefficient k is one sum of products
-    combine = type(a[0]).sum_of_products
-    return tuple(combine(list(zip(a, b[k::-1]))) for k in range(min(len(a), len(b))))
+    # the route _packs_series turns down: coefficient k is one dict-loop sum,
+    # lane by lane for pairs
+    if isinstance(a[0], PairClass):
+        amb, comp = (per_coefficient_product([getattr(f, lane) for f in a], [getattr(g, lane) for g in b])
+                     for lane in ("amb", "comp"))
+        return tuple(map(PairClass, amb, comp))
+    return tuple(MotivicPolynomial.sum_of_products(zip(a, b[k::-1])) for k in range(min(len(a), len(b))))
 
 
 # the factor with no nonzero partner: 2^70 + 5 L^3 meets only b_0 = 0, so no
@@ -1225,10 +1266,9 @@ def test_series_product_matches_the_per_coefficient_route(packs, a, b, b0_zero, 
 
 @pytest.fixture
 def series_routes(monkeypatch):
-    # the route of each lane's series product, and the pairs of each packed sum
-    routes, sums = [], []
-    packed_series, packed_sum = lefschetz._packed_series, lefschetz._packed_sum
-    rule = lefschetz._packs_series
+    # the route of each lane's series product
+    routes = []
+    packed_series, rule = lefschetz._packed_series, lefschetz._packs_series
 
     def spy_rule(a, b):
         routes.append("packed" if rule(a, b) else "per-coefficient")
@@ -1238,15 +1278,9 @@ def series_routes(monkeypatch):
         assert routes[-1] == "packed"
         return packed_series(a, b)
 
-    def spy_sum(pairs):
-        pairs = list(pairs)
-        sums.append(len(pairs))
-        return packed_sum(pairs)
-
     monkeypatch.setattr(lefschetz, "_packs_series", spy_rule)
     monkeypatch.setattr(lefschetz, "_packed_series", spy_series)
-    monkeypatch.setattr(lefschetz, "_packed_sum", spy_sum)
-    return routes, sums
+    return routes
 
 
 def ring_axioms_shaped(seed, order=8):
@@ -1258,7 +1292,7 @@ def ring_axioms_shaped(seed, order=8):
 
 
 def test_a_ring_axioms_shaped_product_packs(series_routes):
-    routes, _ = series_routes
+    routes = series_routes
     a, b = ring_axioms_shaped(1), ring_axioms_shaped(2)
     assert a * b == ref_series_mul(a, b)
     assert routes == ["packed"]
@@ -1267,20 +1301,9 @@ def test_a_ring_axioms_shaped_product_packs(series_routes):
 def test_a_constant_lane_product_keeps_one_sum_per_coefficient(series_routes):
     # power-axioms multiplies series of constants and one-term lanes: one
     # term product per coefficient pair, so packing would only add work
-    routes, sums = series_routes
+    routes = series_routes
     a = TruncatedSeries(tuple(MotivicPolynomial.constant(k + 1) for k in range(9)))
     b = TruncatedSeries(tuple(MotivicPolynomial({k: -1}) for k in range(9)))
     assert a * b == ref_series_mul(a, b)
     assert a * a == ref_series_mul(a, a)
-    assert routes == ["per-coefficient", "per-coefficient"] and sums == []
-
-
-def test_a_lone_large_coefficient_pair_still_packs_its_sum(series_routes):
-    # 1 + P^40 t^10 at N = 20 squared: its 42 terms are few for 21
-    # coefficients, so the product keeps one sum per coefficient, and the
-    # one large pair, P^40 P^40 at t^20, packs as f*g does
-    routes, sums = series_routes
-    a = TruncatedSeries((MotivicPolynomial.one(), *[ZERO] * 9, projective_class(40), *[ZERO] * 10))
-    assert a * a == ref_series_mul(a, a)
-    assert routes == ["per-coefficient"]
-    assert sums == [21]  # the t^20 sum: a_j a_(20-j), j = 0..20
+    assert routes == ["per-coefficient", "per-coefficient"]

@@ -96,10 +96,9 @@ def test_a_config_mutant_fails_its_suites(monkeypatch, capsys, suite, checks):
 
 # At the default order power-axioms and identities run packed ghost steps,
 # and the series multiplies of ring-axioms, statement1 and the others pack
-# each factor once (_packed_series), but no suite runs a packed sum at
-# order 8, 12 or 16: those series coefficients were its only suite callers
-# (ROADMAP item 10).  So the packed sum's mutant is shown on a command that
-# still runs it, a product of two dense catalog classes in a pair spec.
+# each factor once (_packed_series), but no suite packs an f*g at order 8,
+# 12 or 16.  So the packed f*g mutant is shown on a command that runs one,
+# a product of two dense catalog classes in a pair spec.
 
 
 PACKED_SERIES_KILLS = [
@@ -113,10 +112,9 @@ PACKED_STEP_KILLS = (
 
 
 def test_verify_all_runs_the_product_kernels(monkeypatch, capsys):
-    # the default certification command makes products in a packed ghost
-    # step, in a packed series product, in the dict loop and on zeta's
-    # product route, so a mutant of any of the four can fail it; _packed_sum
-    # is not among them, as no default suite makes a packed sum
+    # the default certification command makes products in the four kernels,
+    # a packed ghost step, a packed series product, the dict loop and zeta's
+    # product route, so a mutant of any of them can fail it
     calls = {"step": 0, "_packed_series": 0, "_dict_sum": 0, "_zeta_product": 0}
 
     def counted(name, routine):
@@ -148,21 +146,21 @@ def test_a_packed_series_mutant_fails_its_suites(monkeypatch, capsys, suite, che
     assert failed_checks(capsys) == checks
 
 
-def test_a_packed_sum_mutant_changes_a_pair_spec_product(monkeypatch, capsys):
-    # a sum that runs packed gains 1 on its top coefficient; P^20 x P^20 has
-    # 21 dense terms per factor, so the pair spec's product packs in each lane
+def test_a_packed_product_mutant_changes_a_pair_spec_product(monkeypatch, capsys):
+    # a packed series product gains 1 on the top L-degree of its last
+    # coefficient; P^20 x P^20 has 21 dense terms per factor, so the pair
+    # spec's f*g packs as a one-pair series product in each lane
     argv = ["zeta", "--pair", "prod(pn:20,pn:20)", "--order", "2", "--format", "json"]
     assert main(argv) == 0
     intact = capsys.readouterr().out
-    packed_sum, calls = lefschetz._packed_sum, []
+    packed_series, calls = lefschetz._packed_series, []
 
-    def one_more_on_top(pairs):
-        calls.append(pairs)
-        acc = packed_sum(pairs)
-        top = next(reversed(acc))
-        return {**acc, top: acc[top] + 1}
+    def one_more_on_top(a, b):
+        calls.append((a, b))
+        *head, last = packed_series(a, b)
+        return (*head, last + MotivicPolynomial({last.degree: 1}))
 
-    monkeypatch.setattr(lefschetz, "_packed_sum", one_more_on_top)
+    monkeypatch.setattr(lefschetz, "_packed_series", one_more_on_top)
     assert main(argv) == 0
     mutated = capsys.readouterr().out
     assert len(calls) == 2  # one product per lane

@@ -28,6 +28,24 @@ def test_every_exported_name_is_used_inside_the_package():
     assert sorted(set(motivic_pairs.__all__) - used) == []
 
 
+def test_every_imported_name_is_read_in_its_module():
+    # an import that nothing reads is dead code; __init__.py imports to export
+    unread = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert unread == []
+
+
 def test_every_import_is_relative_or_stdlib():
     # the engine declares no dependencies (pyproject.toml: dependencies = [])
     outside = []
@@ -94,7 +112,7 @@ def test_trusted_wraps_only_fresh_dicts():
     def name(node):
         return getattr(node.func, "attr", getattr(node.func, "id", None)) if isinstance(node, ast.Call) else None
 
-    fresh = {"_unpack", "_sum_of_products", "_terms"}
+    fresh = {"_unpack", "_terms"}
     wraps, stale = 0, []
     for path in sorted(SOURCE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -212,7 +230,6 @@ def test_every_packed_width_comes_from_one_bound():
     assert sorted(rules) == [
         ("__init__", "_bound"),
         ("_packed_series", "_bound"),
-        ("_packed_sum", "_bound"),
         ("_zeta_product", "comb"),
     ]
 

@@ -128,14 +128,14 @@ def terms(p):
 @pytest.fixture
 def term_products(monkeypatch):
     # counts the Z[L] term products of the series algebra, the unit of the
-    # suites' cost bounds: every sum of products the routine takes inside a
-    # series multiply or divide, a ghost recurrence or power_pow's scaling,
-    # and the products of a series multiply that packs each factor once (not
-    # the few products that build catalog classes and exponents)
+    # suites' cost bounds: every dict-loop sum taken inside a series multiply
+    # or divide, a ghost recurrence or power_pow's scaling, and the products
+    # of a packed series product, f*g's among them (not the few products
+    # that build catalog classes and exponents)
     count, depth = [0], [0]
 
     def counted(routine):
-        # a sum taken by the dict loop or packed
+        # a sum taken by the dict loop
         def wrapper(pairs):
             pairs = list(pairs)
             if depth[0]:
@@ -144,7 +144,8 @@ def term_products(monkeypatch):
         return wrapper
 
     def counted_series(routine):
-        # a series product that packs each factor once: coefficient k makes
+        # a series product that packs each factor once, or f*g packed as the
+        # product of two one-term windows: coefficient k makes
         # the products a_j b_(k-j), j = 0..k, as the per-coefficient sums do
         def wrapper(a, b):
             if depth[0]:
@@ -171,7 +172,6 @@ def term_products(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(lefschetz, "_dict_sum", counted(lefschetz._dict_sum))
-    monkeypatch.setattr(lefschetz, "_packed_sum", counted(lefschetz._packed_sum))
     monkeypatch.setattr(lefschetz, "_packed_series", counted_series(lefschetz._packed_series))
     monkeypatch.setattr(lefschetz._PackedRecurrence, "step", counted_step)
     for module in (lefschetz, power):
