@@ -73,6 +73,10 @@ def _render(obj: object, pad: str = "\n") -> str:
         return int.__repr__(obj)
     if kind is str:
         return _escape(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
     if isinstance(obj, (dict, list, tuple)) and obj:
         inner = pad + "  "
         if isinstance(obj, dict):

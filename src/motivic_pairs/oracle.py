@@ -4,7 +4,8 @@ Four independent counting routes live here, none of which touches the
 series machinery it is used to check:
 
 * point enumeration in projective space over a prime field, for the
-  hyperplane-union counts of the worked example;
+  hyperplane-union counts of the worked example, in bulk: the values of a
+  mark's form at every point are built as byte strings;
 * the exponential point-count identity for symmetric powers,
   sum_n |S^n X| t^n = exp(sum_r N_r t^r / r), evaluated by an exact
   integer recurrence from closed-form extension counts N_r;
@@ -26,11 +27,13 @@ suites' dry plans read too.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .field import is_prime
-from .geometry import MarkedP1Scene, ProjectivePoint, point_in_marked_union
+from .geometry import MarkedP1Scene, ProjectivePoint
 
 DEFAULT_BUDGET = 10**7
 
@@ -73,10 +76,63 @@ def power_config_steps(atoms: int, labels: int) -> tuple[int, str]:
     return (1 + labels) ** atoms, "configuration enumeration"
 
 
-def _points(n: int, q: int) -> Iterator[ProjectivePoint]:
+def _shift_tables(q: int) -> list[bytes] | None:
+    """`bytes.translate` tables, entry a adding a mod q to a value byte; None when q >= 256.
+
+    Each table is a slice of one run of 0..q-1, made per call: no table
+    outlives the enumeration that uses it.
+    """
+    if q >= 256:
+        return None
+    run = bytes(range(q)) * (256 // q + 2)
+    return [run[a : a + 256] for a in range(q)]
+
+
+def _affine_values(const: int, weights: Sequence[int], q: int, shifts: list[bytes] | None) -> bytes | Iterable[int]:
+    """Values mod q of const + sum_j weights[j] * x_j at every x in F_q^k, in `itertools.product` order.
+
+    With tables, one byte string built from the innermost coordinate out:
+    the values over the inner coordinates are shifted by c * w for each
+    value c of the next coordinate out, one `translate` each, and joined.
+    Without them (q >= 256, where a value fits no byte), one per-point loop
+    over plain coordinate tuples, made as it is read.
+    """
+    if shifts is None:
+        points = itertools.product(range(q), repeat=len(weights))
+        return ((const + sum(map(operator.mul, weights, x))) % q for x in points)
+    values = bytes((const,))
+    for w in reversed(weights):
+        values = b"".join([values.translate(shifts[c * w % q]) for c in range(q)])
+    return values
+
+
+_VANISHES = b"\x01" + bytes(255)  # a translate table: 1 for a zero value, 0 otherwise
+
+
+def _marked_union_pass(n: int, q: int, marks: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """(points of P^n(F_q), those on the hyperplane of some mark (u, v)), by one exhaustive pass.
+
+    The points with first nonzero coordinate p_lead = 1 form a lead block,
+    one point per tail in F_q^(n - lead), in the order of
+    `enumerate_projective`.  At each block, the values of each mark's form
+    sum_j u^j v^(n-j) p_j at every point are built (`_affine_values`),
+    turned into zero flags, ORed over the marks as one int, and counted by
+    `int.bit_count`.  The points are counted from the flags built, never
+    from a formula: with no marks the constant form 1 is evaluated, which
+    vanishes nowhere.
+    """
+    forms = [[u**j * v ** (n - j) % q for j in range(n + 1)] for u, v in marks]
+    shifts = _shift_tables(q)
+    total = on = 0
     for lead in range(n + 1):
-        for tail in itertools.product(range(q), repeat=n - lead):
-            yield ProjectivePoint((0,) * lead + (1,) + tail)
+        union = 0
+        for const, weights in [(form[lead], form[lead + 1 :]) for form in forms] or [(1, [0] * (n - lead))]:
+            values = _affine_values(const, weights, q, shifts)
+            flags = values.translate(_VANISHES) if shifts is not None else bytes(map(operator.not_, values))
+            union |= int.from_bytes(flags, "little")
+        total += len(flags)  # one flag per point of the block, for every form alike
+        on += union.bit_count()
+    return total, on
 
 
 def enumerate_projective(n: int, q: int, budget: int = DEFAULT_BUDGET) -> list[ProjectivePoint]:
@@ -91,21 +147,26 @@ def enumerate_projective(n: int, q: int, budget: int = DEFAULT_BUDGET) -> list[P
     if not is_prime(q):
         raise ValueError(f"field size must be prime, got {q}")
     charge(*marked_union_steps(n, q, 0), budget)
-    return list(_points(n, q))
+    return [
+        ProjectivePoint((0,) * lead + (1,) + tail)
+        for lead in range(n + 1)
+        for tail in itertools.product(range(q), repeat=n - lead)
+    ]
 
 
 def count_marked_union(n: int, scene: MarkedP1Scene, budget: int = DEFAULT_BUDGET) -> int:
     """Points of projective n-space over the scene's field lying on at least one mark hyperplane.
 
-    Exhaustive: every point is tested against every mark, so the points
+    Exhaustive: every point is evaluated at every mark, so the points
     times the marks (at least one) are charged to the budget before any
-    point is built.  Must agree with evaluating the inclusion-exclusion
-    class at the scene's q.
+    value is built (see `_marked_union_pass`).  Must agree with evaluating
+    the inclusion-exclusion class at the scene's q, and with
+    `point_in_marked_union` at every point.
     """
     if n < 1:
         raise ValueError("the hyperplane picture needs dimension >= 1")
     charge(*marked_union_steps(n, scene.q, len(scene.marks)), budget)
-    return sum(1 for p in _points(n, scene.q) if point_in_marked_union(p, scene))
+    return _marked_union_pass(n, scene.q, [mark.coords for mark in scene.marks])[1]
 
 
 def weil_symmetric_counts(point_count: Callable[[int], int], order: int) -> list[int]:
@@ -163,32 +224,36 @@ def _square_marks(q: int, n: int) -> bytearray:
     """Flags of the monic degree-n polynomials over F_q that have a square factor.
 
     Entry sum_i c_i q^i stands for x^n + sum_{i<n} c_i x^i.  For each monic g
-    of degree d in 1..n//2, g is squared once and packed as an integer in
-    base 2^width, wide enough that no coefficient of a product with h
-    carries; the products with every monic h of degree n - 2d are built by
-    adding c * x^j * g^2 for each coefficient c of h, and each product's
-    digits are read back mod q into its entry.
+    of degree d in 1..n//2, the multiples of g^2 of degree n are enumerated
+    by their top coefficients.  Write f = x^(2d) K + r with K monic of
+    degree m = n - 2d and deg r < 2d: f is a multiple of g^2 exactly when
+    r = -x^(2d) K mod g^2.  With u_j = -x^(2d+j) mod g^2 (u_0 is g^2 less
+    its top term, and u_(j+1) = x u_j mod g^2), coefficient i of r is
+    u_m[i] + sum_{j<m} k_j u_j[i], affine in the low coefficients k_j of K,
+    so its values at every K are one string (`_affine_values`).  The
+    multiple with top K is entry K q^(2d) + sum_i r_i q^i.
     """
     marks = bytearray(q**n)
+    shifts = _shift_tables(q)
     for d in range(1, n // 2 + 1):
         m = n - 2 * d
-        # a product coefficient sums at most min(2d, m) + 1 terms below q^2
-        width = ((min(2 * d, m) + 1) * (q - 1) ** 2).bit_length()
-        mask = (1 << width) - 1
-        digits = [(width * i, q**i) for i in range(n)]
+        rows = range(0, q**n, q ** (2 * d))
         for low in itertools.product(range(q), repeat=d):
             g = (*low, 1)
-            square = [0] * (2 * d + 1)
+            square = [0] * (2 * d)  # g^2 less its top term
             for i, a in enumerate(g):
-                for j, b in enumerate(g):
+                for j, b in enumerate(g[: 2 * d - i]):
                     square[i + j] += a * b
-            packed = sum(c % q << width * i for i, c in enumerate(square))
-            products = [packed << width * m]
-            for j in range(m):
-                steps = [c * packed << width * j for c in range(q)]
-                products = [p + step for p in products for step in steps]
-            for p in products:
-                marks[sum((p >> shift & mask) % q * power for shift, power in digits)] = 1
+            u = [[c % q for c in square]]
+            for _ in range(m):
+                top = u[-1][-1]
+                u.append([-top * square[0] % q, *((c - top * s) % q for c, s in zip(u[-1], square[1:]))])
+            # digit i of r at every K: the constant u_m[i], the weights u_(m-1)[i], ..., u_0[i]
+            *digits, columns = [_affine_values(t[-1], t[-2::-1], q, shifts) for t in zip(*u)]
+            for digit in reversed(digits):
+                columns = map(operator.add, digit, map(operator.mul, columns, itertools.repeat(q)))
+            # one entry per K, read back and set by loops in C
+            deque(map(marks.__setitem__, map(operator.add, rows, columns), itertools.repeat(1)), maxlen=0)
     return marks
 
 

@@ -51,7 +51,7 @@ from .lefschetz import MotivicPolynomial, projective_class, zeta_series
 from .oracle import (
     DEFAULT_BUDGET,
     FiniteScene,
-    _points,
+    _marked_union_pass,
     affine_line_counts,
     charge,
     charge_each,
@@ -267,15 +267,11 @@ class _Plan:
         self.enumerations.append((q, f"affine line enumeration at q={q}"))
 
     def scene(self, n: int, q: int, s: int) -> Any:
-        # (points of P^n over F_q, those on no mark): one pass tests every point against every mark
+        # (points of P^n over F_q, those on no mark): one pass evaluates every point at every mark
         if not self.live:
             self.enumerations.append(marked_union_steps(n, q, s))
             return None
-        marks = MarkedP1Scene.standard(s, q)
-        total = on_marks = 0
-        for point in _points(n, q):
-            total += 1
-            on_marks += point_in_marked_union(point, marks)
+        total, on_marks = _marked_union_pass(n, q, [mark.coords for mark in MarkedP1Scene.standard(s, q).marks])
         return total, total - on_marks
 
     def marked_union(self, n: int, q: int, s: int) -> Any:

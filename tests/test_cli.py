@@ -276,6 +276,23 @@ def test_prime_field_near_2_61_runs(capsys):
     assert time.perf_counter() - start < 2.0
 
 
+# The marked-union counts at large q: P^3 over F_101 against 3 marks is
+# 3.1e6 point values, and example-p1 at q = 31 counts 5.6e5.
+LARGE_FIELD_OUTPUTS = [
+    (["example", "--n", "3", "--s", "3", "--q", "101"],
+     "c28eceb9f6f77ba77d50b7fa9e7d5c57094855c4fa9d4f285cc7923d353269fd"),
+    (["verify", "--suite", "example-p1", "--q", "31"],
+     "1f9d70fb145adf5c78e02a386ef885cced71d0ee8d819d900eee975ce3e80740"),
+]
+
+
+@pytest.mark.usefixtures("within_two_seconds")
+@pytest.mark.parametrize("argv, expected", LARGE_FIELD_OUTPUTS, ids=["example-q101", "verify-example-p1-q31"])
+def test_large_field_enumerations_run_in_bulk(capsys, argv, expected):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+
+
 def test_pow_coeff_flag_requires_coeffs_base(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pow", "--base", "geometric", "--coeff", "point", "--pair", "point"])

@@ -12,6 +12,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motivic_pairs import (
     BudgetExceededError,
@@ -26,7 +28,11 @@ from motivic_pairs import (
 )
 from motivic_pairs import oracle
 from motivic_pairs.cli import main
+from motivic_pairs.geometry import point_in_marked_union
 from motivic_pairs.oracle import (
+    _affine_values,
+    _marked_union_pass,
+    _shift_tables,
     _square_marks,
     affine_line_counts,
     finite_set_counts,
@@ -76,6 +82,62 @@ def test_count_marked_union_validation():
         count_marked_union(0, MarkedP1Scene.standard(1, 2))
 
 
+# -- the bulk marked-union pass against the per-point reference -----------------
+
+
+def _reference_union(points, scene):
+    # (points, points on some mark), each point tested by Horner's rule at each mark
+    return len(points), sum(point_in_marked_union(p, scene) for p in points)
+
+
+def _bulk_union(n, scene):
+    return _marked_union_pass(n, scene.q, [mark.coords for mark in scene.marks])
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_marked_union_pass_matches_the_reference_on_standard_scenes(q):
+    for n in range(4):
+        points = enumerate_projective(n, q)
+        for s in range(q + 2):
+            scene = MarkedP1Scene.standard(s, q)
+            assert _bulk_union(n, scene) == _reference_union(points, scene), (n, s)
+
+
+def _scene(marks, q):
+    return MarkedP1Scene(tuple(map(ProjectivePoint, marks)), q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_marked_union_pass_matches_the_reference_on_any_marks(data):
+    # any distinct marks in any order, the point at infinity (1 : 0) among them
+    q = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    n = data.draw(st.integers(0, 3))
+    line = [point.coords for point in enumerate_projective(1, q)]
+    marks = data.draw(st.lists(st.sampled_from(line), unique=True, max_size=q + 1))
+    assert _bulk_union(n, _scene(marks, q)) == _reference_union(enumerate_projective(n, q), _scene(marks, q))
+
+
+@pytest.mark.parametrize("q", [257, 263])
+def test_marked_union_pass_matches_the_reference_beyond_byte_values(q):
+    # a value of a form fits no byte: the pass runs one per-point loop
+    line = [point.coords for point in enumerate_projective(1, q)]
+    for n in range(3):
+        points = enumerate_projective(n, q)
+        for marks in ([], [(1, 0)], [(0, 1), (1, 0), (1, q - 1)], line if n < 2 else line[::64]):
+            assert _bulk_union(n, _scene(marks, q)) == _reference_union(points, _scene(marks, q)), (n, len(marks))
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 251, 257])
+def test_affine_values_are_the_form_at_every_point(q):
+    rng = random.Random(q)
+    for k in range(4 if q < 200 else 3):
+        const, weights = rng.randrange(q), [rng.randrange(q) for _ in range(k)]
+        expected = [(const + sum(w * x for w, x in zip(weights, point))) % q for point in itertools.product(range(q), repeat=k)]
+        assert list(_affine_values(const, weights, q, _shift_tables(q))) == expected
+        assert list(_affine_values(const, weights, q, None)) == expected
+
+
 def test_weil_counts_projective_line():
     # exp(sum_r (q^r + 1) t^r / r) has coefficients (q^{n+1} - 1)/(q - 1)
     for q in (2, 3, 5):
@@ -114,6 +176,8 @@ def test_squarefree_counts_closed_form():
         assert count_squarefree_monic(q, 1) == q
         for n in range(2, 6):
             assert count_squarefree_monic(q, n) == q ** n - q ** (n - 1)
+    # beyond byte values the sieve's strings are per-point loops
+    assert count_squarefree_monic(257, 3, budget=257**3) == 257**3 - 257**2
 
 
 def test_squarefree_budget():
@@ -254,7 +318,7 @@ def _monic(q, n):
         yield sum(c * q**i for i, c in enumerate(low)), [*low, 1]
 
 
-@pytest.mark.parametrize("q, top", [(2, 10), (3, 5), (5, 5), (7, 5)])
+@pytest.mark.parametrize("q, top", [(2, 10), (3, 5), (5, 5), (7, 5), (11, 4), (13, 4), (257, 2)])
 def test_square_marks_match_reference_gcd(q, top):
     # over a perfect field f has a square factor iff gcd(f, f') is not constant
     for n in range(1, top + 1):

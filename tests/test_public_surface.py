@@ -145,7 +145,8 @@ def test_suites_charge_and_count_only_through_their_plan():
     # from the work it prices
     watched = {
         "charge", "charge_each",
-        "_points", "count_marked_union", "count_power_configs", "count_squarefree_monic", "enumerate_projective",
+        "_marked_union_pass", "count_marked_union", "count_power_configs", "count_squarefree_monic",
+        "enumerate_projective",
     }
     path = SOURCE / "suites.py"
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -156,7 +157,7 @@ def test_suites_charge_and_count_only_through_their_plan():
         if isinstance(node, ast.Name) and node.id in watched
     }
     assert sorted(uses) == [
-        ("_points", "_Plan"),
+        ("_marked_union_pass", "_Plan"),
         ("charge", "_planned"),
         ("charge_each", "_planned"),
         ("count_marked_union", "_Plan"),

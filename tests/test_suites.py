@@ -299,7 +299,9 @@ def test_dry_pass_builds_nothing(monkeypatch, suite):
         raise AssertionError("a dry pass called the engine")
 
     engine = ("kapranov_zeta", "config_series_pair", "power_pow", "geometric_series", "one_plus", "zeta_series")
-    oracles = ("_points", "count_marked_union", "enumerate_projective", "count_squarefree_monic", "count_power_configs")
+    oracles = (
+        "_marked_union_pass", "count_marked_union", "enumerate_projective", "count_squarefree_monic", "count_power_configs"
+    )
     for name in (*engine, *oracles, "_divide", "_random_poly"):
         monkeypatch.setattr(suites, name, built)
     monkeypatch.setattr(TruncatedSeries, "__mul__", built)
