@@ -15,7 +15,6 @@ from .geometry import (
     hyperplane_union_class,
     point_in_marked_union,
     sym_pair_p1_direct,
-    sym_pair_p1_lambda,
     vieta_coefficients,
 )
 from .lefschetz import MotivicPolynomial
@@ -23,7 +22,6 @@ from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     FiniteScene,
-    count_marked_union,
     count_power_configs,
     count_squarefree_monic,
     enumerate_projective,
@@ -31,7 +29,6 @@ from .oracle import (
 )
 from .pairs import PairClass, catalog
 from .power import (
-    config_series,
     config_series_pair,
     geometric_series,
     kapranov_zeta,
@@ -52,9 +49,7 @@ __all__ = [
     "SUITES",
     "TruncatedSeries",
     "catalog",
-    "config_series",
     "config_series_pair",
-    "count_marked_union",
     "count_power_configs",
     "count_squarefree_monic",
     "enumerate_projective",
@@ -67,7 +62,6 @@ __all__ = [
     "power_pow",
     "run_suite",
     "sym_pair_p1_direct",
-    "sym_pair_p1_lambda",
     "vieta_coefficients",
     "weil_symmetric_counts",
 ]

@@ -18,8 +18,8 @@ renders results and maps outcomes to exit codes.
 
 Exit codes: 0 success, 1 verification or equality failure, 2 usage
 error, 3 budget exhausted (an enumeration, or the term products that
-`zeta`, `pow`, `example` or an algebra suite would need, over the step
-budget), 4 internal error (any other exception, reported in one stderr line
+`zeta`, `pow`, `example` or a suite would need, over the step budget),
+4 internal error (any other exception, reported in one stderr line
 without a traceback).  A reader that closes stdout early does not change
 the exit code and prints nothing to stderr.  Identical invocations print
 byte-identical output: suites run sequentially in a fixed order and all
@@ -123,7 +123,7 @@ def cmd_example(n: int, s: int, fields: tuple[int, ...], fmt: str) -> int:
         n,
         DEFAULT_BUDGET,
         lambda plan: [plan.zeta(projective_line_marked(s))],
-        lambda plan: {q: plan.marked_union(n, q, s) for q in fields if n >= 1 and s <= q + 1},
+        lambda plan: {q: plan.scene(n, q, s) for q in fields if n >= 1 and s <= q + 1},
     )
     direct = sym_pair_p1_direct(n, s)
     lam = zeta.coefficient(n)
@@ -136,7 +136,8 @@ def cmd_example(n: int, s: int, fields: tuple[int, ...], fmt: str) -> int:
         if n < 1:
             counts.append({"q": q, "skipped": "enumeration needs n >= 1"})
             continue
-        enumerated = unions[q]
+        total, complement = unions[q]
+        enumerated = total - complement
         from_class = hyperplane_union_class(n, s).evaluate(q)
         counts.append(
             {

@@ -18,9 +18,10 @@ them have empty intersection: general position for free, which is why
 `hyperplane_union_class` is pure inclusion-exclusion in (n, s).
 
 The same symmetric-power class is computable a second way, as the t^n
-coefficient of the zeta series of the marked line.  `sym_pair_p1_lambda`
-and `sym_pair_p1_direct` must agree exactly; that equality is the entire
-point of the example and is enforced by the verification suites.
+coefficient of the zeta series of the marked line.  `sym_pair_p1_direct`
+and that coefficient must agree exactly; that equality is the entire
+point of the example, and the verification suites, which make the zeta
+series, enforce it.  So this module builds no series.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from typing import Sequence
 
 from .field import is_prime
 from .lefschetz import MotivicPolynomial, projective_class
-from .pairs import PairClass, projective_line_marked
-from .power import kapranov_zeta
+from .pairs import PairClass
 
 
 @dataclass(frozen=True)
@@ -122,13 +122,6 @@ def sym_pair_p1_direct(n: int, s: int) -> PairClass:
         raise ValueError("dimension and mark count must be non-negative")
     ambient = projective_class(n)
     return PairClass(ambient, ambient - hyperplane_union_class(n, s))
-
-
-def sym_pair_p1_lambda(n: int, s: int) -> PairClass:
-    """The same pair read off the zeta series of the marked line."""
-    if n < 0 or s < 0:
-        raise ValueError("dimension and mark count must be non-negative")
-    return kapranov_zeta(projective_line_marked(s), n).coefficient(n)
 
 
 def vieta_coefficients(roots: Sequence[ProjectivePoint], q: int) -> ProjectivePoint:

@@ -4,11 +4,12 @@ Four independent counting routes live here, none of which touches the
 series machinery it is used to check:
 
 * point enumeration in projective space over a prime field, for the
-  hyperplane-union counts of the worked example, in bulk: the values of a
-  mark's form at every point are built as byte strings;
+  hyperplane-union counts of the worked example, in bulk: one pass counts
+  the points of P^n and those on some mark hyperplane, building the
+  values of a mark's form at every point as byte strings;
 * the exponential point-count identity for symmetric powers,
   sum_n |S^n X| t^n = exp(sum_r N_r t^r / r), evaluated by an exact
-  integer recurrence from closed-form extension counts N_r;
+  integer recurrence from a list of extension counts N_r;
 * exhaustive counting of squarefree monic polynomials by a sieve that
   marks every multiple of a square, the finite-field incarnation of
   configurations of distinct points on the affine line;
@@ -21,7 +22,8 @@ refuse rather than silently sample.  Every refusal in the package, of an
 enumeration or of the term products of a series, goes through `charge`;
 `charge_each` refuses a list of enumerations one by one, then as a whole.
 Each oracle's work is priced once, by its `*_steps` function, which the
-suites' dry plans read too.
+suites' dry plans read too; the marked-union pass charges nothing itself,
+as its one caller, the suites' plan, prices it first.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ import itertools
 import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .field import is_prime
-from .geometry import MarkedP1Scene, ProjectivePoint
+from .geometry import ProjectivePoint
 
 DEFAULT_BUDGET = 10**7
 
@@ -154,55 +156,22 @@ def enumerate_projective(n: int, q: int, budget: int = DEFAULT_BUDGET) -> list[P
     ]
 
 
-def count_marked_union(n: int, scene: MarkedP1Scene, budget: int = DEFAULT_BUDGET) -> int:
-    """Points of projective n-space over the scene's field lying on at least one mark hyperplane.
-
-    Exhaustive: every point is evaluated at every mark, so the points
-    times the marks (at least one) are charged to the budget before any
-    value is built (see `_marked_union_pass`).  Must agree with evaluating
-    the inclusion-exclusion class at the scene's q, and with
-    `point_in_marked_union` at every point.
-    """
-    if n < 1:
-        raise ValueError("the hyperplane picture needs dimension >= 1")
-    charge(*marked_union_steps(n, scene.q, len(scene.marks)), budget)
-    return _marked_union_pass(n, scene.q, [mark.coords for mark in scene.marks])[1]
-
-
-def weil_symmetric_counts(point_count: Callable[[int], int], order: int) -> list[int]:
-    """Symmetric-power point counts from extension counts N_r = point_count(r).
+def weil_symmetric_counts(extension_counts: Sequence[int]) -> list[int]:
+    """Symmetric-power point counts S_0..S_top from the extension counts N_1..N_top.
 
     Expands exp(sum_r N_r t^r / r) in exact integers via the
     log-derivative recurrence n*S_n = sum_{r=1..n} N_r * S_{n-r}.  Every
     division by n must be exact; a remainder is an arithmetic bug
     somewhere, so it raises instead of rounding.
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    extension_counts = [point_count(r) for r in range(1, order + 1)]
     counts = [1]
-    for n in range(1, order + 1):
+    for n in range(1, len(extension_counts) + 1):
         total = sum(extension_counts[r - 1] * counts[n - r] for r in range(1, n + 1))
         count, rest = divmod(total, n)
         if rest:
             raise ArithmeticError(f"symmetric-power count at degree {n} is not an integer: {total}/{n}")
         counts.append(count)
     return counts
-
-
-def projective_line_counts(q: int) -> Callable[[int], int]:
-    """Extension counts of the projective line: q^r + 1."""
-    return lambda r: q**r + 1
-
-
-def affine_line_counts(q: int) -> Callable[[int], int]:
-    """Extension counts of the affine line: q^r."""
-    return lambda r: q**r
-
-
-def finite_set_counts(s: int) -> Callable[[int], int]:
-    """Extension counts of s rational points: constantly s."""
-    return lambda r: s
 
 
 def count_squarefree_monic(q: int, n: int, budget: int = DEFAULT_BUDGET) -> int:

@@ -13,17 +13,15 @@ Row order is fixed and all sampling uses constant seeds, so a suite run
 is reproducible byte for byte.  `run_suite` wraps one suite into a report
 dict; the `SUITES` registry drives the command line.
 
-Every suite but weil is one function of a `_Plan` of engine and oracle
-calls: run dry, the plan sums the term-product bound of each series call
-and lists the steps of each enumeration, building, drawing and counting
+Every suite is one function of a `_Plan` of engine and oracle calls:
+run dry, the plan sums the term-product bound of each series call and
+lists the steps of each enumeration, building, drawing and counting
 nothing, and over the budget the suite refuses; run live, it makes the
 series and calls the oracles.  So the bound and the work are the same
-code.  The `zeta`, `pow` and `example` commands run on the same plan
-through `_planned`, under their own refusal names, so `_planned` holds
-every up-front charge outside the oracles and the pair-spec grammar.
-Only series of a fixed small size are made outside a plan: those of
-weil, the coherence rows of example-p1 and the configuration series of
-squarefree.
+code, and no series or oracle call of a suite is made outside its plan.
+The `zeta`, `pow` and `example` commands run on the same plan through
+`_planned`, under their own refusal names, so `_planned` holds every
+up-front charge outside the oracles and the pair-spec grammar.
 
 Suites whose content is an exhaustive grid (the worked example, the
 finite-scene enumeration, the counting oracles) fix their own ranges; the
@@ -44,7 +42,6 @@ from .geometry import (
     hyperplane_union_class,
     point_in_marked_union,
     sym_pair_p1_direct,
-    sym_pair_p1_lambda,
     vieta_coefficients,
 )
 from .lefschetz import MotivicPolynomial, projective_class, zeta_series
@@ -52,17 +49,13 @@ from .oracle import (
     DEFAULT_BUDGET,
     FiniteScene,
     _marked_union_pass,
-    affine_line_counts,
     charge,
     charge_each,
-    count_marked_union,
     count_power_configs,
     count_squarefree_monic,
     enumerate_projective,
-    finite_set_counts,
     marked_union_steps,
     power_config_steps,
-    projective_line_counts,
     squarefree_steps,
     weil_symmetric_counts,
 )
@@ -70,7 +63,6 @@ from .pairs import PairClass, catalog, parse_pair_spec, split_atom
 from .power import (
     _slopes,
     config_cost,
-    config_series,
     config_series_pair,
     geometric_series,
     kapranov_zeta,
@@ -273,11 +265,6 @@ class _Plan:
             return None
         total, on_marks = _marked_union_pass(n, q, [mark.coords for mark in MarkedP1Scene.standard(s, q).marks])
         return total, total - on_marks
-
-    def marked_union(self, n: int, q: int, s: int) -> Any:
-        if self.live:
-            return count_marked_union(n, MarkedP1Scene.standard(s, q), self.budget)
-        self.enumerations.append(marked_union_steps(n, q, s))
 
     def points(self, n: int, q: int) -> Any:
         if self.live:
@@ -653,8 +640,11 @@ def suite_identities(order: int, fields: tuple[int, ...], budget: int) -> list[d
 def suite_example_p1(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
     """Marked-line symmetric powers: both pipelines, counts, and the root map.
 
-    Refuses over the budget before it builds a scene or a point.
+    The zeta series of the marked lines are made to order 8 whatever the
+    suite's order.  Refuses over the budget before it builds a series, a
+    scene or a point.
     """
+    top = 8
     scenes = [(q, n, s) for q in fields for n in range(1, 4) for s in range(min(5, q + 1) + 1)]
 
     def roots(plan: _Plan) -> Iterator[tuple]:
@@ -664,26 +654,29 @@ def suite_example_p1(order: int, fields: tuple[int, ...], budget: int) -> list[d
             for n in range(1, 4):
                 yield q, n, plan.root_tuples(line, q, n)
 
-    unions, root_tuples = _planned(
+    zetas, unions, root_tuples = _planned(
         "example-p1",
-        order,
+        top,
         budget,
-        lambda plan: ((q, n, s, plan.marked_union(n, q, s)) for q, n, s in scenes),
+        lambda plan: [plan.zeta(catalog("p1-marked", s)) for s in range(6)],
+        lambda plan: ((q, n, s, plan.scene(n, q, s)) for q, n, s in scenes),
         roots,
     )
     rows = [
-        _check("sym-pair-coherence", {"n": n, "s": s}, str(sym_pair_p1_direct(n, s)), str(sym_pair_p1_lambda(n, s)))
-        for n in range(9)
+        _check("sym-pair-coherence", {"n": n, "s": s}, str(sym_pair_p1_direct(n, s)), str(zetas[s].coefficient(n)))
+        for n in range(top + 1)
         for s in range(6)
     ]
+    # each union class once a run: the rows below read P^1 to P^3 with at most 5 marks
+    union_class = {(n, s): hyperplane_union_class(n, s) for n in range(1, 4) for s in range(6)}
     rows += [
-        _check("hyperplane-union-count", {"n": n, "s": s, "q": q}, counted, hyperplane_union_class(n, s).evaluate(q))
-        for q, n, s, counted in unions
+        _check("hyperplane-union-count", {"n": n, "s": s, "q": q}, total - off, union_class[n, s].evaluate(q))
+        for q, n, s, (total, off) in unions
     ]
     for q in fields:
         for n in range(1, 4):
             for s in range(0, min(4, q) + 1):
-                diff = (hyperplane_union_class(n, s + 1) - hyperplane_union_class(n, s)).evaluate(q)
+                diff = (union_class[n, s + 1] - union_class[n, s]).evaluate(q)
                 rows.append(_bound("hyperplane-union-monotone", {"n": n, "s": s, "q": q}, ">= 0", diff, diff >= 0))
 
     for q, n, tuples in root_tuples:
@@ -743,68 +736,65 @@ def suite_eq3_finite(order: int, fields: tuple[int, ...], budget: int) -> list[d
 
 
 def suite_weil(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
-    """Symmetric-power point counts against the exponential counting formula."""
+    """Symmetric-power point counts against the exponential counting formula.
+
+    The zeta series of P^1, A^1 and 0 to 3 points are made to order 10
+    whatever the suite's order.  Refuses over the budget before it builds
+    any.
+    """
     top = 10
+    lanes = (projective_class(1), MotivicPolynomial.lefschetz(), *map(MotivicPolynomial.constant, range(4)))
+    ((p1, a1, *finite),) = _planned("weil", top, budget, lambda plan: [plan.zeta(lane) for lane in lanes])
     rows = []
     for q in fields:
-        spaces = [
-            ("p1", projective_class(1), projective_line_counts(q)),
-            ("a1", MotivicPolynomial.lefschetz(), affine_line_counts(q)),
-        ]
-        for label, poly, counts in spaces:
-            oracle = weil_symmetric_counts(counts, top)
-            engine = [c.evaluate(q) for c in zeta_series(poly, top).coeffs]
-            rows.append(_check("weil-kapranov", {"space": label, "q": q}, oracle, engine))
-        rows.append(
+        # the extension counts N_r of P^1 and A^1 over F_q are q^r + 1 and q^r
+        p1_counts = weil_symmetric_counts([q**r + 1 for r in range(1, top + 1)])
+        a1_counts = weil_symmetric_counts([q**r for r in range(1, top + 1)])
+        rows += [
+            _check("weil-kapranov", {"space": "p1", "q": q}, p1_counts, [c.evaluate(q) for c in p1.coeffs]),
+            _check("weil-kapranov", {"space": "a1", "q": q}, a1_counts, [c.evaluate(q) for c in a1.coeffs]),
             _check(
                 "weil-closed-form",
                 {"space": "p1", "q": q},
                 [(q ** (n + 1) - 1) // (q - 1) for n in range(top + 1)],
-                weil_symmetric_counts(projective_line_counts(q), top),
-            )
-        )
-        rows.append(
-            _check(
-                "weil-closed-form",
-                {"space": "a1", "q": q},
-                [q**n for n in range(top + 1)],
-                weil_symmetric_counts(affine_line_counts(q), top),
-            )
-        )
-    for s in range(4):
-        oracle = weil_symmetric_counts(finite_set_counts(s), top)
-        engine = [
-            c.evaluate(2) for c in zeta_series(MotivicPolynomial.constant(s), top).coeffs
+                p1_counts,
+            ),
+            _check("weil-closed-form", {"space": "a1", "q": q}, [q**n for n in range(top + 1)], a1_counts),
         ]
-        rows.append(_check("weil-kapranov", {"space": f"{s} points"}, oracle, engine))
-        rows.append(
+    for s, zeta in enumerate(finite):
+        # s rational points have s points over every extension
+        oracle = weil_symmetric_counts([s] * top)
+        rows += [
+            _check("weil-kapranov", {"space": f"{s} points"}, oracle, [c.evaluate(2) for c in zeta.coeffs]),
             _check(
                 "weil-closed-form",
                 {"space": f"{s} points"},
                 [1 if n == 0 else comb(s + n - 1, n) for n in range(top + 1)],
                 oracle,
-            )
-        )
+            ),
+        ]
     return rows
 
 
 def suite_squarefree(order: int, fields: tuple[int, ...], budget: int) -> list[dict]:
     """Distinct-point configurations of the affine line vs squarefree counts.
 
-    Refuses over the budget before it counts anything.
+    The configuration series of the affine line is made to order 6
+    whatever the suite's order.  Refuses over the budget before it builds
+    it or counts anything.
     """
     top = 6
-    (counts,) = _planned(
+    counts, (series,) = _planned(
         "squarefree",
-        order,
+        top,
         budget,
         lambda plan: ((q, n, plan.squarefree(q, n)) for q in fields for n in range(1, top + 1)),
+        lambda plan: [plan.config(catalog("affine-marked", 0))],
     )
-    series = config_series(MotivicPolynomial.lefschetz(), top)
     rows = []
     for q, n, counted in counts:
         rows += [
-            _check("squarefree-config", {"q": q, "n": n}, counted, series.coefficient(n).evaluate(q)),
+            _check("squarefree-config", {"q": q, "n": n}, counted, series.coefficient(n).amb.evaluate(q)),
             _check("squarefree-closed-form", {"q": q, "n": n}, q if n == 1 else q**n - q ** (n - 1), counted),
         ]
     return rows

@@ -325,6 +325,12 @@ def test_example_skips_fields_without_enough_points(capsys):
     assert "q=3:" in out and "skipped" not in out.splitlines()[-1]
 
 
+def test_example_counts_no_union_in_dimension_zero(capsys):
+    # P^0 holds no hyperplane, so no field is enumerated
+    assert main(["example", "--n", "0", "--s", "1", "--q", "2,3", "--format", "json"]) == 0
+    assert [c.get("skipped") for c in json.loads(capsys.readouterr().out)["counts"]] == ["enumeration needs n >= 1"] * 2
+
+
 def test_example_over_budget_exits_3(capsys):
     # P^30 over F_5 has ~1.2e21 points: refused before any is built
     assert main(["example", "--n", "30", "--s", "2", "--q", "5"]) == 3
@@ -467,11 +473,12 @@ def test_verify_budget_exhaustion_exit_code(capsys):
 
 
 def test_verify_budget_bounds_projective_enumeration(capsys):
-    # P^1 over F_2 has 3 points, tested against 2 marks: more than the budget of the suite run
-    assert main(["verify", "--suite", "example-p1", "--q", "2", "--budget", "5"]) == 3
+    # the budget covers the suite's series (2760 term products) and its scenes up to
+    # P^2 over F_53 against 1 mark, but not its 2863 points tested against 2 marks
+    assert main(["verify", "--suite", "example-p1", "--q", "53", "--budget", "3000"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "projective enumeration at q=2, n=1 against 2 marks needs ~6 steps, budget is 5" in captured.err
+    assert "projective enumeration at q=53, n=2 against 2 marks needs ~5726 steps, budget is 3000" in captured.err
 
 
 def test_verify_identities_over_budget_exits_3(capsys):

@@ -8,13 +8,14 @@ from motivic_pairs import (
     MarkedP1Scene,
     MotivicPolynomial,
     ProjectivePoint,
+    catalog,
     hyperplane_union_class,
+    kapranov_zeta,
     point_in_marked_union,
     sym_pair_p1_direct,
-    sym_pair_p1_lambda,
     vieta_coefficients,
 )
-from motivic_pairs.oracle import count_marked_union, enumerate_projective
+from motivic_pairs.oracle import _marked_union_pass, enumerate_projective
 
 L = MotivicPolynomial.lefschetz()
 ONE = MotivicPolynomial.one()
@@ -80,15 +81,16 @@ def test_union_class_counts_match_enumeration():
     # count depends on s alone, whichever points are marked.
     for q in (2, 3, 5):
         for marks in mark_sets(q):
-            scene = MarkedP1Scene(marks, q)
             for n in (1, 2, 3):
-                assert count_marked_union(n, scene) == hyperplane_union_class(n, len(marks)).evaluate(q)
+                _, on_marks = _marked_union_pass(n, q, [mark.coords for mark in marks])
+                assert on_marks == hyperplane_union_class(n, len(marks)).evaluate(q)
 
 
 def test_sym_pair_routes_agree():
+    # the hyperplane picture against the t^n coefficient of the marked line's zeta series
     for n in range(7):
         for s in range(6):
-            assert sym_pair_p1_direct(n, s) == sym_pair_p1_lambda(n, s)
+            assert sym_pair_p1_direct(n, s) == kapranov_zeta(catalog("p1-marked", s), n).coefficient(n)
 
 
 def test_sym_pair_small_values():

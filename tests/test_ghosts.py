@@ -20,7 +20,6 @@ from motivic_pairs import (
     PairClass,
     TruncatedSeries,
     catalog,
-    config_series,
     config_series_pair,
     geometric_series,
     kapranov_zeta,
@@ -29,7 +28,7 @@ from motivic_pairs import (
 )
 from motivic_pairs import lefschetz, power
 from motivic_pairs.lefschetz import adams, ghost_exp, ghost_log, lane_memo, projective_class, zeta_series
-from motivic_pairs.power import _lane_pow, pow_cost, tail_slopes, zeta_cost
+from motivic_pairs.power import _lane_pow, config_series, pow_cost, tail_slopes, zeta_cost
 from motivic_pairs.suites import _divide
 
 L = MotivicPolynomial.lefschetz()

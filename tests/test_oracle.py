@@ -20,7 +20,6 @@ from motivic_pairs import (
     FiniteScene,
     MarkedP1Scene,
     ProjectivePoint,
-    count_marked_union,
     count_power_configs,
     count_squarefree_monic,
     enumerate_projective,
@@ -34,9 +33,7 @@ from motivic_pairs.oracle import (
     _marked_union_pass,
     _shift_tables,
     _square_marks,
-    affine_line_counts,
-    finite_set_counts,
-    projective_line_counts,
+    marked_union_steps,
 )
 
 
@@ -56,14 +53,14 @@ def test_enumerate_projective_canonical_form():
     assert enumerate_projective(0, 5) == [ProjectivePoint((1,))]
 
 
-def test_count_marked_union_hand_checked():
+def test_marked_union_pass_hand_checked():
     # P^2 over F_2 has 7 points; two general lines share 1, so the union has
-    # 3 + 3 - 1 = 5.  Over F_3: 4 + 4 - 1 = 7.
-    assert count_marked_union(2, MarkedP1Scene.standard(2, 2)) == 5
-    assert count_marked_union(2, MarkedP1Scene.standard(2, 3)) == 7
-    assert count_marked_union(2, MarkedP1Scene.standard(0, 2)) == 0
+    # 3 + 3 - 1 = 5.  Over F_3: 13 points, 4 + 4 - 1 = 7 on the union.
+    assert _bulk_union(2, MarkedP1Scene.standard(2, 2)) == (7, 5)
+    assert _bulk_union(2, MarkedP1Scene.standard(2, 3)) == (13, 7)
+    assert _bulk_union(2, MarkedP1Scene.standard(0, 2)) == (7, 0)
     # one hyperplane in P^n is a P^{n-1}
-    assert count_marked_union(3, MarkedP1Scene.standard(1, 2)) == 7
+    assert _bulk_union(3, MarkedP1Scene.standard(1, 2)) == (15, 7)
 
 
 def test_projective_enumeration_budget():
@@ -73,13 +70,9 @@ def test_projective_enumeration_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_projective(2, 3, budget=12)
     assert len(enumerate_projective(2, 3, budget=13)) == 13
-    with pytest.raises(BudgetExceededError):
-        count_marked_union(2, MarkedP1Scene.standard(2, 2), budget=6)
-
-
-def test_count_marked_union_validation():
-    with pytest.raises(ValueError):
-        count_marked_union(0, MarkedP1Scene.standard(1, 2))
+    # a marked-union pass is priced at its points times its marks, at least one
+    assert marked_union_steps(2, 2, 2) == (14, "projective enumeration at q=2, n=2 against 2 marks")
+    assert marked_union_steps(2, 3, 0) == (13, "projective enumeration at q=3, n=2")
 
 
 # -- the bulk marked-union pass against the per-point reference -----------------
@@ -141,25 +134,25 @@ def test_affine_values_are_the_form_at_every_point(q):
 def test_weil_counts_projective_line():
     # exp(sum_r (q^r + 1) t^r / r) has coefficients (q^{n+1} - 1)/(q - 1)
     for q in (2, 3, 5):
-        counts = weil_symmetric_counts(projective_line_counts(q), 8)
+        counts = weil_symmetric_counts([q**r + 1 for r in range(1, 9)])
         assert counts == [(q ** (n + 1) - 1) // (q - 1) for n in range(9)]
 
 
 def test_weil_counts_affine_line():
     for q in (2, 3):
-        assert weil_symmetric_counts(affine_line_counts(q), 6) == [q ** n for n in range(7)]
+        assert weil_symmetric_counts([q**r for r in range(1, 7)]) == [q ** n for n in range(7)]
 
 
 def test_weil_counts_finite_sets():
     for s in range(4):
-        counts = weil_symmetric_counts(finite_set_counts(s), 6)
+        counts = weil_symmetric_counts([s] * 6)
         assert counts == [1 if n == 0 else comb(s + n - 1, n) for n in range(7)]
 
 
 def test_weil_counts_reject_non_realizable_sequences():
     # N_1 = 2, N_2 = 1 forces a half-integer multiset count at degree 2
     with pytest.raises(ArithmeticError):
-        weil_symmetric_counts(lambda r: 2 if r == 1 else 1, 3)
+        weil_symmetric_counts([2, 1, 1])
 
 
 def test_squarefree_counts_hand_checked():

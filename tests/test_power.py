@@ -13,7 +13,6 @@ from motivic_pairs import (
     PairClass,
     TruncatedSeries,
     catalog,
-    config_series,
     config_series_pair,
     geometric_series,
     kapranov_zeta,
@@ -21,6 +20,7 @@ from motivic_pairs import (
     power_pow,
 )
 from motivic_pairs.lefschetz import projective_class, zeta_series
+from motivic_pairs.power import config_series
 from motivic_pairs.suites import _axiom_rows, _exponent_laws, _identity_laws, _Plan, axiom_row, first_mismatch
 
 L = MotivicPolynomial.lefschetz()

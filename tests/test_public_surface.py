@@ -141,12 +141,12 @@ def test_indented_json_has_one_renderer():
 
 def test_suites_charge_and_count_only_through_their_plan():
     # a suite's up-front price is a dry run of its plan: `_planned` holds its
-    # only charges, and only `_Plan` calls an oracle, so no price is kept apart
-    # from the work it prices
+    # only charges, and only `_Plan` makes an engine series or calls an
+    # oracle, so no price is kept apart from the work it prices
     watched = {
         "charge", "charge_each",
-        "_marked_union_pass", "count_marked_union", "count_power_configs", "count_squarefree_monic",
-        "enumerate_projective",
+        "_marked_union_pass", "count_power_configs", "count_squarefree_monic", "enumerate_projective",
+        "zeta_series", "kapranov_zeta", "config_series_pair", "power_pow",
     }
     path = SOURCE / "suites.py"
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -160,11 +160,22 @@ def test_suites_charge_and_count_only_through_their_plan():
         ("_marked_union_pass", "_Plan"),
         ("charge", "_planned"),
         ("charge_each", "_planned"),
-        ("count_marked_union", "_Plan"),
+        ("config_series_pair", "_Plan"),
         ("count_power_configs", "_Plan"),
         ("count_squarefree_monic", "_Plan"),
         ("enumerate_projective", "_Plan"),
+        ("kapranov_zeta", "_Plan"),
+        ("power_pow", "_Plan"),
+        ("zeta_series", "_Plan"),
     ]
+
+
+def test_geometry_builds_no_series():
+    # the worked example's geometry sits below the series engine and the suites
+    path = SOURCE / "geometry.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    siblings = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert siblings & {"power", "suites"} == set()
 
 
 def test_commands_price_only_through_a_plan():
@@ -172,8 +183,8 @@ def test_commands_price_only_through_a_plan():
     # reads no price and calls no engine routine that one prices; the only
     # charges outside the guard's module and the spec grammar are _planned's
     priced = {
-        "charge", "charge_each", "marked_union_steps", "count_marked_union", "zeta_cost", "pow_cost",
-        "tail_slopes", "kapranov_zeta", "power_pow", "sym_pair_p1_lambda",
+        "charge", "charge_each", "marked_union_steps", "_marked_union_pass", "zeta_cost", "pow_cost",
+        "tail_slopes", "kapranov_zeta", "power_pow",
     }
     path = SOURCE / "cli.py"
     read = set()
