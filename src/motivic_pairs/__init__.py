@@ -12,9 +12,7 @@ from .field import is_prime
 from .geometry import (
     MarkedP1Scene,
     ProjectivePoint,
-    hyperplane_union_class,
     point_in_marked_union,
-    sym_pair_p1_direct,
     vieta_coefficients,
 )
 from .lefschetz import MotivicPolynomial
@@ -54,14 +52,12 @@ __all__ = [
     "count_squarefree_monic",
     "enumerate_projective",
     "geometric_series",
-    "hyperplane_union_class",
     "is_prime",
     "kapranov_zeta",
     "one_plus",
     "point_in_marked_union",
     "power_pow",
     "run_suite",
-    "sym_pair_p1_direct",
     "vieta_coefficients",
     "weil_symmetric_counts",
 ]

@@ -39,10 +39,9 @@ import sys
 from typing import Any, Callable, Sequence
 
 from .field import is_prime
-from .geometry import hyperplane_union_class, sym_pair_p1_direct
 from .lefschetz import lane_memo
 from .oracle import DEFAULT_BUDGET, BudgetExceededError
-from .pairs import _PARAM, PairClass, parse_pair_spec, projective_line_marked
+from .pairs import _PARAM, PairClass, catalog, parse_pair_spec
 from .suites import SUITES, _planned, run_suite
 
 
@@ -122,10 +121,10 @@ def cmd_example(n: int, s: int, fields: tuple[int, ...], fmt: str) -> int:
         (f"zeta series of p1-marked:{s} to order {n}", "example enumerations"),
         n,
         DEFAULT_BUDGET,
-        lambda plan: [plan.zeta(projective_line_marked(s))],
+        lambda plan: [plan.zeta(catalog("p1-marked", s))],
         lambda plan: {q: plan.scene(n, q, s) for q in fields if n >= 1 and s <= q + 1},
     )
-    direct = sym_pair_p1_direct(n, s)
+    direct = catalog("pn-hyp", n, s)
     lam = zeta.coefficient(n)
     equal = direct == lam
     counts: list[dict] = []
@@ -138,7 +137,7 @@ def cmd_example(n: int, s: int, fields: tuple[int, ...], fmt: str) -> int:
             continue
         total, complement = unions[q]
         enumerated = total - complement
-        from_class = hyperplane_union_class(n, s).evaluate(q)
+        from_class = direct.subvariety.evaluate(q)
         counts.append(
             {
                 "q": q,

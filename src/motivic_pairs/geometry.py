@@ -15,24 +15,22 @@ infinity (1 : 0) are the same kind of object.  Distinct marks give
 coefficient rows of an extended Vandermonde matrix, so any k <= n of the
 hyperplanes meet in a codimension-k projective subspace and more than n of
 them have empty intersection: general position for free, which is why
-`hyperplane_union_class` is pure inclusion-exclusion in (n, s).
+the class of the pair, `pairs.catalog("pn-hyp", n, s)`, is pure
+inclusion-exclusion in (n, s).
 
-The same symmetric-power class is computable a second way, as the t^n
-coefficient of the zeta series of the marked line.  `sym_pair_p1_direct`
-and that coefficient must agree exactly; that equality is the entire
-point of the example, and the verification suites, which make the zeta
-series, enforce it.  So this module builds no series.
+This module holds only the points over F_q: projective points, marked
+scenes on the line, the Vieta map and the test of a point against the
+marks.  It builds no class and no series, and it imports only `field`:
+the suites compare the class above with the t^n coefficient of the zeta
+series of the marked line, and with the counts of an enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Sequence
 
 from .field import is_prime
-from .lefschetz import MotivicPolynomial, projective_class
-from .pairs import PairClass
 
 
 @dataclass(frozen=True)
@@ -98,30 +96,6 @@ class MarkedP1Scene:
         if s > q:
             marks.append(ProjectivePoint((1, 0)))
         return cls(tuple(marks), q)
-
-
-def hyperplane_union_class(n: int, s: int) -> MotivicPolynomial:
-    """Class of a union of s general-position hyperplanes in projective n-space.
-
-    Inclusion-exclusion over nonempty intersections: any k <= n of the
-    hyperplanes meet in a projective space of dimension n - k, and any
-    more than n have empty intersection.
-    """
-    if n < 0 or s < 0:
-        raise ValueError("dimension and hyperplane count must be non-negative")
-    total = MotivicPolynomial.zero()
-    for k in range(1, min(s, n) + 1):
-        term = projective_class(n - k) * MotivicPolynomial.constant(comb(s, k))
-        total = total + (term if k % 2 == 1 else -term)
-    return total
-
-
-def sym_pair_p1_direct(n: int, s: int) -> PairClass:
-    """Symmetric-power pair of the s-marked line via the hyperplane picture."""
-    if n < 0 or s < 0:
-        raise ValueError("dimension and mark count must be non-negative")
-    ambient = projective_class(n)
-    return PairClass(ambient, ambient - hyperplane_union_class(n, s))
 
 
 def vieta_coefficients(roots: Sequence[ProjectivePoint], q: int) -> ProjectivePoint:

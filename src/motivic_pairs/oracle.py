@@ -19,8 +19,10 @@ series machinery it is used to check:
 
 Enumeration budgets are explicit and overruns raise; an oracle must
 refuse rather than silently sample.  Every refusal in the package, of an
-enumeration or of the term products of a series, goes through `charge`;
-`charge_each` refuses a list of enumerations one by one, then as a whole.
+enumeration, of the term products of a series or of a catalog class or
+pair spec (`pairs` imports `charge` and `DEFAULT_BUDGET` from here), goes
+through `charge`; `charge_each` refuses a list of enumerations one by one,
+then as a whole.
 Each oracle's work is priced once, by its `*_steps` function, which the
 suites' dry plans read too; the marked-union pass charges nothing itself,
 as its one caller, the suites' plan, prices it first.

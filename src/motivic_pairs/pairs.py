@@ -18,16 +18,23 @@ subvariety = ambient - complement.
 The catalog at the bottom provides every concrete generator used by the
 verification suites, keyed by short names, and the pair-spec grammar
 below it names catalog entries and their sums, products and negatives in
-text, for the command line and the suites alike.
+text, for the command line and the suites alike.  Every marked projective
+space of the catalog (`pn:n`, `p1-marked:s`, `pn-hyp:n,s`) is P^n with s
+general hyperplanes marked, built by one inclusion-exclusion; the worked
+example's two routes, zeta of the marked line and enumeration of its
+scenes, are both checked against that one class.  The catalog and the
+grammar refuse their work up front through `oracle.charge`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 from .lefschetz import MotivicPolynomial, projective_class
+from .oracle import DEFAULT_BUDGET, charge
 
 
 @dataclass(frozen=True)
@@ -46,11 +53,6 @@ class PairClass:
     @classmethod
     def one(cls) -> "PairClass":
         return cls(MotivicPolynomial.one(), MotivicPolynomial.one())
-
-    @classmethod
-    def unmarked(cls, ambient: MotivicPolynomial) -> "PairClass":
-        """Pair with empty marked subspace: the complement is everything."""
-        return cls(ambient, ambient)
 
     # -- derived class ----------------------------------------------------
 
@@ -109,34 +111,35 @@ def affine_line_marked(marks: int) -> PairClass:
     return PairClass(lef, lef - MotivicPolynomial.constant(marks))
 
 
-def projective_line_marked(marks: int) -> PairClass:
-    """The projective line with `marks` distinct marked points."""
-    if marks < 0:
-        raise ValueError("number of marks must be non-negative")
-    p1 = projective_class(1)
-    return PairClass(p1, p1 - MotivicPolynomial.constant(marks))
-
-
-def projective_space(dim: int) -> PairClass:
-    """n-dimensional projective space with nothing marked."""
-    return PairClass.unmarked(projective_class(dim))
-
-
 def projective_space_with_hyperplanes(dim: int, count: int) -> PairClass:
-    """Projective n-space with a union of general-position hyperplanes marked."""
-    from .geometry import sym_pair_p1_direct  # deferred: geometry builds on this module
+    """Projective n-space with a union of `count` general-position hyperplanes marked.
 
-    return sym_pair_p1_direct(dim, count)
+    The complement is inclusion-exclusion from [P^n]: any k <= n of the
+    hyperplanes meet in a P^(n-k), and any more than n meet nowhere.  With
+    nothing marked the complement is the ambient class itself.
+    """
+    if dim < 0 or count < 0:
+        raise ValueError("dimension and hyperplane count must be non-negative")
+    ambient = complement = projective_class(dim)
+    for k in range(1, min(count, dim) + 1):
+        complement = complement + projective_class(dim - k) * MotivicPolynomial.constant((-1) ** k * comb(count, k))
+    return PairClass(ambient, complement)
 
 
-_CATALOG = {
+# The marked projective spaces, name -> (the (n, s) of its parameters, arity):
+# P^n with s general hyperplanes marked, on the line s points, each built by
+# projective_space_with_hyperplanes.
+_MARKED_PN = {
+    "p1-marked": (lambda s: (1, s), 1),
+    "pn": (lambda n: (n, 0), 1),
+    "pn-hyp": (lambda n, s: (n, s), 2),
+}
+_CATALOG = {  # name -> (builder, arity)
     "point": (PairClass.one, 0),  # a single point, nothing marked: the ring unit
     "empty": (PairClass.zero, 0),  # the ring zero
     "finite": (finite, 2),
     "affine-marked": (affine_line_marked, 1),
-    "p1-marked": (projective_line_marked, 1),
-    "pn": (projective_space, 1),
-    "pn-hyp": (projective_space_with_hyperplanes, 2),
+    **_MARKED_PN,
 }
 
 
@@ -149,15 +152,12 @@ def catalog(name: str, *params: int) -> PairClass:
     builder, arity = entry
     if len(params) != arity:
         raise ValueError(f"catalog entry {name!r} takes {arity} parameter(s), got {len(params)}")
-    if name in ("pn", "pn-hyp"):
-        # refused before building: pn:n has n + 1 terms, and pn-hyp:n,s sums
-        # min(s, n) + 1 classes of at most n + 1 terms (the import is deferred:
-        # oracle imports geometry, which imports this module)
-        from .oracle import DEFAULT_BUDGET, charge
-
-        n, s = (*params, 0)[:2]
-        charge((n + 1) * (min(s, n) + 1), f"catalog class {name} of dimension {n}", DEFAULT_BUDGET)
-    return builder(*params)
+    if name not in _MARKED_PN:
+        return builder(*params)
+    # refused before building: the complement sums min(s, n) + 1 classes of at most n + 1 terms
+    n, s = builder(*params)
+    charge((n + 1) * (min(s, n) + 1), f"catalog class {name} of dimension {n}", DEFAULT_BUDGET)
+    return projective_space_with_hyperplanes(n, s)
 
 
 # -- pair-spec grammar --------------------------------------------------------
@@ -232,11 +232,11 @@ def parse_pair_spec(spec: str) -> PairClass:
 
 def _evaluate(spec: str, work: list[int]) -> PairClass:
     # work[0] is the work of the whole spec so far (see parse_pair_spec)
-    from .oracle import DEFAULT_BUDGET, charge  # deferred, as in catalog
-
     spec = spec.strip()
     for head in ("sum", "prod", "neg"):
-        if spec.startswith(head + "(") and spec.endswith(")"):
+        if spec.startswith(head + "("):
+            if not spec.endswith(")"):
+                raise ValueError(f"unbalanced parentheses in {spec!r}")
             parts = _split_top(spec[len(head) + 1 : -1])
             if head == "neg":
                 if len(parts) != 1:

@@ -37,13 +37,7 @@ from math import comb
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .field import is_prime
-from .geometry import (
-    MarkedP1Scene,
-    hyperplane_union_class,
-    point_in_marked_union,
-    sym_pair_p1_direct,
-    vieta_coefficients,
-)
+from .geometry import MarkedP1Scene, point_in_marked_union, vieta_coefficients
 from .lefschetz import MotivicPolynomial, projective_class, zeta_series
 from .oracle import (
     DEFAULT_BUDGET,
@@ -59,7 +53,7 @@ from .oracle import (
     squarefree_steps,
     weil_symmetric_counts,
 )
-from .pairs import PairClass, catalog, parse_pair_spec, split_atom
+from .pairs import _MARKED_PN, PairClass, catalog, parse_pair_spec, split_atom
 from .power import (
     _slopes,
     config_cost,
@@ -369,7 +363,8 @@ def _brute_counts(plan: _Plan, spec: str, q: int) -> tuple[int, int] | None:
         (s,) = params
         return plan.affine_line(q, s) if s <= q else None
     # P^n with s standard marks
-    n, s = {"p1-marked": (1, *params), "pn": (*params, 0), "pn-hyp": params}[name]
+    shape, _ = _MARKED_PN[name]
+    n, s = shape(*params)
     return plan.scene(n, q, s) if s <= q + 1 else None
 
 
@@ -663,12 +658,12 @@ def suite_example_p1(order: int, fields: tuple[int, ...], budget: int) -> list[d
         roots,
     )
     rows = [
-        _check("sym-pair-coherence", {"n": n, "s": s}, str(sym_pair_p1_direct(n, s)), str(zetas[s].coefficient(n)))
+        _check("sym-pair-coherence", {"n": n, "s": s}, str(catalog("pn-hyp", n, s)), str(zetas[s].coefficient(n)))
         for n in range(top + 1)
         for s in range(6)
     ]
     # each union class once a run: the rows below read P^1 to P^3 with at most 5 marks
-    union_class = {(n, s): hyperplane_union_class(n, s) for n in range(1, 4) for s in range(6)}
+    union_class = {(n, s): catalog("pn-hyp", n, s).subvariety for n in range(1, 4) for s in range(6)}
     rows += [
         _check("hyperplane-union-count", {"n": n, "s": s, "q": q}, total - off, union_class[n, s].evaluate(q))
         for q, n, s, (total, off) in unions

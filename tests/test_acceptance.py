@@ -10,7 +10,7 @@ import subprocess
 import sys
 import time
 
-from motivic_pairs import catalog, kapranov_zeta, run_suite, sym_pair_p1_direct
+from motivic_pairs import catalog, kapranov_zeta, run_suite
 from motivic_pairs.suites import CATALOG_SPECS
 
 POWER_LAWS = (
@@ -30,7 +30,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def test_criterion_1_worked_example_coherence():
     cases = [(n, s) for n in range(9) for s in range(6)]
     lam = {(n, s): kapranov_zeta(catalog("p1-marked", s), n).coefficient(n) for n, s in cases}
-    bad = [(n, s) for n, s in cases if sym_pair_p1_direct(n, s) != lam[n, s]]
+    bad = [(n, s) for n, s in cases if catalog("pn-hyp", n, s) != lam[n, s]]
     _report(
         1,
         not bad and len(cases) == 54,

@@ -80,8 +80,11 @@ def test_parse_errors():
         parse_pair_spec("sum(point,)")
     with pytest.raises(ValueError):
         parse_pair_spec("neg(point,empty)")
-    with pytest.raises(ValueError):
-        parse_pair_spec("sum(point")
+    # unbalanced input is reported as such: a combinator left open, an
+    # argument left open, a parenthesis closed too early
+    for unbalanced in ("sum(point", "sum((point)", "sum(point)(point)"):
+        with pytest.raises(ValueError, match="unbalanced"):
+            parse_pair_spec(unbalanced)
     with pytest.raises(ValueError):
         parse_pair_spec("finite")  # missing required sizes
     with pytest.raises(ValueError, match="nested deeper"):

@@ -1,4 +1,4 @@
-"""Marked projective line: scenes, root-to-coefficient map, union classes."""
+"""Marked projective line: scenes, root-to-coefficient map, and the pn-hyp classes they count."""
 
 import itertools
 
@@ -9,10 +9,8 @@ from motivic_pairs import (
     MotivicPolynomial,
     ProjectivePoint,
     catalog,
-    hyperplane_union_class,
     kapranov_zeta,
     point_in_marked_union,
-    sym_pair_p1_direct,
     vieta_coefficients,
 )
 from motivic_pairs.oracle import _marked_union_pass, enumerate_projective
@@ -59,15 +57,20 @@ def test_standard_scene_uses_infinity_last():
     assert MarkedP1Scene.standard(0, 2).marks == ()
 
 
+def union_class(n, s):
+    # the class of the marked hyperplanes: the subvariety of the catalog's pn-hyp:n,s
+    return catalog("pn-hyp", n, s).subvariety
+
+
 def test_hyperplane_union_class_frozen():
     # inclusion-exclusion over k-fold intersections P^{n-k}, checked by hand
-    assert hyperplane_union_class(2, 0) == MotivicPolynomial.zero()
-    assert hyperplane_union_class(2, 1) == ONE + L
+    assert union_class(2, 0) == MotivicPolynomial.zero()
+    assert union_class(2, 1) == ONE + L
     two = MotivicPolynomial.constant(2)
-    assert hyperplane_union_class(2, 2) == ONE + two * L
-    assert hyperplane_union_class(3, 2) == ONE + L + two * L * L
-    assert hyperplane_union_class(1, 3) == MotivicPolynomial.constant(3)
-    assert hyperplane_union_class(1, 1) == ONE
+    assert union_class(2, 2) == ONE + two * L
+    assert union_class(3, 2) == ONE + L + two * L * L
+    assert union_class(1, 3) == MotivicPolynomial.constant(3)
+    assert union_class(1, 1) == ONE
 
 
 def mark_sets(q):
@@ -83,24 +86,24 @@ def test_union_class_counts_match_enumeration():
         for marks in mark_sets(q):
             for n in (1, 2, 3):
                 _, on_marks = _marked_union_pass(n, q, [mark.coords for mark in marks])
-                assert on_marks == hyperplane_union_class(n, len(marks)).evaluate(q)
+                assert on_marks == union_class(n, len(marks)).evaluate(q)
 
 
 def test_sym_pair_routes_agree():
     # the hyperplane picture against the t^n coefficient of the marked line's zeta series
     for n in range(7):
         for s in range(6):
-            assert sym_pair_p1_direct(n, s) == kapranov_zeta(catalog("p1-marked", s), n).coefficient(n)
+            assert catalog("pn-hyp", n, s) == kapranov_zeta(catalog("p1-marked", s), n).coefficient(n)
 
 
 def test_sym_pair_small_values():
     # n = 1: the pair is the marked line itself
-    p = sym_pair_p1_direct(1, 2)
+    p = catalog("pn-hyp", 1, 2)
     assert p.amb == ONE + L
     assert p.comp == L - ONE
     # n = 0: a point, nothing marked
-    assert sym_pair_p1_direct(0, 3).amb == ONE
-    assert sym_pair_p1_direct(0, 3).comp == ONE
+    assert catalog("pn-hyp", 0, 3).amb == ONE
+    assert catalog("pn-hyp", 0, 3).comp == ONE
 
 
 def test_vieta_frozen_cases():

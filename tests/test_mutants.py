@@ -8,12 +8,13 @@ suites compare zeta's product route with a route that does not use it.
 
 import inspect
 import json
+from math import comb
 
 import pytest
 
-from motivic_pairs import TruncatedSeries, lefschetz, oracle, power, suites
+from motivic_pairs import PairClass, TruncatedSeries, lefschetz, oracle, pairs, power, suites
 from motivic_pairs.cli import main
-from motivic_pairs.lefschetz import MotivicPolynomial, zeta_series
+from motivic_pairs.lefschetz import MotivicPolynomial, projective_class, zeta_series
 
 
 def one_more_on_the_marks(n, q, marks):
@@ -229,9 +230,41 @@ def test_a_constant_term_mutant_fails_its_suites(monkeypatch, capsys, suite, che
     assert failed_checks(capsys) == checks
 
 
+# The one builder of every marked P^n is checked by zeta (sym-pair-coherence)
+# and by enumeration (the catalog and union counts), and catalog-effective
+# bounds the counts its classes give.  hyperplane-union-monotone still
+# passes: its bound holds on the mutant's classes too.
+BUILDER_KILLS = {
+    "ring-axioms": {"catalog-count", "catalog-effective"},
+    "example-p1": {"hyperplane-union-count", "sym-pair-coherence"},
+}
+
+
+def test_a_builder_mutant_fails_the_suites_that_check_it(monkeypatch, capsys):
+    # the k = 2 term C(s, 2) [P^(n-2)] of the inclusion-exclusion enters with
+    # a minus sign, patched where the catalog calls the builder; the other
+    # suites pass
+    build = pairs.projective_space_with_hyperplanes
+
+    def k2_term_flipped(dim, count):
+        built = build(dim, count)
+        if min(count, dim) < 2:
+            return built
+        twice = projective_class(dim - 2) * MotivicPolynomial.constant(2 * comb(count, 2))
+        return PairClass(built.amb, built.comp - twice)
+
+    monkeypatch.setattr(pairs, "projective_space_with_hyperplanes", k2_term_flipped)
+    outcomes = {}
+    for suite in suites.SUITES:
+        code = main(["verify", "--suite", suite])
+        outcomes[suite] = code, failed_checks(capsys)
+    expected = {suite: (1, BUILDER_KILLS[suite]) if suite in BUILDER_KILLS else (0, set()) for suite in suites.SUITES}
+    assert outcomes == expected
+
+
 def test_every_suite_has_a_mutant_that_fails_it():
     # a new suite cannot land without a mutant row above, and no row names a suite that is gone
     killed = [suite for *_, suite, _ in MUTANTS]
     tables = ZETA_PRODUCT_KILLS + CONFIG_KILLS + CONSTANT_TERM_KILLS + PACKED_SERIES_KILLS + [PACKED_STEP_KILLS]
-    killed += [suite for suite, _ in tables]
+    killed += [suite for suite, _ in tables] + list(BUILDER_KILLS)
     assert set(suites.SUITES) == set(killed)

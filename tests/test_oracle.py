@@ -28,6 +28,7 @@ from motivic_pairs import (
 from motivic_pairs import oracle
 from motivic_pairs.cli import main
 from motivic_pairs.geometry import point_in_marked_union
+from motivic_pairs.lefschetz import MotivicPolynomial, zeta_series
 from motivic_pairs.oracle import (
     _affine_values,
     _marked_union_pass,
@@ -35,6 +36,7 @@ from motivic_pairs.oracle import (
     _square_marks,
     marked_union_steps,
 )
+from motivic_pairs.pairs import affine_line_marked
 
 
 def test_enumerate_projective_counts():
@@ -373,3 +375,33 @@ def test_power_configs_match_per_weight_reference():
         assert len(counts) == top + 1
         for n in range(top + 1):
             assert counts[n] == reference_power_configs(scene, n), (scene, n)
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: ProjectivePoint((0, 0)), "cannot all be zero"),
+        (lambda: ProjectivePoint((2, 1)), "normalized"),
+        (lambda: FiniteScene((0, 0), (), ()), "atoms must be distinct"),
+        (lambda: FiniteScene((0,), (1,), ()), "marked atoms"),
+        (lambda: FiniteScene((0,), (), (((0, 0), ()),)), "labels of one weight"),
+        (lambda: FiniteScene((0,), (), (((0,), (1,)),)), "marked labels"),
+        (lambda: count_power_configs(FiniteScene.from_sizes(1, 0, []), -1), "weight"),
+        (lambda: enumerate_projective(-1, 2), "dimension"),
+        (lambda: enumerate_projective(1, 4), "prime"),
+        (lambda: count_squarefree_monic(4, 2), "prime"),
+        (lambda: count_squarefree_monic(2, 0), "degree"),
+        (lambda: zeta_series(MotivicPolynomial.one(), -1), "order"),
+        (lambda: affine_line_marked(-1), "non-negative"),
+    ],
+    ids=[
+        "point-zero", "point-unnormalized",
+        "scene-atoms", "scene-marked-atoms", "scene-labels", "scene-marked-labels",
+        "configs-weight", "projective-dimension", "projective-field",
+        "squarefree-field", "squarefree-degree", "zeta-order", "affine-marks",
+    ],
+)
+def test_input_checks_refuse_with_value_error(make, match):
+    # each argument check of the points, scenes, oracles and builders refuses bad input
+    with pytest.raises(ValueError, match=match):
+        make()

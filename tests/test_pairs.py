@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from motivic_pairs import MotivicPolynomial, PairClass, catalog, oracle
+from motivic_pairs import MotivicPolynomial, PairClass, catalog, pairs
 from motivic_pairs.oracle import DEFAULT_BUDGET, BudgetExceededError
 from motivic_pairs.pairs import parse_pair_spec
 
@@ -23,13 +23,12 @@ def random_pair(rng):
 def test_basic_constructors():
     assert PairClass.zero() == PairClass(ZERO, ZERO)
     assert PairClass.one() == PairClass(ONE, ONE)
-    assert PairClass.unmarked(L) == PairClass(L, L)
 
 
 def test_subvariety_is_difference():
     p = PairClass(ONE + L, L - ONE)
     assert p.subvariety == MotivicPolynomial.constant(2)
-    assert PairClass.unmarked(L).subvariety == ZERO
+    assert PairClass(L, L).subvariety == ZERO
 
 
 def test_componentwise_arithmetic():
@@ -93,7 +92,9 @@ def test_catalog_affine_and_projective_line():
 
 
 def test_catalog_projective_space():
-    assert catalog("pn", 2) == PairClass.unmarked(ONE + L + L * L)
+    p2 = catalog("pn", 2)
+    assert p2 == PairClass(ONE + L + L * L, ONE + L + L * L)
+    assert p2.comp is p2.amb  # nothing marked: the complement is the ambient class itself
     assert catalog("pn", 0) == PairClass.one()
 
 
@@ -141,11 +142,11 @@ def test_catalog_refuses_classes_over_the_default_budget():
 def test_pair_specs_are_charged_their_work_so_far(monkeypatch, spec, work):
     # terms for atoms, terms read and written for sums, term products per
     # lane for products, charged before each sum or product step against
-    # the default budget
+    # the default budget, as the grammar reads it
     value = parse_pair_spec(spec)
-    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", work - 1)
+    monkeypatch.setattr(pairs, "DEFAULT_BUDGET", work - 1)
     with pytest.raises(BudgetExceededError) as refused:
         parse_pair_spec(spec)
     assert refused.value.needed == work
-    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", work)
+    monkeypatch.setattr(pairs, "DEFAULT_BUDGET", work)
     assert parse_pair_spec(spec) == value

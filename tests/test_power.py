@@ -227,7 +227,7 @@ def partitions(n, largest=None):
 
 @pytest.mark.parametrize(
     "zeta, lift",
-    [(zeta_series, lambda m: m), (kapranov_zeta, PairClass.unmarked)],
+    [(zeta_series, lambda m: m), (kapranov_zeta, lambda m: PairClass(m, m))],
     ids=["lefschetz", "pair"],
 )
 def test_power_pow_hilbert_scheme_of_the_plane(zeta, lift):
