@@ -69,8 +69,9 @@ two zeta factors, so it makes no second zeta and no series multiply.
 
 Inside `lane_memo()`, which the command line opens once per command,
 zeta_series, power.config_series and power._lane_pow compute each lane
-result once; the table is dropped when the block ends.  Library calls,
-outside any block, are never memoized.
+result once, and power._ghosts the ghost_log of each base series that
+_lane_pow raises, whatever the exponent; the table is dropped when the
+block ends.  Library calls, outside any block, are never memoized.
 """
 
 from __future__ import annotations
@@ -104,8 +105,8 @@ class MotivicPolynomial:
     def _trusted(cls, coeffs: dict[int, int]) -> "MotivicPolynomial":
         """The polynomial whose terms are coeffs, taken over as they are.
 
-        For results built in this module (ring operations, Adams operations,
-        ghost recurrences, projective classes), whose degrees and
+        For results built in this module (ring constants, ring operations,
+        Adams operations, ghost recurrences, projective classes), whose degrees and
         coefficients are ints by construction.  coeffs must be canonical, in ascending degree with no
         zero coefficient, and a fresh dict that no caller holds or changes
         later: it is neither checked, sorted, filtered nor copied.
@@ -118,11 +119,11 @@ class MotivicPolynomial:
 
     @classmethod
     def zero(cls) -> "MotivicPolynomial":
-        return cls({})
+        return cls._trusted({})
 
     @classmethod
     def one(cls) -> "MotivicPolynomial":
-        return cls({0: 1})
+        return cls._trusted({0: 1})
 
     @classmethod
     def constant(cls, value: int) -> "MotivicPolynomial":
@@ -130,7 +131,7 @@ class MotivicPolynomial:
 
     @classmethod
     def lefschetz(cls) -> "MotivicPolynomial":
-        return cls({1: 1})
+        return cls._trusted({1: 1})
 
     # -- inspection --------------------------------------------------------
 
@@ -690,6 +691,7 @@ class _PackedRecurrence:
 # polynomial's _coeffs, or a series' coefficient tuple, once built.
 
 _MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("lane_memo", default=None)
+_MISSING = object()
 
 
 @contextlib.contextmanager
@@ -705,16 +707,18 @@ def lane_memo() -> Iterator[None]:
 def _lane_memoized(routine: Callable) -> Callable:
     # keyed on (routine, *args): the arguments are polynomials, ints and
     # tuples of polynomials, hashed and compared by value; the command line
-    # passes none by keyword, so a keyword call simply runs
+    # passes none by keyword, so a keyword call simply runs.  A hit costs one
+    # lookup, and a routine that raises stores nothing.
     @functools.wraps(routine)
     def call(*args, **kwargs):
         memo = _MEMO.get()
         if memo is None or kwargs:
             return routine(*args, **kwargs)
         key = (routine, *args)
-        if key not in memo:
-            memo[key] = routine(*args)
-        return memo[key]
+        result = memo.get(key, _MISSING)
+        if result is _MISSING:
+            result = memo[key] = routine(*args)
+        return result
 
     return call
 

@@ -37,12 +37,17 @@ from .lefschetz import MotivicPolynomial, projective_class
 from .oracle import DEFAULT_BUDGET, charge
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PairClass:
     """Class of a variety pair: ambient class and complement class."""
 
     amb: MotivicPolynomial
     comp: MotivicPolynomial
+
+    def __init__(self, amb: MotivicPolynomial, comp: MotivicPolynomial) -> None:
+        # through the slots themselves, not the frozen __setattr__
+        _set_amb(self, amb)
+        _set_comp(self, comp)
 
     # -- constructors ---------------------------------------------------
 
@@ -89,6 +94,9 @@ class PairClass:
 
     def to_json(self) -> dict:
         return {"amb": self.amb.to_json(), "comp": self.comp.to_json()}
+
+
+_set_amb, _set_comp = PairClass.amb.__set__, PairClass.comp.__set__
 
 
 # -- catalog of concrete generators ------------------------------------------

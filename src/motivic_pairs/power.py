@@ -44,8 +44,9 @@ maps it over the ambient and the complement lane.  Ring constants come
 from the coefficient types themselves (`PairClass.one()`,
 `MotivicPolynomial.one()`).  Like lefschetz.zeta_series, config_series
 and _lane_pow compute each lane result once per command line command
-(`lefschetz.lane_memo()`) and drop it when the command ends; library
-calls are never memoized.
+(`lefschetz.lane_memo()`), and _ghosts the ghosts of each base lane
+once, however many exponents raise it; the results are dropped when the
+command ends, and library calls are never memoized.
 """
 
 from __future__ import annotations
@@ -129,6 +130,12 @@ PAIR_RING = LambdaRing(PairClass.one(), kapranov_zeta)
 
 
 @_lane_memoized
+def _ghosts(coeffs: tuple[MotivicPolynomial, ...]) -> tuple[MotivicPolynomial, ...]:
+    # the ghosts of one base lane, shared by every exponent it is raised to
+    return ghost_log(coeffs)
+
+
+@_lane_memoized
 def _lane_pow(coeffs: tuple[MotivicPolynomial, ...], m: MotivicPolynomial) -> tuple[MotivicPolynomial, ...]:
     # With c_i = i*b_i the ghosts are g_n = sum_{i|n} psi_{n/i}(c_i), because
     # psi commutes with integer multiples; so c needs no division, and the
@@ -141,7 +148,7 @@ def _lane_pow(coeffs: tuple[MotivicPolynomial, ...], m: MotivicPolynomial) -> tu
     # taken psi_{i/i'}(c_i') off it, and a zero c_i adds nothing.  Both fill
     # their dicts in scatter order, so each polynomial made from one goes
     # through _terms.
-    ghosts = ghost_log(coeffs)
+    ghosts = _ghosts(coeffs)
     m0 = m.coefficient(0)
     l_part = MotivicPolynomial._trusted({d: v for d, v in m._coeffs.items() if d})
     if not l_part._coeffs:

@@ -17,20 +17,22 @@ they have the same order and the same coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TruncatedSeries:
     """Window of a formal power series in t, truncated above t^order."""
 
     coeffs: tuple
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.coeffs, tuple):
-            object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) == 0:
+    def __init__(self, coeffs: Iterable[Any]) -> None:
+        # through the slot itself, not the frozen __setattr__
+        if not isinstance(coeffs, tuple):
+            coeffs = tuple(coeffs)
+        if not coeffs:
             raise ValueError("a truncated series needs at least a constant term")
+        _set_coeffs(self, coeffs)
 
     # -- shape ----------------------------------------------------------
 
@@ -58,3 +60,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r})"
+
+
+_set_coeffs = TruncatedSeries.coeffs.__set__

@@ -641,6 +641,20 @@ def test_memo_is_dropped_on_every_exit_code(capsys, monkeypatch):
     check(["verify", "--suite", "identities"], 1)
 
 
+def test_an_error_under_the_memo_ends_in_one_internal_error_line(capsys, monkeypatch):
+    # ghost_log raises under two memoized routines (_lane_pow, power._ghosts),
+    # which store nothing and chain nothing to it, so the line is the error's own
+    def broken(coeffs):
+        raise RuntimeError("ghosts broke")
+
+    monkeypatch.setattr(power, "ghost_log", broken)
+    for _ in range(2):
+        assert main(["pow", "--base", "geometric", "--pair", "p1-marked:2", "--order", "4"]) == 4
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "internal error: RuntimeError: ghosts broke\n")
+        assert lefschetz._MEMO.get() is None
+
+
 def test_verify_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "everything"])

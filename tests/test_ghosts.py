@@ -1045,6 +1045,58 @@ def test_lane_pow_dict_divisor_sum_matches_polynomial_chain(coeffs, m):
     assert _lane_pow(coeffs, m) is not first  # and never reused outside it
 
 
+def counting_ghost_log(monkeypatch):
+    # spy on the binding _lane_pow's ghosts are read through
+    bases = []
+    original = power.ghost_log
+
+    def spy(coeffs):
+        bases.append(coeffs)
+        return original(coeffs)
+
+    monkeypatch.setattr(power, "ghost_log", spy)
+    return bases
+
+
+def test_a_base_has_its_ghosts_read_once_per_block(monkeypatch):
+    bases = counting_ghost_log(monkeypatch)
+    coeffs = geometric_series(6, MotivicPolynomial.one()).coeffs
+    exponents = (L + L, MotivicPolynomial.constant(-3))
+    outside = [_lane_pow(coeffs, m) for m in exponents]
+    assert bases == [coeffs, coeffs]  # no memo: one run per call
+    bases.clear()
+    with lane_memo():
+        inside = [_lane_pow(coeffs, m) for m in exponents]
+    assert bases == [coeffs] and inside == outside  # one run for both exponents, the same results
+
+
+def test_a_memoized_routine_that_raises_stores_nothing(monkeypatch):
+    calls = []
+
+    @lefschetz._lane_memoized
+    def broken(m):
+        calls.append(m)
+        raise RuntimeError("broke")
+
+    with lane_memo():
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="broke") as raised:
+                broken(L)
+            # raised afresh, with no lookup error chained to it
+            assert raised.value.__context__ is None and raised.value.__cause__ is None
+        assert len(calls) == 2 and lefschetz._MEMO.get() == {}
+    # the same holds for an engine routine the memo wraps: ghost_log raises
+    # under _ghosts under _lane_pow, and neither keeps an entry
+    monkeypatch.setattr(power, "ghost_log", lambda coeffs: broken(L))
+    with lane_memo():
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="broke") as raised:
+                power_pow(geometric_series(3, PairClass.one()), PairClass(L, L))
+            assert raised.value.__context__ is None
+        assert lefschetz._MEMO.get() == {}
+    assert len(calls) == 4
+
+
 def full_divisor_sum_lane_pow(coeffs, m):
     # _lane_pow before the constant term of m scaled the ghosts: every c_i
     # is inverted and psi_r(m*c_i) is scattered for the whole exponent

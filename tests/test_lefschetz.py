@@ -39,6 +39,19 @@ def test_constructors():
     assert L.items() == ((1, 1),)
 
 
+def test_ring_constants_are_fresh_and_constant_still_checks():
+    # zero, one and L skip the checks, each over a dict of its own;
+    # constant(value) takes any value, so it still checks it
+    for make, terms in ((MotivicPolynomial.zero, ()), (MotivicPolynomial.one, ((0, 1),)),
+                        (MotivicPolynomial.lefschetz, ((1, 1),))):
+        a, b = make(), make()
+        assert a == b and a.items() == terms and a._coeffs is not b._coeffs
+        assert a == MotivicPolynomial(dict(terms)) and hash(a) == hash(MotivicPolynomial(dict(terms)))
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ValueError):
+            MotivicPolynomial.constant(bad)
+
+
 def test_degree_and_coefficient():
     p = ONE + L * L
     assert p.degree == 2

@@ -1,6 +1,9 @@
 """Pair classes: componentwise ring, marked-locus product rule, catalog."""
 
+import copy
+import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -68,6 +71,43 @@ def test_str():
 def test_json_roundtrip():
     p = PairClass(C(3) * L - ONE, MotivicPolynomial({2: 1}))
     assert json.loads(json.dumps(p.to_json())) == {"amb": {"0": "-1", "1": "3"}, "comp": {"2": "1"}}
+
+
+# -- the record contract: a frozen dataclass with slots, built through its slots --------
+
+
+def test_no_field_can_be_assigned():
+    p = PairClass(ONE + L, L)
+    for name in ("amb", "comp"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, ZERO)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(p, name)
+    # nor a new attribute (Python 3.11's frozen __setattr__ raises TypeError
+    # for a name that is not a field of a slotted class)
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        p.subspace = ZERO
+    assert p == PairClass(ONE + L, L) and not hasattr(p, "__dict__")
+
+
+def test_equality_and_hash_are_the_frozen_dataclass_ones():
+    a, b = PairClass(ONE + L, L), PairClass(L + ONE, L)
+    assert a == b and a is not b
+    assert hash(a) == hash(b) == hash((a.amb, a.comp))
+    assert a != PairClass(L, ONE + L) and a.__eq__((a.amb, a.comp)) is NotImplemented
+    assert [f.name for f in dataclasses.fields(PairClass)] == ["amb", "comp"]
+    assert {a: 1}[b] == 1
+
+
+def test_repr_names_both_lanes():
+    assert repr(PairClass(ONE, L)) == "PairClass(amb=MotivicPolynomial({0: 1}), comp=MotivicPolynomial({1: 1}))"
+
+
+def test_copy_and_pickle_round_trip():
+    p = PairClass(C(3) * L - ONE, MotivicPolynomial({2: 1}))
+    for other in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(other) is PairClass and other == p and hash(other) == hash(p)
+    assert copy.copy(p).amb is p.amb
 
 
 def test_catalog_point_empty():

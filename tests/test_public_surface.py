@@ -104,6 +104,36 @@ def test_a_polynomials_terms_are_set_only_where_it_is_built():
     assert sorted(writes) == ["lefschetz.py: __init__", "lefschetz.py: _trusted"]
 
 
+def test_a_records_slots_are_set_only_in_its_init():
+    # PairClass and TruncatedSeries are frozen and shared inside
+    # `lefschetz.lane_memo()`; their __init__ writes through the slot
+    # descriptors' __set__, bound once at module level, and nothing else may
+    setters, calls = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+        def scope(node):
+            while not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Module)):
+                node = parents[node]
+            return node
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "__set__":
+                where = "" if isinstance(scope(node), ast.Module) else f" in {scope(node).name}"
+                setters.append(f"{path.name}: {ast.unparse(node.value)}{where}")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", "").startswith("_set_"):
+                method = scope(node)
+                owner = getattr(parents.get(method), "name", "<module>")
+                calls.append(f"{path.name}: {owner}.{getattr(method, 'name', '<module>')} {node.func.id}")
+    assert sorted(setters) == ["pairs.py: PairClass.amb", "pairs.py: PairClass.comp", "series.py: TruncatedSeries.coeffs"]
+    assert sorted(calls) == [
+        "pairs.py: PairClass.__init__ _set_amb",
+        "pairs.py: PairClass.__init__ _set_comp",
+        "series.py: TruncatedSeries.__init__ _set_coeffs",
+    ]
+
+
 def test_trusted_wraps_only_fresh_dicts():
     # `_trusted` takes its dict over without a copy, and results are shared
     # inside `lefschetz.lane_memo()`, so each argument is a dict made on the

@@ -1,6 +1,9 @@
 """Truncated power series over exact coefficient rings."""
 
+import copy
+import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -108,3 +111,51 @@ def test_immutable():
     s = series(1, 2)
     with pytest.raises(Exception):
         s.coeffs = ()
+
+
+# -- the record contract: a frozen dataclass with slots, built through its slot ----------
+
+
+def test_no_field_can_be_assigned():
+    s = series(1, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.coeffs = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del s.coeffs
+    # nor a new attribute (Python 3.11's frozen __setattr__ raises TypeError
+    # for a name that is not a field of a slotted class)
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        s.extra = ()
+    assert s == series(1, 2) and not hasattr(s, "__dict__")
+
+
+def test_equality_and_hash_are_the_frozen_dataclass_ones():
+    a, b = series(1, 2), series(1, 2)
+    assert a == b and a is not b and a.coeffs is not b.coeffs
+    assert hash(a) == hash(b) == hash((a.coeffs,))
+    assert a != series(1, 3) and a.__eq__(a.coeffs) is NotImplemented
+    assert [f.name for f in dataclasses.fields(TruncatedSeries)] == ["coeffs"]
+
+
+def test_repr_lists_the_coefficients():
+    assert repr(TruncatedSeries((ONE, L))) == (
+        "TruncatedSeries([MotivicPolynomial({0: 1}), MotivicPolynomial({1: 1})])"
+    )
+
+
+def test_any_iterable_becomes_a_tuple_and_an_empty_window_is_refused():
+    for given in ([ONE, L], (c for c in (ONE, L)), map(lambda c: c, (ONE, L))):
+        s = TruncatedSeries(given)
+        assert type(s.coeffs) is tuple and s.coeffs == (ONE, L)
+    window = (ONE, L)
+    assert TruncatedSeries(window).coeffs is window  # a tuple is kept as it is
+    for empty in ((), [], iter(())):
+        with pytest.raises(ValueError, match="at least a constant term"):
+            TruncatedSeries(empty)
+
+
+def test_copy_and_pickle_round_trip():
+    s = TruncatedSeries((ONE, L, L * L - ONE))
+    for other in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert type(other) is TruncatedSeries and other == s and hash(other) == hash(s)
+    assert copy.copy(s).coeffs is s.coeffs

@@ -107,6 +107,44 @@ def test_runs_are_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("name", list(SUITES))
+def test_the_lane_memo_changes_no_report(name):
+    # every memoized routine is a pure function of its arguments
+    with lefschetz.lane_memo():
+        inside = run_suite(name)
+    assert inside == run_suite(name)
+
+
+# The ghost_log runs of the verify-all benchmark workload, one `verify --suite S`
+# command per suite at the defaults: with each base's ghosts read once per
+# command, a suite runs one per distinct base lane it raises to a power.
+GHOST_CENSUS = {"power-axioms": 40, "identities": 2, "eq3-finite": 9}
+
+
+def test_each_command_reads_each_bases_ghosts_once(monkeypatch, capsys):
+    runs, bases, current = {}, {}, [None]
+    original = power.ghost_log
+
+    def spy(coeffs):
+        runs[current[0]] = runs.get(current[0], 0) + 1
+        bases.setdefault(current[0], set()).add(coeffs)
+        return original(coeffs)
+
+    monkeypatch.setattr(power, "ghost_log", spy)
+    for name in SUITES:
+        current[0] = name
+        assert main(["verify", "--suite", name]) == 0
+    assert runs == GHOST_CENSUS and sum(runs.values()) == 51
+    assert {name: len(b) for name, b in bases.items()} == runs
+    # one command for all nine shares one table: identities raises only bases
+    # that power-axioms has raised before it
+    runs.clear()
+    current[0] = "all"
+    assert main(["verify", "--suite", "all"]) == 0
+    assert runs == {"all": 49}
+    capsys.readouterr()
+
+
 def test_run_suite_validation():
     with pytest.raises(ValueError):
         run_suite("nope")
